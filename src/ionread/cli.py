@@ -34,6 +34,10 @@ class ConfigError(ValueError):
     pass
 
 
+class ModelFileError(ValueError):
+    """A model file that cannot be read back into a model."""
+
+
 PRESETS: dict[str, dict[str, str]] = {
     "single": {
         "num_ions": "1",
@@ -221,11 +225,6 @@ def _file_stem(name: str) -> str:
     return name.replace("+", "_plus")
 
 
-def _channel_scale(train_sequences: np.ndarray) -> np.ndarray:
-    scale = train_sequences.reshape(-1, train_sequences.shape[2]).max(axis=0)
-    return np.where(scale > 0.0, scale, 1.0)
-
-
 @dataclass
 class StrategyResult:
     name: str
@@ -272,30 +271,60 @@ def run_strategy(
             seed=strategy_seed(config.seed_train, spec.name),
         )
         if spec.kind == "mlp":
+            network = mlp
             x = features.featurize_dataset(dataset.samples, fspec, geometry)
-            if config.normalization == "max":
-                scaler = features.FeatureScaler().fit(x[train_idx])
-                scale = scaler.maxima
-                x = scaler.transform(x)
-            model, history = mlp.train(
-                x[train_idx], train_labels, hidden=spec.hidden, config=train_config
-            )
-            predicted = mlp.predict(model, x[test_idx])
         else:
+            network = lstm
             x = features.sequence_dataset(dataset.samples, fspec, geometry)
-            if config.normalization == "max":
-                scale = _channel_scale(x[train_idx])
-                x = x / scale
-            model, history = lstm.train(
-                x[train_idx], train_labels, hidden_size=spec.hidden, config=train_config
-            )
-            predicted = lstm.predict(model, x[test_idx])
+        if config.normalization == "max":
+            # one divisor per input column; sequences share it across bins
+            train_rows = x[train_idx].reshape(-1, x.shape[-1])
+            scale = features.FeatureScaler().fit(train_rows).maxima
+            x = x / scale
+        model, history = network.train(
+            x[train_idx], train_labels, spec.hidden, config=train_config
+        )
+        predicted = network.predict(model, x[test_idx])
     report = evaluate.fidelity(
         evaluate.confusion(predicted, test_labels), strategy=spec.name
     )
     return StrategyResult(
         spec.name, report, model, history, scale, fspec, time.perf_counter() - started
     )
+
+
+_MODEL_CLASSES = {
+    cls.FORMAT: cls
+    for cls in (
+        threshold.FixedThresholdModel,
+        threshold.AdaptiveThresholdModel,
+        mlp.MlpModel,
+        lstm.LstmModel,
+    )
+}
+
+
+def save_model(model, path: str | Path, metadata: dict | None = None) -> None:
+    """Write any strategy's model as one JSON record carrying ``metadata``."""
+    record = model.to_dict()
+    record["metadata"] = metadata or {}
+    with open(path, "w") as fh:
+        json.dump(record, fh)
+
+
+def load_model(path: str | Path):
+    """Read a model file back; its ``format`` key selects the model class."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ModelFileError(f"{path}: model file must hold a JSON object")
+    cls = _MODEL_CLASSES.get(data.get("format"))
+    if cls is None:
+        raise ModelFileError(f"{path}: unknown model format {data.get('format')!r}")
+    try:
+        return cls.from_dict(data)
+    except KeyError as exc:
+        raise ModelFileError(f"{path}: {cls.FORMAT} record lacks key {exc}") from None
 
 
 def _save_strategy(result: StrategyResult, out_dir: Path) -> dict:
@@ -310,12 +339,7 @@ def _save_strategy(result: StrategyResult, out_dir: Path) -> dict:
     }
     if result.scale is not None:
         metadata["scale"] = np.asarray(result.scale).ravel().tolist()
-    if isinstance(result.model, lstm.LstmModel):
-        lstm.save_model(result.model, str(model_path), metadata)
-    elif isinstance(result.model, mlp.MlpModel):
-        mlp.save_model(result.model, str(model_path), metadata)
-    else:
-        threshold.save_model(result.model, str(model_path))
+    save_model(result.model, model_path, metadata)
     entry = evaluate.report_to_dict(result.report)
     entry["model_file"] = str(model_path.relative_to(out_dir))
     entry["seconds"] = round(result.seconds, 3)
@@ -480,11 +504,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> dict:
     for t in range(bins + 1):
         if t > 0:
             h, c = lstm.step(model, sequences[:, t - 1], h, c)
-        probs = lstm.readout(model, h)
-        predicted = [
-            evaluate.index_to_label(int(i), model.num_ions)
-            for i in np.argmax(probs, axis=1)
-        ]
+        predicted = mlp.probabilities_to_labels(lstm.readout(model, h), model.num_ions)
         report = evaluate.fidelity(
             evaluate.confusion(predicted, test_labels), strategy="RNN"
         )

@@ -27,19 +27,14 @@ class FeatureSpec:
     final bin absorbing any floating-point remainder.  When
     ``include_intermediate`` is false only ion channels are kept, in ion
     order; otherwise all recorded channels are kept, in channel order.
-    ``normalization`` is either ``"none"`` or ``"max"`` (per-feature maximum
-    learned from a training split, see :class:`FeatureScaler`).
     """
 
     num_bins: int = 1
     include_intermediate: bool = False
-    normalization: str = "none"
 
     def __post_init__(self) -> None:
         if self.num_bins < 1:
             raise FeatureError(f"num_bins must be >= 1, got {self.num_bins}")
-        if self.normalization not in ("none", "max"):
-            raise FeatureError(f"unknown normalization {self.normalization!r}")
 
     def channel_ids(self, geometry: DetectorGeometry) -> tuple[int, ...]:
         if self.include_intermediate:

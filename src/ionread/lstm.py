@@ -10,19 +10,17 @@ core.
 """
 from __future__ import annotations
 
-import json
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .evaluate import confusion, fidelity, index_to_label, label_to_index, split
 from .mlp import (
-    AdadeltaState,
     NetworkError,
     TrainConfig,
-    TrainingError,
-    adadelta_step,
+    cross_entropy,
+    fit,
+    probabilities_to_labels,
     softmax,
 )
 
@@ -40,6 +38,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 class LstmModel:
     """LSTM over count sequences with a dense softmax readout."""
+
+    FORMAT = "ionread.lstm"
 
     def __init__(self, input_size: int, hidden_size: int, output_size: int, seed: int = 0):
         if input_size < 1 or hidden_size < 1:
@@ -70,16 +70,9 @@ class LstmModel:
     def parameters(self) -> list[np.ndarray]:
         return [self.w_input, self.w_hidden, self.bias, self.w_readout, self.b_readout]
 
-    def copy_parameters(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.parameters]
-
-    def set_parameters(self, params: Sequence[np.ndarray]) -> None:
-        for current, new in zip(self.parameters, params):
-            current[...] = new
-
-    def to_dict(self, metadata: dict | None = None) -> dict:
+    def to_dict(self) -> dict:
         return {
-            "format": "ionread.lstm",
+            "format": self.FORMAT,
             "version": 1,
             "input_size": self.input_size,
             "hidden_size": self.hidden_size,
@@ -89,12 +82,11 @@ class LstmModel:
             "bias": self.bias.tolist(),
             "w_readout": self.w_readout.tolist(),
             "b_readout": self.b_readout.tolist(),
-            "metadata": metadata or {},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "LstmModel":
-        if data.get("format") != "ionread.lstm":
+        if data.get("format") != cls.FORMAT:
             raise NetworkError("not a recurrent model record")
         model = cls(data["input_size"], data["hidden_size"], data["output_size"])
         model.w_input = np.asarray(data["w_input"], dtype=float)
@@ -110,10 +102,8 @@ def initial_state(model: LstmModel, batch: int) -> tuple[np.ndarray, np.ndarray]
     return np.zeros((batch, model.hidden_size)), np.zeros((batch, model.hidden_size))
 
 
-def step(
-    model: LstmModel, x_t: np.ndarray, h: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance one time bin; use with ``initial_state`` to stream counts."""
+def _cell(model: LstmModel, x_t: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """One time bin of the LSTM: the four gate activations and the next (h, c)."""
     hs = model.hidden_size
     z = x_t @ model.w_input + h @ model.w_hidden + model.bias
     gate_in = sigmoid(z[:, :hs])
@@ -122,6 +112,14 @@ def step(
     candidate = np.tanh(z[:, 3 * hs :])
     c_next = gate_forget * c + gate_in * candidate
     h_next = gate_out * np.tanh(c_next)
+    return (gate_in, gate_forget, gate_out, candidate), h_next, c_next
+
+
+def step(
+    model: LstmModel, x_t: np.ndarray, h: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance one time bin; use with ``initial_state`` to stream counts."""
+    _, h_next, c_next = _cell(model, x_t, h, c)
     return h_next, c_next
 
 
@@ -144,18 +142,11 @@ def _validate_sequences(model: LstmModel, sequences) -> np.ndarray:
 
 def _forward_cached(model: LstmModel, x: np.ndarray):
     batch, bins, _ = x.shape
-    hs = model.hidden_size
     h, c = initial_state(model, batch)
     cache = []
     for t in range(bins):
-        z = x[:, t] @ model.w_input + h @ model.w_hidden + model.bias
-        gate_in = sigmoid(z[:, :hs])
-        gate_forget = sigmoid(z[:, hs : 2 * hs])
-        gate_out = sigmoid(z[:, 2 * hs : 3 * hs])
-        candidate = np.tanh(z[:, 3 * hs :])
-        c_next = gate_forget * c + gate_in * candidate
-        h_next = gate_out * np.tanh(c_next)
-        cache.append((h, c, gate_in, gate_forget, gate_out, candidate, c_next))
+        gates, h_next, c_next = _cell(model, x[:, t], h, c)
+        cache.append((h, c, *gates, c_next))
         h, c = h_next, c_next
     probs = readout(model, h)
     return probs, h, cache
@@ -167,14 +158,15 @@ def forward(model: LstmModel, sequences) -> np.ndarray:
     An empty sequence (zero bins) yields the readout-bias prior.
     """
     x = _validate_sequences(model, sequences)
-    return _forward_cached(model, x)[0]
+    # no backward pass follows, so keep only the current state, not every bin's
+    h, c = initial_state(model, x.shape[0])
+    for t in range(x.shape[1]):
+        _, h, c = _cell(model, x[:, t], h, c)
+    return readout(model, h)
 
 
 def loss(model: LstmModel, sequences, class_indices) -> float:
-    probs = forward(model, sequences)
-    y = np.asarray(class_indices, dtype=np.int64)
-    picked = probs[np.arange(y.size), y]
-    return float(-np.log(np.maximum(picked, 1e-12)).mean())
+    return cross_entropy(forward(model, sequences), class_indices)
 
 
 def backward(model: LstmModel, sequences, class_indices) -> list[np.ndarray]:
@@ -221,9 +213,7 @@ def backward(model: LstmModel, sequences, class_indices) -> list[np.ndarray]:
 
 
 def predict(model: LstmModel, sequences) -> list[str]:
-    probs = forward(model, sequences)
-    indices = np.argmax(probs, axis=1)
-    return [index_to_label(int(i), model.num_ions) for i in indices]
+    return probabilities_to_labels(forward(model, sequences), model.num_ions)
 
 
 def train(
@@ -232,9 +222,7 @@ def train(
     hidden_size: int = DEFAULT_HIDDEN_SIZE,
     config: TrainConfig | None = None,
 ) -> tuple[LstmModel, list[dict]]:
-    """Same protocol as the feed-forward core: stratified validation split,
-    best-validation-fidelity weights, early stop after ``patience`` flat
-    epochs, abort on non-finite loss."""
+    """Same epoch protocol as the feed-forward core, see :func:`mlp.fit`."""
     config = config or TrainConfig()
     x = np.asarray(sequences, dtype=float)
     labels = list(labels)
@@ -244,43 +232,7 @@ def train(
         raise NetworkError(f"{x.shape[0]} sequences for {len(labels)} labels")
     num_ions = len(labels[0])
     model = LstmModel(x.shape[2], hidden_size, 2**num_ions, seed=config.seed)
-    train_idx, val_idx = split(labels, 1.0 - config.validation_fraction, config.seed)
-    x_train, x_val = x[train_idx], x[val_idx]
-    y_train = np.asarray([label_to_index(labels[i]) for i in train_idx])
-    val_labels = [labels[i] for i in val_idx]
-
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
-    state = AdadeltaState(model.parameters)
-    best_params = model.copy_parameters()
-    best_fidelity = -1.0
-    best_epoch = -1
-    history: list[dict] = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(x_train.shape[0])
-        epoch_loss = 0.0
-        for start in range(0, order.size, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grads = backward(model, x_train[batch], y_train[batch])
-            adadelta_step(model.parameters, grads, state, config.rho, config.epsilon)
-            batch_loss = loss(model, x_train[batch], y_train[batch])
-            if not math.isfinite(batch_loss):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch offset {start}"
-                )
-            epoch_loss += batch_loss * batch.size
-        epoch_loss /= order.size
-        val_fidelity = fidelity(confusion(predict(model, x_val), val_labels)).average
-        history.append(
-            {"epoch": epoch, "train_loss": epoch_loss, "val_fidelity": val_fidelity}
-        )
-        if val_fidelity > best_fidelity:
-            best_fidelity = val_fidelity
-            best_epoch = epoch
-            best_params = model.copy_parameters()
-        elif epoch - best_epoch >= config.patience:
-            break
-    model.set_parameters(best_params)
-    return model, history
+    return model, fit(model, x, labels, config, backward, loss, predict)
 
 
 def bright_marginal(probs: np.ndarray, ion: int, num_ions: int) -> np.ndarray:
@@ -313,12 +265,3 @@ def probe(
         x[t, t, feature_column] = photon_value
     return bright_marginal(forward(model, x), ion, model.num_ions)
 
-
-def save_model(model: LstmModel, path: str, metadata: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(model.to_dict(metadata), fh)
-
-
-def load_model(path: str) -> LstmModel:
-    with open(path) as fh:
-        return LstmModel.from_dict(json.load(fh))

@@ -7,9 +7,8 @@ plain hand-derived backpropagation.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -67,6 +66,8 @@ class MlpModel:
     Weights start uniform in +-sqrt(6 / (fan_in + fan_out)), biases at zero.
     """
 
+    FORMAT = "ionread.mlp"
+
     def __init__(self, layer_sizes: Sequence[int], seed: int = 0):
         layer_sizes = [int(s) for s in layer_sizes]
         if len(layer_sizes) != 4:
@@ -96,26 +97,18 @@ class MlpModel:
     def parameters(self) -> list[np.ndarray]:
         return self.weights + self.biases
 
-    def copy_parameters(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.parameters]
-
-    def set_parameters(self, params: Sequence[np.ndarray]) -> None:
-        for current, new in zip(self.parameters, params):
-            current[...] = new
-
-    def to_dict(self, metadata: dict | None = None) -> dict:
+    def to_dict(self) -> dict:
         return {
-            "format": "ionread.mlp",
+            "format": self.FORMAT,
             "version": 1,
             "layer_sizes": self.layer_sizes,
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
-            "metadata": metadata or {},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "MlpModel":
-        if data.get("format") != "ionread.mlp":
+        if data.get("format") != cls.FORMAT:
             raise NetworkError("not a feed-forward model record")
         model = cls(data["layer_sizes"])
         model.weights = [np.asarray(w, dtype=float) for w in data["weights"]]
@@ -147,12 +140,20 @@ def forward(model: MlpModel, x) -> np.ndarray:
     return _forward_cached(model, x)[2]
 
 
-def loss(model: MlpModel, x, class_indices) -> float:
+def cross_entropy(probs: np.ndarray, class_indices) -> float:
     """Mean cross-entropy, with predicted probabilities floored at 1e-12."""
-    probs = forward(model, x)
     y = np.asarray(class_indices, dtype=np.int64)
     picked = probs[np.arange(y.size), y]
     return float(-np.log(np.maximum(picked, PROBABILITY_FLOOR)).mean())
+
+
+def probabilities_to_labels(probs: np.ndarray, num_ions: int) -> list[str]:
+    """Most probable register label per row; ties go to the lowest index."""
+    return [index_to_label(int(i), num_ions) for i in np.argmax(probs, axis=1)]
+
+
+def loss(model: MlpModel, x, class_indices) -> float:
+    return cross_entropy(forward(model, x), class_indices)
 
 
 def backward(model: MlpModel, x, class_indices) -> list[np.ndarray]:
@@ -209,45 +210,36 @@ def adadelta_step(
 
 
 def predict(model: MlpModel, features) -> list[str]:
-    """Most probable register label per shot; ties go to the lowest index."""
-    probs = forward(model, features)
-    indices = np.argmax(probs, axis=1)
-    return [index_to_label(int(i), model.num_ions) for i in indices]
+    return probabilities_to_labels(forward(model, features), model.num_ions)
 
 
-def train(
-    features,
-    labels: Sequence[str],
-    hidden: tuple[int, int],
-    config: TrainConfig | None = None,
-) -> tuple[MlpModel, list[dict]]:
-    """Train on labelled feature rows; returns the best-validation model.
+def fit(
+    model,
+    x: np.ndarray,
+    labels: list[str],
+    config: TrainConfig,
+    backward,
+    loss,
+    predict,
+) -> list[dict]:
+    """Train ``model`` in place on labelled rows; returns the epoch history.
 
-    A stratified ``validation_fraction`` of the rows is held out; after each
-    epoch the register fidelity on that held-out part is recorded and the
-    parameters with the best validation fidelity so far are kept.  Training
-    stops early once ``patience`` epochs pass without improvement, and
-    aborts with diagnostics if the loss stops being finite.
+    Shared by every network: ``backward``, ``loss`` and ``predict`` are the
+    network's own functions.  A stratified ``validation_fraction`` of the
+    rows is held out; after each epoch the register fidelity on that
+    held-out part is recorded and the parameters with the best validation
+    fidelity so far are kept.  Training stops early once ``patience`` epochs
+    pass without improvement, and aborts with diagnostics if the loss stops
+    being finite.
     """
-    config = config or TrainConfig()
-    features = np.asarray(features, dtype=float)
-    labels = list(labels)
-    if features.shape[0] != len(labels):
-        raise NetworkError(
-            f"{features.shape[0]} feature rows for {len(labels)} labels"
-        )
-    num_ions = len(labels[0])
-    model = MlpModel(
-        [features.shape[1], hidden[0], hidden[1], 2**num_ions], seed=config.seed
-    )
     train_idx, val_idx = split(labels, 1.0 - config.validation_fraction, config.seed)
-    x_train, x_val = features[train_idx], features[val_idx]
+    x_train, x_val = x[train_idx], x[val_idx]
     y_train = np.asarray([label_to_index(labels[i]) for i in train_idx])
     val_labels = [labels[i] for i in val_idx]
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
     state = AdadeltaState(model.parameters)
-    best_params = model.copy_parameters()
+    best_params = [p.copy() for p in model.parameters]
     best_fidelity = -1.0
     best_epoch = -1
     history: list[dict] = []
@@ -256,10 +248,10 @@ def train(
         epoch_loss = 0.0
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
-            x, y = x_train[batch], y_train[batch]
-            grads = backward(model, x, y)
+            xb, yb = x_train[batch], y_train[batch]
+            grads = backward(model, xb, yb)
             adadelta_step(model.parameters, grads, state, config.rho, config.epsilon)
-            batch_loss = loss(model, x, y)
+            batch_loss = loss(model, xb, yb)
             if not math.isfinite(batch_loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch offset {start}"
@@ -273,18 +265,33 @@ def train(
         if val_fidelity > best_fidelity:
             best_fidelity = val_fidelity
             best_epoch = epoch
-            best_params = model.copy_parameters()
+            best_params = [p.copy() for p in model.parameters]
         elif epoch - best_epoch >= config.patience:
             break
-    model.set_parameters(best_params)
-    return model, history
+    for current, best in zip(model.parameters, best_params):
+        current[...] = best
+    return history
 
 
-def save_model(model: MlpModel, path: str, metadata: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(model.to_dict(metadata), fh)
+def train(
+    features,
+    labels: Sequence[str],
+    hidden: tuple[int, int],
+    config: TrainConfig | None = None,
+) -> tuple[MlpModel, list[dict]]:
+    """Train on labelled feature rows; returns the best-validation model.
 
-
-def load_model(path: str) -> MlpModel:
-    with open(path) as fh:
-        return MlpModel.from_dict(json.load(fh))
+    The epoch protocol is :func:`fit`'s.
+    """
+    config = config or TrainConfig()
+    features = np.asarray(features, dtype=float)
+    labels = list(labels)
+    if features.shape[0] != len(labels):
+        raise NetworkError(
+            f"{features.shape[0]} feature rows for {len(labels)} labels"
+        )
+    num_ions = len(labels[0])
+    model = MlpModel(
+        [features.shape[1], hidden[0], hidden[1], 2**num_ions], seed=config.seed
+    )
+    return model, fit(model, features, labels, config, backward, loss, predict)

@@ -20,8 +20,9 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Iterator, NamedTuple, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.stats import poisson
@@ -173,17 +174,6 @@ class DetectorGeometry:
     def crosstalk_matrix(self) -> np.ndarray:
         return np.asarray(self.crosstalk, dtype=float)
 
-    @property
-    def intermediate_channels(self) -> tuple[int, ...]:
-        taken = set(self.ion_channel)
-        return tuple(m for m in range(self.num_channels) if m not in taken)
-
-    def ion_of_channel(self, channel: int) -> int | None:
-        try:
-            return self.ion_channel.index(channel)
-        except ValueError:
-            return None
-
     def to_dict(self) -> dict:
         return {
             "num_ions": self.num_ions,
@@ -253,14 +243,6 @@ def adjacent_geometry(
     return DetectorGeometry(num_ions, num_ions, ion_channel, crosstalk, False)
 
 
-@dataclass(frozen=True)
-class PhotonEvent:
-    """A single detected photon: which channel fired and when."""
-
-    channel: int
-    arrival_us: float
-
-
 @dataclass
 class ReadoutSample:
     """One detection shot: the prepared label plus all recorded events.
@@ -274,12 +256,6 @@ class ReadoutSample:
     window_us: float
     channels: np.ndarray
     times: np.ndarray
-
-    @property
-    def events(self) -> list[PhotonEvent]:
-        return [
-            PhotonEvent(int(c), float(t)) for c, t in zip(self.channels, self.times)
-        ]
 
     @property
     def num_events(self) -> int:
@@ -297,8 +273,9 @@ class Dataset:
     samples_per_label: int
     mode: str = "fresh"
 
-    @property
+    @cached_property
     def labels(self) -> list[str]:
+        """Per-shot labels, built once; treat the list as read-only."""
         return [s.label for s in self.samples]
 
     def __len__(self) -> int:

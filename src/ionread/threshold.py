@@ -7,8 +7,7 @@ the register's bit assignment reaches a fixed point.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,20 +57,22 @@ def _best_threshold(counts: np.ndarray, bits: np.ndarray) -> int:
 class FixedThresholdModel:
     thresholds: tuple[int, ...]
 
+    FORMAT = "ionread.threshold_fixed"
+
     @property
     def num_ions(self) -> int:
         return len(self.thresholds)
 
     def to_dict(self) -> dict:
         return {
-            "format": "ionread.threshold_fixed",
+            "format": self.FORMAT,
             "version": 1,
             "thresholds": list(self.thresholds),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FixedThresholdModel":
-        if data.get("format") != "ionread.threshold_fixed":
+        if data.get("format") != cls.FORMAT:
             raise ThresholdError("not a fixed-threshold model record")
         return cls(tuple(int(t) for t in data["thresholds"]))
 
@@ -123,13 +124,15 @@ class AdaptiveThresholdModel:
     starved_contexts: tuple[tuple[int, str], ...] = ()
     max_iterations: int = 10
 
+    FORMAT = "ionread.threshold_adaptive"
+
     @property
     def num_ions(self) -> int:
         return self.fixed.num_ions
 
     def to_dict(self) -> dict:
         return {
-            "format": "ionread.threshold_adaptive",
+            "format": self.FORMAT,
             "version": 1,
             "fixed_thresholds": list(self.fixed.thresholds),
             "context_thresholds": [dict(c) for c in self.context_thresholds],
@@ -139,7 +142,7 @@ class AdaptiveThresholdModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AdaptiveThresholdModel":
-        if data.get("format") != "ionread.threshold_adaptive":
+        if data.get("format") != cls.FORMAT:
             raise ThresholdError("not an adaptive-threshold model record")
         return cls(
             fixed=FixedThresholdModel(tuple(data["fixed_thresholds"])),
@@ -234,17 +237,3 @@ def classify_adaptive(
         bits = new_bits
     return bits_to_labels(bits), converged
 
-
-def save_model(model, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(model.to_dict(), fh, indent=1)
-
-
-def load_model(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("format") == "ionread.threshold_fixed":
-        return FixedThresholdModel.from_dict(data)
-    if data.get("format") == "ionread.threshold_adaptive":
-        return AdaptiveThresholdModel.from_dict(data)
-    raise ThresholdError(f"{path}: unknown model format {data.get('format')!r}")

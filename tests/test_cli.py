@@ -5,13 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from ionread import cli, sim
+from ionread import cli, evaluate, features, mlp, sim
 from ionread.cli import (
     ConfigError,
     ExperimentConfig,
+    ModelFileError,
     build_config,
     build_emission_model,
     build_geometry,
+    load_model,
     main,
     parse_config_file,
     strategy_seed,
@@ -215,6 +217,81 @@ class TestProbeAndSweep:
         assert rows[0] == ["detection_time_us", "fidelity", "stderr"]
         assert len(rows) == 1 + 16
         assert rows[1][0] == "0.0" and rows[-1][0] == "150.0"
+
+
+@pytest.fixture(scope="module")
+def scaled_run(tmp_path_factory):
+    cfg = tmp_path_factory.mktemp("cfg")
+    config = write_config(
+        cfg / "scaled.cfg",
+        "num_ions = 3\ngeometry = alternating\nsamples_per_label = 30\n"
+        "epochs = 2\nnormalization = max\nstrategies = FT,NN+,RNN\n"
+        "seed_data = 6\nseed_train = 7\n",
+    )
+    out = tmp_path_factory.mktemp("scaled")
+    codes = [
+        main([command, "--config", config, "--out", str(out / command)])
+        for command in ("run", "probe", "sweep-time")
+    ]
+    return codes, out
+
+
+class TestMaxNormalization:
+    def test_every_command_succeeds(self, scaled_run):
+        codes, _ = scaled_run
+        assert codes == [0, 0, 0]
+
+    def test_scale_recorded_with_model_input_width(self, scaled_run):
+        _, out = scaled_run
+        models = out / "run" / "models"
+        nn_plus = json.loads((models / "NN_plus.json").read_text())
+        rnn = json.loads((models / "RNN.json").read_text())
+        assert len(nn_plus["metadata"]["scale"]) == nn_plus["layer_sizes"][0]
+        assert len(rnn["metadata"]["scale"]) == rnn["input_size"]
+
+    def test_rnn_scale_is_training_channel_maximum(self, scaled_run):
+        _, out = scaled_run
+        run = out / "run"
+        summary = json.loads((run / "summary.json").read_text())
+        config = ExperimentConfig(**summary["config"])
+        dataset = sim.load_dataset(str(run / "dataset.jsonl"))
+        train_idx, _ = evaluate.split(
+            dataset.labels, config.train_fraction, config.seed_data
+        )
+        spec = features.FeatureSpec(num_bins=15, include_intermediate=True)
+        sequences = features.sequence_dataset(dataset.samples, spec, dataset.geometry)
+        expected = sequences[train_idx].max(axis=(0, 1))
+        rnn = json.loads((run / "models" / "RNN.json").read_text())
+        np.testing.assert_array_equal(rnn["metadata"]["scale"], expected)
+
+    def test_threshold_file_says_which_features_it_read(self, scaled_run):
+        _, out = scaled_run
+        ft = json.loads((out / "run" / "models" / "FT.json").read_text())
+        assert ft["metadata"] == {
+            "strategy": "FT", "num_bins": 1, "include_intermediate": False
+        }
+
+
+class TestModelFiles:
+    def test_unknown_format(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"format": "ionread.cnn", "version": 1}))
+        with pytest.raises(ModelFileError, match="unknown model format"):
+            load_model(path)
+
+    def test_not_an_object(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[1, 2, 3]")
+        with pytest.raises(ModelFileError, match="JSON object"):
+            load_model(path)
+
+    def test_missing_key(self, tmp_path):
+        record = mlp.MlpModel([2, 8, 8, 4]).to_dict()
+        del record["weights"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ModelFileError, match="weights"):
+            load_model(path)
 
 
 class TestErrorReporting:

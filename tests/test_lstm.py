@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ionread import lstm
+from ionread import cli, lstm
 from ionread.lstm import (
     LstmModel,
     NetworkError,
@@ -246,8 +246,8 @@ class TestSerialisation:
     def test_round_trip(self, tmp_path):
         model = LstmModel(4, 6, 8, seed=17)
         path = tmp_path / "rnn.json"
-        lstm.save_model(model, str(path), metadata={"strategy": "RNN"})
-        loaded = lstm.load_model(str(path))
+        cli.save_model(model, str(path), metadata={"strategy": "RNN"})
+        loaded = cli.load_model(str(path))
         x = np.random.default_rng(18).poisson(1.0, size=(3, 6, 4)).astype(float)
         np.testing.assert_array_equal(forward(loaded, x), forward(model, x))
         assert loaded.num_ions == 3

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ionread import mlp, sim, threshold
+from ionread import cli, mlp, sim, threshold
 from ionread.evaluate import confusion, fidelity, label_to_index, split
 from ionread.mlp import (
     AdadeltaState,
@@ -287,8 +287,8 @@ class TestSerialisation:
     def test_round_trip(self, tmp_path):
         model = MlpModel([6, 8, 8, 4], seed=17)
         path = tmp_path / "model.json"
-        mlp.save_model(model, str(path), metadata={"strategy": "NN"})
-        loaded = mlp.load_model(str(path))
+        cli.save_model(model, str(path), metadata={"strategy": "NN"})
+        loaded = cli.load_model(str(path))
         assert loaded.layer_sizes == model.layer_sizes
         x = np.random.default_rng(3).normal(size=(5, 6))
         np.testing.assert_array_equal(forward(loaded, x), forward(model, x))

@@ -220,6 +220,11 @@ class TestGenerateDataset:
         assert len(ds) == 16
         assert ds.labels == [l for l in sim.all_labels(3) for _ in range(2)]
 
+    def test_labels_built_once(self):
+        ds = sim.generate_dataset(sim.EmissionModel(), sim.single_ion_geometry(), 3, seed=2)
+        assert ds.labels is ds.labels
+        assert ds.labels == [s.label for s in ds.samples]
+
     def test_single_ion_bright_mean_at_scale(self):
         # 1e5-shot dataset: the bright-state count mean stays within 3 sigma.
         model = sim.EmissionModel(

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from ionread import sim, threshold
+from ionread import cli, sim, threshold
 
 
 def cdf_oracle_threshold(mu_bright, mu_dark, top=40):
@@ -198,8 +198,8 @@ class TestSerialisation:
     def test_fixed_round_trip(self, tmp_path):
         model = threshold.FixedThresholdModel((1, 2, 3))
         path = tmp_path / "fixed.json"
-        threshold.save_model(model, path)
-        assert threshold.load_model(path) == model
+        cli.save_model(model, path)
+        assert cli.load_model(path) == model
 
     def test_adaptive_round_trip(self, tmp_path):
         model = threshold.AdaptiveThresholdModel(
@@ -208,8 +208,8 @@ class TestSerialisation:
             starved_contexts=((1, "0"),),
         )
         path = tmp_path / "adaptive.json"
-        threshold.save_model(model, path)
-        back = threshold.load_model(path)
+        cli.save_model(model, path)
+        back = cli.load_model(path)
         assert back.fixed == model.fixed
         assert back.context_thresholds == model.context_thresholds
         assert back.starved_contexts == model.starved_contexts
