@@ -313,7 +313,11 @@ def save_model(model, path: str | Path, metadata: dict | None = None) -> None:
 
 
 def load_model(path: str | Path):
-    """Read a model file back; its ``format`` key selects the model class."""
+    """Read a model file back; its ``format`` key selects the model class.
+
+    Every array's shape and every threshold's type is checked against the
+    record's declared sizes, so a bad record fails here, not at first use.
+    """
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -325,6 +329,8 @@ def load_model(path: str | Path):
         return cls.from_dict(data)
     except KeyError as exc:
         raise ModelFileError(f"{path}: {cls.FORMAT} record lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"{path}: bad {cls.FORMAT} record: {exc}") from None
 
 
 def _save_strategy(result: StrategyResult, out_dir: Path) -> dict:

@@ -18,6 +18,7 @@ import numpy as np
 from .mlp import (
     NetworkError,
     TrainConfig,
+    checked_array,
     cross_entropy,
     fit,
     probabilities_to_labels,
@@ -25,15 +26,20 @@ from .mlp import (
 )
 
 DEFAULT_HIDDEN_SIZE = 32
+# inference streams this many sequences at a time, bounding its working set
+INFERENCE_BLOCK_ROWS = 2048
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Logistic function that never takes ``exp`` of a positive number.
+
+    Bit-identical to ``1/(1+exp(-x))`` for ``x >= 0`` and to
+    ``exp(x)/(1+exp(x))`` below zero, without branching on the sign.
+    """
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0.0, 1.0, e)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 class LstmModel:
@@ -89,11 +95,9 @@ class LstmModel:
         if data.get("format") != cls.FORMAT:
             raise NetworkError("not a recurrent model record")
         model = cls(data["input_size"], data["hidden_size"], data["output_size"])
-        model.w_input = np.asarray(data["w_input"], dtype=float)
-        model.w_hidden = np.asarray(data["w_hidden"], dtype=float)
-        model.bias = np.asarray(data["bias"], dtype=float)
-        model.w_readout = np.asarray(data["w_readout"], dtype=float)
-        model.b_readout = np.asarray(data["b_readout"], dtype=float)
+        for name in ("w_input", "w_hidden", "bias", "w_readout", "b_readout"):
+            shape = getattr(model, name).shape
+            setattr(model, name, checked_array(data[name], shape, name))
         return model
 
 
@@ -103,16 +107,19 @@ def initial_state(model: LstmModel, batch: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _cell(model: LstmModel, x_t: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """One time bin of the LSTM: the four gate activations and the next (h, c)."""
+    """One time bin of the LSTM: the activations BPTT needs and the next (h, c).
+
+    The activations are the packed sigmoid gates ``[input, forget, output]``,
+    the candidate and ``tanh`` of the next cell state.
+    """
     hs = model.hidden_size
     z = x_t @ model.w_input + h @ model.w_hidden + model.bias
-    gate_in = sigmoid(z[:, :hs])
-    gate_forget = sigmoid(z[:, hs : 2 * hs])
-    gate_out = sigmoid(z[:, 2 * hs : 3 * hs])
+    gates = sigmoid(z[:, : 3 * hs])
     candidate = np.tanh(z[:, 3 * hs :])
-    c_next = gate_forget * c + gate_in * candidate
-    h_next = gate_out * np.tanh(c_next)
-    return (gate_in, gate_forget, gate_out, candidate), h_next, c_next
+    c_next = gates[:, hs : 2 * hs] * c + gates[:, :hs] * candidate
+    tanh_c = np.tanh(c_next)
+    h_next = gates[:, 2 * hs :] * tanh_c
+    return (gates, candidate, tanh_c), h_next, c_next
 
 
 def step(
@@ -145,8 +152,8 @@ def _forward_cached(model: LstmModel, x: np.ndarray):
     h, c = initial_state(model, batch)
     cache = []
     for t in range(bins):
-        gates, h_next, c_next = _cell(model, x[:, t], h, c)
-        cache.append((h, c, *gates, c_next))
+        activations, h_next, c_next = _cell(model, x[:, t], h, c)
+        cache.append((h, c, *activations))
         h, c = h_next, c_next
     probs = readout(model, h)
     return probs, h, cache
@@ -158,23 +165,35 @@ def forward(model: LstmModel, sequences) -> np.ndarray:
     An empty sequence (zero bins) yields the readout-bias prior.
     """
     x = _validate_sequences(model, sequences)
-    # no backward pass follows, so keep only the current state, not every bin's
-    h, c = initial_state(model, x.shape[0])
-    for t in range(x.shape[1]):
-        _, h, c = _cell(model, x[:, t], h, c)
-    return readout(model, h)
+    probs = np.empty((x.shape[0], model.output_size))
+    # no backward pass follows, so keep only the current state of one block of
+    # rows, not every bin's activations for the whole batch
+    for start in range(0, x.shape[0], INFERENCE_BLOCK_ROWS):
+        block = x[start : start + INFERENCE_BLOCK_ROWS]
+        h, c = initial_state(model, block.shape[0])
+        for t in range(x.shape[1]):
+            _, h, c = _cell(model, block[:, t], h, c)
+        probs[start : start + block.shape[0]] = readout(model, h)
+    return probs
 
 
 def loss(model: LstmModel, sequences, class_indices) -> float:
     return cross_entropy(forward(model, sequences), class_indices)
 
 
-def backward(model: LstmModel, sequences, class_indices) -> list[np.ndarray]:
-    """Mean-batch gradients via backpropagation through time."""
+def backward(
+    model: LstmModel, sequences, class_indices
+) -> tuple[float, list[np.ndarray]]:
+    """Mean batch loss and its gradients via backpropagation through time.
+
+    The loss is the one :func:`loss` would return, read off the same forward
+    pass the gradients need.
+    """
     x = _validate_sequences(model, sequences)
     y = np.asarray(class_indices, dtype=np.int64)
     batch, bins, _ = x.shape
     probs, h_last, cache = _forward_cached(model, x)
+    batch_loss = cross_entropy(probs, y)
 
     delta = probs.copy()
     delta[np.arange(batch), y] -= 1.0
@@ -182,34 +201,27 @@ def backward(model: LstmModel, sequences, class_indices) -> list[np.ndarray]:
     grad_w_readout = h_last.T @ delta
     grad_b_readout = delta.sum(axis=0)
 
+    hs = model.hidden_size
     grad_w_input = np.zeros_like(model.w_input)
     grad_w_hidden = np.zeros_like(model.w_hidden)
     grad_bias = np.zeros_like(model.bias)
     d_h = delta @ model.w_readout.T
-    d_c = np.zeros((batch, model.hidden_size))
+    d_c = np.zeros((batch, hs))
     for t in range(bins - 1, -1, -1):
-        h_prev, c_prev, gate_in, gate_forget, gate_out, candidate, c_now = cache[t]
-        tanh_c = np.tanh(c_now)
-        d_gate_out = d_h * tanh_c
-        d_c = d_c + d_h * gate_out * (1.0 - tanh_c**2)
-        d_gate_in = d_c * candidate
-        d_candidate = d_c * gate_in
-        d_gate_forget = d_c * c_prev
+        h_prev, c_prev, gates, candidate, tanh_c = cache[t]
+        d_c = d_c + d_h * gates[:, 2 * hs :] * (1.0 - tanh_c**2)
+        d_gates = np.concatenate([d_c * candidate, d_c * c_prev, d_h * tanh_c], axis=1)
         d_z = np.concatenate(
-            [
-                d_gate_in * gate_in * (1.0 - gate_in),
-                d_gate_forget * gate_forget * (1.0 - gate_forget),
-                d_gate_out * gate_out * (1.0 - gate_out),
-                d_candidate * (1.0 - candidate**2),
-            ],
+            [d_gates * gates * (1.0 - gates), d_c * gates[:, :hs] * (1.0 - candidate**2)],
             axis=1,
         )
         grad_w_input += x[:, t].T @ d_z
         grad_w_hidden += h_prev.T @ d_z
         grad_bias += d_z.sum(axis=0)
         d_h = d_z @ model.w_hidden.T
-        d_c = d_c * gate_forget
-    return [grad_w_input, grad_w_hidden, grad_bias, grad_w_readout, grad_b_readout]
+        d_c = d_c * gates[:, hs : 2 * hs]
+    grads = [grad_w_input, grad_w_hidden, grad_bias, grad_w_readout, grad_b_readout]
+    return batch_loss, grads
 
 
 def predict(model: LstmModel, sequences) -> list[str]:
@@ -232,7 +244,7 @@ def train(
         raise NetworkError(f"{x.shape[0]} sequences for {len(labels)} labels")
     num_ions = len(labels[0])
     model = LstmModel(x.shape[2], hidden_size, 2**num_ions, seed=config.seed)
-    return model, fit(model, x, labels, config, backward, loss, predict)
+    return model, fit(model, x, labels, config, backward, predict)
 
 
 def bright_marginal(probs: np.ndarray, ion: int, num_ions: int) -> np.ndarray:

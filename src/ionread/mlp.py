@@ -111,9 +111,32 @@ class MlpModel:
         if data.get("format") != cls.FORMAT:
             raise NetworkError("not a feed-forward model record")
         model = cls(data["layer_sizes"])
-        model.weights = [np.asarray(w, dtype=float) for w in data["weights"]]
-        model.biases = [np.asarray(b, dtype=float) for b in data["biases"]]
+        model.weights = _checked_arrays(data["weights"], model.weights, "weights")
+        model.biases = _checked_arrays(data["biases"], model.biases, "biases")
         return model
+
+
+def checked_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``values`` from a model record as a finite float array of ``shape``."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise NetworkError(f"{name} is not a numeric array") from None
+    if array.shape != shape:
+        raise NetworkError(f"{name} has shape {array.shape}, expected {shape}")
+    if not np.all(np.isfinite(array)):
+        raise NetworkError(f"{name} holds non-finite values")
+    return array
+
+
+def _checked_arrays(values, like: list[np.ndarray], name: str) -> list[np.ndarray]:
+    """A record's list of arrays, each shaped like its counterpart in ``like``."""
+    if not isinstance(values, list) or len(values) != len(like):
+        raise NetworkError(f"{name} must be a list of {len(like)} arrays")
+    return [
+        checked_array(v, p.shape, f"{name}[{i}]")
+        for i, (v, p) in enumerate(zip(values, like))
+    ]
 
 
 def _validate_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -156,14 +179,17 @@ def loss(model: MlpModel, x, class_indices) -> float:
     return cross_entropy(forward(model, x), class_indices)
 
 
-def backward(model: MlpModel, x, class_indices) -> list[np.ndarray]:
-    """Mean-batch gradients in ``model.parameters`` order.
+def backward(model: MlpModel, x, class_indices) -> tuple[float, list[np.ndarray]]:
+    """Mean batch loss and its gradients in ``model.parameters`` order.
 
-    The rectifier contributes zero gradient at exactly zero input.
+    The loss is the one :func:`loss` would return, read off the same forward
+    pass the gradients need.  The rectifier contributes zero gradient at
+    exactly zero input.
     """
     x = _validate_input(model, x)
     y = np.asarray(class_indices, dtype=np.int64)
     a1, a2, probs = _forward_cached(model, x)
+    batch_loss = cross_entropy(probs, y)
     batch = x.shape[0]
     delta = probs.copy()
     delta[np.arange(batch), y] -= 1.0
@@ -176,7 +202,7 @@ def backward(model: MlpModel, x, class_indices) -> list[np.ndarray]:
     back1 = (back2 @ model.weights[1].T) * (a1 > 0.0)
     grad_w1 = x.T @ back1
     grad_b1 = back1.sum(axis=0)
-    return [grad_w1, grad_w2, grad_w3, grad_b1, grad_b2, grad_b3]
+    return batch_loss, [grad_w1, grad_w2, grad_w3, grad_b1, grad_b2, grad_b3]
 
 
 class AdadeltaState:
@@ -219,18 +245,19 @@ def fit(
     labels: list[str],
     config: TrainConfig,
     backward,
-    loss,
     predict,
 ) -> list[dict]:
     """Train ``model`` in place on labelled rows; returns the epoch history.
 
-    Shared by every network: ``backward``, ``loss`` and ``predict`` are the
-    network's own functions.  A stratified ``validation_fraction`` of the
-    rows is held out; after each epoch the register fidelity on that
-    held-out part is recorded and the parameters with the best validation
-    fidelity so far are kept.  Training stops early once ``patience`` epochs
-    pass without improvement, and aborts with diagnostics if the loss stops
-    being finite.
+    Shared by every network: ``backward`` and ``predict`` are the network's
+    own functions, and ``backward`` returns ``(batch loss, gradients)``.  A
+    stratified ``validation_fraction`` of the rows is held out; after each
+    epoch the register fidelity on that held-out part is recorded and the
+    parameters with the best validation fidelity so far are kept.  An
+    epoch's ``train_loss`` is the mean of its batch losses, each taken
+    before that batch's step.  Training stops early once ``patience`` epochs
+    pass without improvement, and aborts with diagnostics once the loss or a
+    parameter stops being finite.
     """
     train_idx, val_idx = split(labels, 1.0 - config.validation_fraction, config.seed)
     x_train, x_val = x[train_idx], x[val_idx]
@@ -238,8 +265,9 @@ def fit(
     val_labels = [labels[i] for i in val_idx]
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
-    state = AdadeltaState(model.parameters)
-    best_params = [p.copy() for p in model.parameters]
+    params = model.parameters
+    state = AdadeltaState(params)
+    best_params = [p.copy() for p in params]
     best_fidelity = -1.0
     best_epoch = -1
     history: list[dict] = []
@@ -249,12 +277,14 @@ def fit(
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
             xb, yb = x_train[batch], y_train[batch]
-            grads = backward(model, xb, yb)
-            adadelta_step(model.parameters, grads, state, config.rho, config.epsilon)
-            batch_loss = loss(model, xb, yb)
-            if not math.isfinite(batch_loss):
+            batch_loss, grads = backward(model, xb, yb)
+            adadelta_step(params, grads, state, config.rho, config.epsilon)
+            if not math.isfinite(batch_loss) or not all(
+                np.isfinite(p).all() for p in params
+            ):
                 raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch offset {start}"
+                    f"non-finite loss or parameters at epoch {epoch}, "
+                    f"batch offset {start}"
                 )
             epoch_loss += batch_loss * batch.size
         epoch_loss /= order.size
@@ -265,10 +295,10 @@ def fit(
         if val_fidelity > best_fidelity:
             best_fidelity = val_fidelity
             best_epoch = epoch
-            best_params = [p.copy() for p in model.parameters]
+            best_params = [p.copy() for p in params]
         elif epoch - best_epoch >= config.patience:
             break
-    for current, best in zip(model.parameters, best_params):
+    for current, best in zip(params, best_params):
         current[...] = best
     return history
 
@@ -294,4 +324,4 @@ def train(
     model = MlpModel(
         [features.shape[1], hidden[0], hidden[1], 2**num_ions], seed=config.seed
     )
-    return model, fit(model, features, labels, config, backward, loss, predict)
+    return model, fit(model, features, labels, config, backward, predict)

@@ -8,6 +8,7 @@ the register's bit assignment reaches a fixed point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -74,7 +75,18 @@ class FixedThresholdModel:
     def from_dict(cls, data: dict) -> "FixedThresholdModel":
         if data.get("format") != cls.FORMAT:
             raise ThresholdError("not a fixed-threshold model record")
-        return cls(tuple(int(t) for t in data["thresholds"]))
+        return cls(_integers(data["thresholds"], "thresholds"))
+
+
+def _integers(values, name: str) -> tuple[int, ...]:
+    """A record's non-empty list of integers, as a tuple."""
+    if (
+        not isinstance(values, list)
+        or not values
+        or not all(isinstance(v, Integral) and not isinstance(v, bool) for v in values)
+    ):
+        raise ThresholdError(f"{name} must be a non-empty list of integers: {values!r}")
+    return tuple(int(v) for v in values)
 
 
 def fit_fixed(counts, labels: Sequence[str]) -> FixedThresholdModel:
@@ -100,6 +112,12 @@ def classify_fixed(model: FixedThresholdModel, counts) -> list[str]:
         )
     bits = mat > np.asarray(model.thresholds)
     return bits_to_labels(bits)
+
+
+def _context_keys(num_ions: int, ion: int) -> list[str]:
+    """The ion's neighbour bit patterns, left neighbour first, by context code."""
+    width = len(neighbour_indices(num_ions, ion))
+    return [format(code, f"0{width}b") for code in range(2**width)]
 
 
 def _context_code(bits: np.ndarray, neighbours: tuple[int, ...]) -> np.ndarray:
@@ -144,15 +162,30 @@ class AdaptiveThresholdModel:
     def from_dict(cls, data: dict) -> "AdaptiveThresholdModel":
         if data.get("format") != cls.FORMAT:
             raise ThresholdError("not an adaptive-threshold model record")
+        fixed = FixedThresholdModel(_integers(data["fixed_thresholds"], "fixed_thresholds"))
+        num_ions = fixed.num_ions
+        tables = data["context_thresholds"]
+        if not isinstance(tables, list) or len(tables) != num_ions:
+            raise ThresholdError(f"context_thresholds must hold {num_ions} tables")
+        contexts = []
+        for i, table in enumerate(tables):
+            keys = _context_keys(num_ions, i)
+            if not isinstance(table, dict) or sorted(table) != keys:
+                raise ThresholdError(f"context_thresholds[{i}] must have keys {keys}")
+            values = _integers(list(table.values()), f"context_thresholds[{i}]")
+            contexts.append(dict(zip(table, values)))
+        starved = data["starved_contexts"]
+        pairs = [[i, key] for i in range(num_ions) for key in _context_keys(num_ions, i)]
+        if not isinstance(starved, list) or any(s not in pairs for s in starved):
+            raise ThresholdError("starved_contexts must list [ion, context] pairs")
+        max_iterations = data["max_iterations"]
+        if not isinstance(max_iterations, Integral) or max_iterations < 1:
+            raise ThresholdError("max_iterations must be an integer >= 1")
         return cls(
-            fixed=FixedThresholdModel(tuple(data["fixed_thresholds"])),
-            context_thresholds=tuple(
-                {k: int(v) for k, v in c.items()} for c in data["context_thresholds"]
-            ),
-            starved_contexts=tuple(
-                (int(i), str(c)) for i, c in data["starved_contexts"]
-            ),
-            max_iterations=int(data["max_iterations"]),
+            fixed=fixed,
+            context_thresholds=tuple(contexts),
+            starved_contexts=tuple((int(i), str(c)) for i, c in starved),
+            max_iterations=int(max_iterations),
         )
 
 

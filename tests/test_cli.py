@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ionread import cli, evaluate, features, mlp, sim
+from ionread import cli, evaluate, features, lstm, mlp, sim, threshold
 from ionread.cli import (
     ConfigError,
     ExperimentConfig,
@@ -292,6 +292,42 @@ class TestModelFiles:
         path.write_text(json.dumps(record))
         with pytest.raises(ModelFileError, match="weights"):
             load_model(path)
+
+    @staticmethod
+    def write(tmp_path, record):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(record))
+        return path
+
+    def test_mlp_weight_shape_contradicts_layer_sizes(self, tmp_path):
+        record = mlp.MlpModel([3, 8, 8, 4]).to_dict()
+        record["weights"][0] = np.zeros((5, 8)).tolist()
+        with pytest.raises(ModelFileError, match=r"weights\[0\] has shape \(5, 8\)"):
+            load_model(self.write(tmp_path, record))
+
+    def test_lstm_weight_shape_contradicts_sizes(self, tmp_path):
+        record = lstm.LstmModel(3, 4, 4).to_dict()
+        record["w_hidden"] = [[0.0]]
+        with pytest.raises(ModelFileError, match=r"w_hidden has shape \(1, 1\)"):
+            load_model(self.write(tmp_path, record))
+
+    def test_fixed_thresholds_must_be_integer_list(self, tmp_path):
+        for thresholds in (5, [1, 2.5], ["3"], []):
+            record = {"format": "ionread.threshold_fixed", "thresholds": thresholds}
+            with pytest.raises(ModelFileError, match="thresholds"):
+                load_model(self.write(tmp_path, record))
+
+    def test_adaptive_tables_must_cover_every_context(self, tmp_path):
+        record = threshold.AdaptiveThresholdModel(
+            fixed=threshold.FixedThresholdModel((1, 2)),
+            context_thresholds=({"0": 1, "1": 3}, {"0": 2, "1": 2}),
+        ).to_dict()
+        loaded = load_model(self.write(tmp_path, record))
+        assert loaded.context_thresholds == ({"0": 1, "1": 3}, {"0": 2, "1": 2})
+        for table in ({"0": 1}, {"0": 1, "1": "3"}):
+            record["context_thresholds"][0] = table
+            with pytest.raises(ModelFileError, match=r"context_thresholds\[0\]"):
+                load_model(self.write(tmp_path, record))
 
 
 class TestErrorReporting:

@@ -41,7 +41,31 @@ def early_late_sequences(n_per_class, bins=6, seed=0):
     return x, labels
 
 
+def masked_sigmoid(x):
+    """The two-branch logistic: 1/(1+exp(-x)) at x >= 0, e/(1+e) below."""
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 class TestSigmoid:
+    def test_bit_identical_to_masked_form(self):
+        edges = np.array([0.0, -0.0, 1e4, -1e4, 700.0, -745.0, 36.0, -36.0, 1e-300])
+        draws = np.random.default_rng(30).normal(scale=6.0, size=200_000)
+        x = np.concatenate([edges, np.linspace(-40.0, 40.0, 8001), draws])
+        np.testing.assert_array_equal(sigmoid(x), masked_sigmoid(x))
+
+    def test_packed_slab_equals_per_gate_calls(self):
+        hidden = 7
+        z = np.random.default_rng(31).normal(scale=4.0, size=(33, 4 * hidden))
+        slab = z[:, : 3 * hidden]
+        blocks = [sigmoid(slab[:, k * hidden : (k + 1) * hidden]) for k in range(3)]
+        np.testing.assert_array_equal(sigmoid(slab), np.concatenate(blocks, axis=1))
+        np.testing.assert_array_equal(sigmoid(slab), masked_sigmoid(slab))
+
     def test_midpoint_and_symmetry(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
         x = np.linspace(-8, 8, 33)
@@ -151,6 +175,20 @@ class TestStreaming:
         whole = np.concatenate([first, second], axis=1)
         np.testing.assert_array_equal(readout(model, h), forward(model, whole))
 
+    def test_row_blocks_match_one_step_loop_over_all_rows(self):
+        rows = 5000
+        assert rows > lstm.INFERENCE_BLOCK_ROWS
+        model = LstmModel(3, 6, 4, seed=19)
+        x = np.random.default_rng(20).poisson(1.0, size=(rows, 5, 3)).astype(float)
+        h, c = initial_state(model, rows)
+        for t in range(5):
+            h, c = step(model, x[:, t], h, c)
+        np.testing.assert_array_equal(forward(model, x), readout(model, h))
+
+    def test_empty_batch_keeps_output_width(self):
+        model = LstmModel(3, 4, 8, seed=21)
+        assert forward(model, np.zeros((0, 5, 3))).shape == (0, 8)
+
 
 class TestGradients:
     @staticmethod
@@ -181,7 +219,7 @@ class TestGradients:
             model = LstmModel(d_in, hidden, n_out, seed=trial)
             x = rng.normal(size=(3, bins, d_in))
             y = rng.integers(0, n_out, size=3)
-            analytic = backward(model, x, y)
+            _, analytic = backward(model, x, y)
             numeric = self.finite_difference(model, x, y)
             for a, n in zip(analytic, numeric):
                 err = np.linalg.norm(a - n) / max(
@@ -194,7 +232,8 @@ class TestGradients:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(9, 5, 2))
         y = rng.integers(0, 4, size=9)
-        grads = backward(model, x, y)
+        batch_loss, grads = backward(model, x, y)
+        assert batch_loss == loss(model, x, y)
         residual = forward(model, x)
         residual[np.arange(9), y] -= 1.0
         np.testing.assert_allclose(grads[4], residual.mean(axis=0), atol=1e-12)

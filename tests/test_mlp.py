@@ -1,4 +1,5 @@
 """Classifier core: softmax, backprop gradients, ADADELTA, training loop."""
+import copy
 import math
 
 import numpy as np
@@ -120,7 +121,7 @@ class TestGradients:
             model = MlpModel([d_in, 8, 8, n_out], seed=trial)
             x = rng.normal(size=(7, d_in))
             y = rng.integers(0, n_out, size=7)
-            analytic = backward(model, x, y)
+            _, analytic = backward(model, x, y)
             numeric = self.finite_difference(model, x, y)
             for a, n in zip(analytic, numeric):
                 err = np.linalg.norm(a - n) / max(
@@ -133,7 +134,8 @@ class TestGradients:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(11, 4))
         y = rng.integers(0, 4, size=11)
-        grads = backward(model, x, y)
+        batch_loss, grads = backward(model, x, y)
+        assert batch_loss == loss(model, x, y)
         probs = forward(model, x)
         residual = probs.copy()
         residual[np.arange(11), y] -= 1.0
@@ -141,7 +143,7 @@ class TestGradients:
 
     def test_zero_input_kills_first_layer_weight_gradient(self):
         model = MlpModel([4, 8, 8, 2], seed=7)
-        grads = backward(model, np.zeros((3, 4)), [0, 1, 0])
+        _, grads = backward(model, np.zeros((3, 4)), [0, 1, 0])
         np.testing.assert_array_equal(grads[0], 0.0)
 
 
@@ -269,6 +271,41 @@ class TestTraining:
         y = ["0", "1"] * 32
         with np.errstate(all="ignore"), pytest.raises(TrainingError):
             train(x, y, hidden=(8, 8), config=TrainConfig(epochs=2, seed=0))
+
+    @staticmethod
+    def one_batch_problem():
+        # 64 training rows after the 20% hold-out, all in one batch: the
+        # power-of-two row count keeps the epoch mean of that batch exact
+        x = np.random.default_rng(43).normal(size=(80, 3))
+        y = ["0", "1"] * 40
+        config = TrainConfig(batch_size=64, epochs=1, validation_fraction=0.2, seed=6)
+        return MlpModel([3, 8, 8, 2], seed=6), x, y, config
+
+    def test_history_loss_is_the_pre_step_batch_loss(self):
+        model, x, y, config = self.one_batch_problem()
+        initial = copy.deepcopy(model)
+        batches = []
+
+        def recording_backward(net, xb, yb):
+            batches.append((xb, yb))
+            return backward(net, xb, yb)
+
+        history = mlp.fit(model, x, y, config, recording_backward, predict)
+        [(xb, yb)] = batches
+        assert xb.shape[0] == 64
+        assert history[0]["train_loss"] == loss(initial, xb, yb)
+        assert history[0]["train_loss"] != loss(model, xb, yb)
+
+    def test_non_finite_step_on_last_batch_raises(self):
+        # finite loss, so only a check of the stepped parameters can catch it
+        model, x, y, config = self.one_batch_problem()
+
+        def nan_backward(net, xb, yb):
+            batch_loss, grads = backward(net, xb, yb)
+            return batch_loss, [np.full_like(g, np.nan) for g in grads]
+
+        with pytest.raises(TrainingError):
+            mlp.fit(model, x, y, config, nan_backward, predict)
 
     def test_label_row_mismatch_raises(self):
         with pytest.raises(NetworkError):
