@@ -278,8 +278,7 @@ def run_strategy(
             x = features.sequence_dataset(dataset.samples, fspec, geometry)
         if config.normalization == "max":
             # one divisor per input column; sequences share it across bins
-            train_rows = x[train_idx].reshape(-1, x.shape[-1])
-            scale = features.FeatureScaler().fit(train_rows).maxima
+            scale = features.column_maxima(x[train_idx].reshape(-1, x.shape[-1]))
             x = x / scale
         model, history = network.train(
             x[train_idx], train_labels, spec.hidden, config=train_config
@@ -498,8 +497,8 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> dict:
     result, dataset, test_idx = _trained_rnn(config)
     model: lstm.LstmModel = result.model
     spec = result.feature_spec
-    sequences = features.sequence_dataset(dataset.samples, spec, dataset.geometry)
-    sequences = sequences[test_idx]
+    test_samples = [dataset.samples[i] for i in test_idx]
+    sequences = features.sequence_dataset(test_samples, spec, dataset.geometry)
     if result.scale is not None:
         sequences = sequences / result.scale
     test_labels = [dataset.labels[i] for i in test_idx]

@@ -1,9 +1,9 @@
 """Turn photon event streams into count images, vectors, and sequences.
 
-A shot is reduced to an (channels x time-bins) integer count image.  With a
-single time bin this collapses to per-channel totals; with several bins the
-image keeps arrival-time information; transposed it becomes the per-bin
-input sequence for recurrent classifiers.
+A shot is reduced to an (channels x time-bins) count image.  With a single
+time bin this collapses to per-channel totals; with several bins the image
+keeps arrival-time information; transposed it becomes the per-bin input
+sequence for recurrent classifiers.
 """
 from __future__ import annotations
 
@@ -12,7 +12,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .sim import DetectorGeometry, ReadoutSample
+from .sim import DetectorGeometry, ReadoutSample, stack_events
+
+
+# Shots binned per pass: bounds the per-event index arrays, which would
+# otherwise add tens of MB on top of the output for a large dataset.
+BLOCK_SHOTS = 512
 
 
 class FeatureError(ValueError):
@@ -46,111 +51,57 @@ class FeatureSpec:
         return geometry.ion_channel
 
 
-@dataclass
-class CountImage:
-    """Integer click counts per selected channel (rows) and time bin (columns)."""
-
-    counts: np.ndarray
-    bin_width_us: float
-    channel_ids: tuple[int, ...]
-
-
-def bin_sample(
-    sample: ReadoutSample, spec: FeatureSpec, geometry: DetectorGeometry
-) -> CountImage:
-    """Histogram one shot's events into a count image.
-
-    An event at time t lands in bin ``floor(t / bin_width)``; bins are
-    left-closed, right-open, except the final bin which also takes t equal
-    to the window end.
-    """
-    channel_ids = spec.channel_ids(geometry)
-    bin_width = sample.window_us / spec.num_bins
-    row_of = np.full(geometry.num_channels, -1, dtype=np.int64)
-    for row, ch in enumerate(channel_ids):
-        row_of[ch] = row
-    counts = np.zeros((len(channel_ids), spec.num_bins), dtype=np.int64)
-    if sample.channels.size:
-        rows = row_of[sample.channels]
-        bins = np.minimum((sample.times // bin_width).astype(np.int64), spec.num_bins - 1)
-        keep = rows >= 0
-        np.add.at(counts, (rows[keep], bins[keep]), 1)
-    return CountImage(counts, bin_width, channel_ids)
-
-
-def flatten(image: CountImage) -> np.ndarray:
-    """Row-major flattening: channel-0 bins first, then channel 1, ..."""
-    return image.counts.reshape(-1).astype(float)
-
-
-def unflatten(vector: np.ndarray, num_channels: int, num_bins: int) -> np.ndarray:
-    vector = np.asarray(vector)
-    if vector.size != num_channels * num_bins:
-        raise FeatureError(
-            f"cannot reshape {vector.size} features into ({num_channels}, {num_bins})"
-        )
-    return vector.reshape(num_channels, num_bins)
-
-
-def to_sequence(
-    sample: ReadoutSample, spec: FeatureSpec, geometry: DetectorGeometry
+def _count_images(
+    samples: Sequence[ReadoutSample],
+    spec: FeatureSpec,
+    geometry: DetectorGeometry,
+    bins_major: bool,
 ) -> np.ndarray:
-    """Per-bin channel count vectors: element t is the image's column t."""
-    return bin_sample(sample, spec, geometry).counts.T.astype(float)
+    """Float click counts per shot, selected channel (row) and time bin.
+
+    An event at time t lands in bin ``floor(t / bin_width)`` of its own shot's
+    window, or in the final bin when that floor is past it (t at window end).
+    """
+    if not samples:
+        raise FeatureError("no samples to featurize")
+    channel_ids = spec.channel_ids(geometry)
+    rows, bins = len(channel_ids), spec.num_bins
+    row_of = np.full(geometry.num_channels, -1, dtype=np.int64)
+    row_of[list(channel_ids)] = np.arange(rows)
+    if bins_major:
+        counts, row_stride, col_stride = np.zeros((len(samples), bins, rows)), 1, rows
+    else:
+        counts, row_stride, col_stride = np.zeros((len(samples), rows * bins)), bins, 1
+    for start in range(0, len(samples), BLOCK_SHOTS):
+        block = samples[start : start + BLOCK_SHOTS]
+        shot, channels, times, window_us = stack_events(block)
+        col = np.minimum((times // (window_us / bins)[shot]).astype(np.int64), bins - 1)
+        row = row_of[channels]
+        flat = (shot + start) * (rows * bins) + row * row_stride + col * col_stride
+        np.add.at(counts.reshape(-1), flat[row >= 0], 1.0)
+    return counts
 
 
 def featurize_dataset(
     samples: Sequence[ReadoutSample], spec: FeatureSpec, geometry: DetectorGeometry
 ) -> np.ndarray:
-    """Flattened count images for every shot, shape (n, channels * bins)."""
-    if not samples:
-        raise FeatureError("no samples to featurize")
-    out = np.empty(
-        (len(samples), len(spec.channel_ids(geometry)) * spec.num_bins), dtype=float
-    )
-    for i, sample in enumerate(samples):
-        out[i] = flatten(bin_sample(sample, spec, geometry))
-    return out
+    """Row-major count images (channel 0's bins first), shape (n, channels * bins)."""
+    return _count_images(samples, spec, geometry, bins_major=False)
 
 
 def sequence_dataset(
     samples: Sequence[ReadoutSample], spec: FeatureSpec, geometry: DetectorGeometry
 ) -> np.ndarray:
-    """Per-bin sequences for every shot, shape (n, bins, channels)."""
-    if not samples:
-        raise FeatureError("no samples to featurize")
-    m = len(spec.channel_ids(geometry))
-    out = np.empty((len(samples), spec.num_bins, m), dtype=float)
-    for i, sample in enumerate(samples):
-        out[i] = to_sequence(sample, spec, geometry)
-    return out
+    """Per-bin sequences (step t is image column t), shape (n, bins, channels)."""
+    return _count_images(samples, spec, geometry, bins_major=True)
 
 
-class FeatureScaler:
-    """Per-feature maximum scaling learned on a training split.
+def column_maxima(features: np.ndarray) -> np.ndarray:
+    """Per-column maxima of a training matrix, the divisors of max scaling.
 
-    Features that are identically zero on the training split keep divisor 1
-    so unseen non-zero values pass through unscaled rather than exploding.
+    Columns that are identically zero get divisor 1 so unseen non-zero values
+    pass through unscaled rather than exploding.
     """
-
-    def __init__(self) -> None:
-        self.maxima: np.ndarray | None = None
-
-    def fit(self, features: np.ndarray) -> "FeatureScaler":
-        maxima = np.asarray(features, dtype=float).max(axis=0)
-        maxima[maxima == 0.0] = 1.0
-        self.maxima = maxima
-        return self
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        if self.maxima is None:
-            raise FeatureError("scaler must be fitted before transform")
-        features = np.asarray(features, dtype=float)
-        if features.shape[1] != self.maxima.size:
-            raise FeatureError(
-                f"feature width {features.shape[1]} != fitted width {self.maxima.size}"
-            )
-        return features / self.maxima
-
-    def fit_transform(self, features: np.ndarray) -> np.ndarray:
-        return self.fit(features).transform(features)
+    maxima = np.asarray(features, dtype=float).max(axis=0)
+    maxima[maxima == 0.0] = 1.0
+    return maxima

@@ -282,6 +282,19 @@ class Dataset:
         return len(self.samples)
 
 
+def stack_events(samples: Sequence[ReadoutSample]) -> tuple[np.ndarray, ...]:
+    """Every shot's events end to end: ``(shot, channels, times, window_us)``.
+
+    The first three hold one entry per event, ``shot`` being the event's
+    index into ``samples``; ``window_us`` holds one entry per shot.
+    """
+    lengths = [s.channels.shape[0] for s in samples]
+    channels = np.concatenate([s.channels for s in samples])
+    times = np.concatenate([s.times for s in samples])
+    windows = np.array([s.window_us for s in samples], dtype=float)
+    return np.repeat(np.arange(len(samples)), lengths), channels, times, windows
+
+
 def all_labels(num_ions: int) -> list[str]:
     """All basis-state labels in binary order, ion 0 leftmost."""
     return [format(i, f"0{num_ions}b") for i in range(2**num_ions)]
@@ -386,9 +399,11 @@ def _simulate_shot(
 def _pool_entry_index(label_index: int, sample_index: int, ion: int, bit: int,
                       num_ions: int, samples_per_label: int) -> int:
     # Sequential cursor into the per-(ion, bit) pool, computable without
-    # global state so generation order cannot matter.
-    mask = 1 << (num_ions - 1 - ion)
-    earlier = sum(1 for l in range(label_index) if ((l & mask) > 0) == bool(bit))
+    # global state so generation order cannot matter.  Of every ``2 * half``
+    # consecutive label indices, the last ``half`` have this ion's bit set.
+    half = 1 << (num_ions - 1 - ion)
+    ones = (label_index // (2 * half)) * half + max(0, label_index % (2 * half) - half)
+    earlier = ones if bit else label_index - ones
     return earlier * samples_per_label + sample_index
 
 
@@ -645,16 +660,45 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
+    """Read a dataset file; reject any shot its geometry cannot have recorded."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         if header.get("format") != _FORMAT_NAME:
             raise SimulationError(f"{path}: not a {_FORMAT_NAME} file")
         if header.get("version") != _FORMAT_VERSION:
             raise SimulationError(f"{path}: unsupported version {header.get('version')}")
-        samples = [_sample_from_line(line) for line in fh if line.strip()]
+        geometry = DetectorGeometry.from_dict(header["geometry"])
+        labels = set(all_labels(geometry.num_ions))
+        samples, line_numbers = [], []
+        for line_number, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                sample = _sample_from_line(line)
+            except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+                raise SimulationError(
+                    f"{path}:{line_number}: malformed shot {exc!r}"
+                ) from exc
+            if not (isinstance(sample.label, str) and sample.label in labels):
+                raise SimulationError(
+                    f"{path}:{line_number}: label {sample.label!r} is not one 0/1 per ion"
+                )
+            samples.append(sample)
+            line_numbers.append(line_number)
+    if samples:
+        shot, channels, times, window_us = stack_events(samples)
+        bad = (channels < 0) | (channels >= geometry.num_channels)
+        bad |= ~((times >= 0.0) & (times <= window_us[shot]))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SimulationError(
+                f"{path}:{line_numbers[shot[i]]}: event [{channels[i]}, {times[i]}] needs "
+                f"a channel in [0, {geometry.num_channels}) and a finite time in "
+                f"[0, {window_us[shot[i]]}]"
+            )
     return Dataset(
         samples=samples,
-        geometry=DetectorGeometry.from_dict(header["geometry"]),
+        geometry=geometry,
         model=EmissionModel.from_dict(header["model"]),
         seed=header["seed"],
         samples_per_label=header["samples_per_label"],

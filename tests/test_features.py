@@ -1,4 +1,4 @@
-"""Binning, flattening, and scaling checks, mostly against hand counts."""
+"""Binning, layout, and scaling checks, mostly against hand counts."""
 import numpy as np
 import pytest
 
@@ -14,6 +14,12 @@ def make_sample(label, channels, times, window=150.0):
     )
 
 
+def image(sample, spec, geometry):
+    """One shot's (channels, bins) count image, via the flat feature row."""
+    row = features.featurize_dataset([sample], spec, geometry)[0]
+    return row.reshape(len(spec.channel_ids(geometry)), spec.num_bins)
+
+
 @pytest.fixture
 def geometry3():
     return sim.alternating_geometry(3)
@@ -24,44 +30,42 @@ class TestBinSample:
         # events at 10, 40 and 149.9 us, five 30 us bins -> [1, 1, 0, 0, 1]
         geometry = sim.single_ion_geometry()
         sample = make_sample("1", [0, 0, 0], [10.0, 40.0, 149.9])
-        image = features.bin_sample(sample, features.FeatureSpec(num_bins=5), geometry)
-        np.testing.assert_array_equal(image.counts, [[1, 1, 0, 0, 1]])
-        assert image.bin_width_us == 30.0
+        counts = features.featurize_dataset(
+            [sample], features.FeatureSpec(num_bins=5), geometry
+        )
+        np.testing.assert_array_equal(counts, [[1, 1, 0, 0, 1]])
 
     def test_single_bin_gives_totals(self, geometry3):
         sample = make_sample("101", [0, 0, 2, 4, 4, 4], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        image = features.bin_sample(sample, features.FeatureSpec(num_bins=1), geometry3)
-        np.testing.assert_array_equal(image.counts, [[2], [1], [3]])
+        counts = image(sample, features.FeatureSpec(num_bins=1), geometry3)
+        np.testing.assert_array_equal(counts, [[2], [1], [3]])
 
     def test_row_sums_match_independent_recount(self, geometry3):
-        rng = np.random.default_rng(4)
         spec = features.FeatureSpec(num_bins=7, include_intermediate=True)
         ds = sim.generate_dataset(sim.EmissionModel(), geometry3, 5, seed=10)
         for sample in ds.samples:
-            image = features.bin_sample(sample, spec, geometry3)
-            for row, ch in enumerate(image.channel_ids):
+            counts = image(sample, spec, geometry3)
+            for row, ch in enumerate(spec.channel_ids(geometry3)):
                 recount = sum(1 for c in sample.channels if c == ch)
-                assert image.counts[row].sum() == recount
+                assert counts[row].sum() == recount
 
     def test_intermediate_rows_selected(self, geometry3):
         sample = make_sample("111", [0, 1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0, 5.0])
-        ions_only = features.bin_sample(
-            sample, features.FeatureSpec(num_bins=1), geometry3
-        )
-        assert ions_only.counts.shape == (3, 1)
-        assert ions_only.channel_ids == (0, 2, 4)
-        everything = features.bin_sample(
+        ions_only = features.FeatureSpec(num_bins=1)
+        assert image(sample, ions_only, geometry3).shape == (3, 1)
+        assert ions_only.channel_ids(geometry3) == (0, 2, 4)
+        everything = image(
             sample, features.FeatureSpec(num_bins=1, include_intermediate=True), geometry3
         )
-        assert everything.counts.shape == (5, 1)
-        assert everything.counts.sum() == 5
+        assert everything.shape == (5, 1)
+        assert everything.sum() == 5
 
     def test_intermediate_request_needs_recording(self):
         geometry = sim.adjacent_geometry(2)
         sample = make_sample("11", [0, 1], [1.0, 2.0])
         with pytest.raises(features.FeatureError):
-            features.bin_sample(
-                sample,
+            features.featurize_dataset(
+                [sample],
                 features.FeatureSpec(num_bins=1, include_intermediate=True),
                 geometry,
             )
@@ -69,20 +73,19 @@ class TestBinSample:
     def test_final_bin_absorbs_window_edge(self):
         geometry = sim.single_ion_geometry()
         sample = make_sample("1", [0], [150.0], window=150.0)
-        image = features.bin_sample(sample, features.FeatureSpec(num_bins=4), geometry)
-        assert image.counts[0, 3] == 1
+        counts = image(sample, features.FeatureSpec(num_bins=4), geometry)
+        assert counts[0, 3] == 1
 
 
 class TestFlatten:
-    def test_row_major_order_and_round_trip(self):
-        image = features.CountImage(
-            counts=np.arange(10).reshape(2, 5), bin_width_us=30.0, channel_ids=(0, 2)
-        )
-        flat = features.flatten(image)
-        np.testing.assert_array_equal(flat, np.arange(10, dtype=float))
-        np.testing.assert_array_equal(
-            features.unflatten(flat, 2, 5), image.counts
-        )
+    def test_row_major_order_and_round_trip(self, geometry3):
+        # channel 0 in bins 0 and 4, channel 2 in bin 1, channel 4 in bin 2
+        sample = make_sample("101", [0, 2, 4, 0], [5.0, 40.0, 70.0, 149.0])
+        spec = features.FeatureSpec(num_bins=5)
+        flat = features.featurize_dataset([sample], spec, geometry3)[0]
+        np.testing.assert_array_equal(flat, [1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0])
+        seq = features.sequence_dataset([sample], spec, geometry3)[0]
+        np.testing.assert_array_equal(seq.T.reshape(-1), flat)
 
     def test_tnn_plus_three_qubit_width_is_25(self, geometry3):
         ds = sim.generate_dataset(sim.EmissionModel(), geometry3, 1, seed=3)
@@ -90,19 +93,18 @@ class TestFlatten:
         mat = features.featurize_dataset(ds.samples, spec, geometry3)
         assert mat.shape == (8, 25)
 
-    def test_unflatten_rejects_bad_width(self):
+    def test_empty_sample_list_rejected(self, geometry3):
         with pytest.raises(features.FeatureError):
-            features.unflatten(np.zeros(7), 2, 5)
+            features.featurize_dataset([], features.FeatureSpec(), geometry3)
 
 
 class TestSequences:
     def test_sequence_is_column_traversal(self, geometry3):
         sample = make_sample("101", [0, 2, 2, 4], [5.0, 5.0, 100.0, 149.0])
         spec = features.FeatureSpec(num_bins=5)
-        image = features.bin_sample(sample, spec, geometry3)
-        seq = features.to_sequence(sample, spec, geometry3)
+        seq = features.sequence_dataset([sample], spec, geometry3)[0]
         assert seq.shape == (5, 3)
-        np.testing.assert_array_equal(seq, image.counts.T)
+        np.testing.assert_array_equal(seq, image(sample, spec, geometry3).T)
 
     def test_sequence_dataset_shape(self, geometry3):
         ds = sim.generate_dataset(sim.EmissionModel(), geometry3, 2, seed=8)
@@ -116,19 +118,47 @@ class TestSequences:
         )
 
 
+class TestManyShots:
+    # 7 shots per pass splits the dataset into several blocks, the last short
+    @pytest.mark.parametrize("block_shots", [features.BLOCK_SHOTS, 7])
+    def test_matches_per_shot_recount(self, geometry3, monkeypatch, block_shots):
+        monkeypatch.setattr(features, "BLOCK_SHOTS", block_shots)
+        ds = sim.generate_dataset(sim.EmissionModel(), geometry3, 6, seed=12)
+        samples = list(ds.samples)
+        # a shorter window over the same events, an empty shot, and an
+        # event on each window's end
+        cut = samples[5].times <= 90.0
+        samples.append(
+            make_sample("110", samples[5].channels[cut], samples[5].times[cut], window=90.0)
+        )
+        samples.append(make_sample("000", [], []))
+        samples.append(make_sample("011", [4, 1, 3], [150.0, 75.0, 0.0]))
+        samples.append(make_sample("001", [2], [90.0], window=90.0))
+        for num_bins in (1, 5, 7, 15):
+            for include in (False, True):
+                spec = features.FeatureSpec(num_bins, include_intermediate=include)
+                channel_ids = spec.channel_ids(geometry3)
+                flats = features.featurize_dataset(samples, spec, geometry3)
+                seqs = features.sequence_dataset(samples, spec, geometry3)
+                assert flats.dtype == seqs.dtype == float
+                assert flats.flags.c_contiguous and seqs.flags.c_contiguous
+                assert flats.shape == (len(samples), len(channel_ids) * num_bins)
+                assert seqs.shape == (len(samples), num_bins, len(channel_ids))
+                for k, sample in enumerate(samples):
+                    width = sample.window_us / num_bins
+                    expected = np.zeros((len(channel_ids), num_bins))
+                    for ch, t in zip(sample.channels, sample.times):
+                        if ch in channel_ids:
+                            b = min(int(t // width), num_bins - 1)
+                            expected[channel_ids.index(ch), b] += 1
+                    np.testing.assert_array_equal(flats[k], expected.reshape(-1))
+                    np.testing.assert_array_equal(seqs[k], expected.T)
+
+
 class TestScaler:
     def test_max_scaling_with_zero_feature_fallback(self):
         train = np.array([[2.0, 0.0, 8.0], [4.0, 0.0, 2.0]])
-        scaler = features.FeatureScaler().fit(train)
-        np.testing.assert_array_equal(scaler.maxima, [4.0, 1.0, 8.0])
+        maxima = features.column_maxima(train)
+        np.testing.assert_array_equal(maxima, [4.0, 1.0, 8.0])
         test = np.array([[4.0, 3.0, 4.0]])
-        np.testing.assert_allclose(scaler.transform(test), [[1.0, 3.0, 0.5]])
-
-    def test_transform_before_fit_rejected(self):
-        with pytest.raises(features.FeatureError):
-            features.FeatureScaler().transform(np.zeros((1, 2)))
-
-    def test_width_mismatch_rejected(self):
-        scaler = features.FeatureScaler().fit(np.ones((2, 3)))
-        with pytest.raises(features.FeatureError):
-            scaler.transform(np.ones((2, 4)))
+        np.testing.assert_allclose(test / maxima, [[1.0, 3.0, 0.5]])

@@ -284,6 +284,18 @@ class TestGenerateDataset:
         expected = 2 * 3 * model.background_rate * model.window_us
         assert abs(dark.mean() - expected) < 5.0 * np.sqrt(expected / dark.size)
 
+    def test_pool_entry_index_matches_label_scan(self):
+        for num_ions in range(1, 8):
+            for label_index in range(2**num_ions):
+                for ion in range(num_ions):
+                    mask = 1 << (num_ions - 1 - ion)
+                    for bit in (0, 1):
+                        earlier = sum(
+                            1 for l in range(label_index) if bool(l & mask) == bool(bit)
+                        )
+                        got = sim._pool_entry_index(label_index, 3, ion, bit, num_ions, 7)
+                        assert got == earlier * 7 + 3
+
     def test_rejects_too_many_ions(self):
         with pytest.raises(sim.SimulationError):
             sim.alternating_geometry(13)
@@ -392,6 +404,53 @@ class TestSerialisation:
         path.write_text('{"format":"other"}\n')
         with pytest.raises(sim.SimulationError):
             sim.load_dataset(path)
+
+
+class TestLoadValidation:
+    @pytest.fixture
+    def lines(self, tmp_path):
+        ds = sim.generate_dataset(sim.EmissionModel(), sim.alternating_geometry(3), 2, seed=4)
+        path = tmp_path / "ds.jsonl"
+        sim.save_dataset(ds, path)
+        return path.read_text().splitlines()
+
+    def load_with_shot(self, tmp_path, lines, shot):
+        """Replace line 3 (the second shot) and load; return the error text."""
+        path = tmp_path / "edited.jsonl"
+        text = shot if isinstance(shot, str) else json.dumps(shot)
+        path.write_text("\n".join(lines[:2] + [text] + lines[3:]) + "\n")
+        with pytest.raises(sim.SimulationError) as excinfo:
+            sim.load_dataset(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}:3:")
+        return message
+
+    @pytest.mark.parametrize("label", ["0101", "0a0", "01", 101])
+    def test_label_must_be_register_bits(self, tmp_path, lines, label):
+        shot = {"label": label, "window_us": 150.0, "events": [[0, 1.0]]}
+        assert "label" in self.load_with_shot(tmp_path, lines, shot)
+
+    @pytest.mark.parametrize("channel", [-1, 5, 9])
+    def test_channel_must_exist(self, tmp_path, lines, channel):
+        shot = {"label": "101", "window_us": 150.0, "events": [[0, 1.0], [channel, 2.0]]}
+        assert f"event [{channel}, 2.0]" in self.load_with_shot(tmp_path, lines, shot)
+
+    @pytest.mark.parametrize("time", [-12.0, 150.1, float("nan"), float("inf")])
+    def test_time_must_lie_in_window(self, tmp_path, lines, time):
+        shot = {"label": "101", "window_us": 150.0, "events": [[0, 1.0], [2, time]]}
+        assert f"event [2, {time}]" in self.load_with_shot(tmp_path, lines, shot)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"label": "101", "window_us": 150.0, "events": [[70000, 1.0]]}',
+            '{"label": "101", "window_us": 150.0}',
+            '{"label": "101", "window_us": 150.0, "events": [[0]]}',
+            "not json",
+        ],
+    )
+    def test_unparsable_shot_is_named(self, tmp_path, lines, text):
+        assert "malformed shot" in self.load_with_shot(tmp_path, lines, text)
 
 
 class TestGeometryValidation:
