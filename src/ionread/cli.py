@@ -234,6 +234,7 @@ class StrategyResult:
     scale: np.ndarray | None
     feature_spec: features.FeatureSpec
     seconds: float
+    diagnostics: dict  # extra summary keys: AT convergence and starved contexts
 
 
 def run_strategy(
@@ -245,15 +246,15 @@ def run_strategy(
 ) -> StrategyResult:
     started = time.perf_counter()
     geometry = dataset.geometry
-    labels = dataset.labels
-    train_labels = [labels[i] for i in train_idx]
-    test_labels = [labels[i] for i in test_idx]
+    labels = np.asarray(dataset.labels)
+    train_labels, test_labels = labels[train_idx], labels[test_idx]
     include = spec.include_intermediate
     if spec.name == "RNN":
         include = geometry.intermediate_channels_present
     fspec = features.FeatureSpec(num_bins=spec.num_bins, include_intermediate=include)
     history = None
     scale = None
+    diagnostics = {}
     if spec.kind in ("fixed", "adaptive"):
         counts = features.featurize_dataset(dataset.samples, fspec, geometry)
         counts = counts.astype(np.int64)
@@ -262,7 +263,11 @@ def run_strategy(
             predicted = threshold.classify_fixed(model, counts[test_idx])
         else:
             model = threshold.fit_adaptive(counts[train_idx], train_labels)
-            predicted, _ = threshold.classify_adaptive(model, counts[test_idx])
+            predicted, converged = threshold.classify_adaptive(model, counts[test_idx])
+            diagnostics = {
+                "unconverged_shots": int((~converged).sum()),
+                "starved_contexts": [list(s) for s in model.starved_contexts],
+            }
     else:
         train_config = mlp.TrainConfig(
             batch_size=config.batch_size,
@@ -287,8 +292,9 @@ def run_strategy(
     report = evaluate.fidelity(
         evaluate.confusion(predicted, test_labels), strategy=spec.name
     )
+    seconds = time.perf_counter() - started
     return StrategyResult(
-        spec.name, report, model, history, scale, fspec, time.perf_counter() - started
+        spec.name, report, model, history, scale, fspec, seconds, diagnostics
     )
 
 
@@ -348,6 +354,7 @@ def _save_strategy(result: StrategyResult, out_dir: Path) -> dict:
     entry = evaluate.report_to_dict(result.report)
     entry["model_file"] = str(model_path.relative_to(out_dir))
     entry["seconds"] = round(result.seconds, 3)
+    entry.update(result.diagnostics)
     if result.history is not None:
         history_dir = out_dir / "history"
         history_dir.mkdir(exist_ok=True)
@@ -501,7 +508,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> dict:
     sequences = features.sequence_dataset(test_samples, spec, dataset.geometry)
     if result.scale is not None:
         sequences = sequences / result.scale
-    test_labels = [dataset.labels[i] for i in test_idx]
+    test_labels = np.asarray(dataset.labels)[test_idx]
     bins = spec.num_bins
     bin_width = config.window_us / bins
     rows = []

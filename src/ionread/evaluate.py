@@ -20,28 +20,48 @@ class EvaluationError(ValueError):
 
 
 def labels_to_bits(labels: Sequence[str]) -> np.ndarray:
-    """Bit matrix from basis-state labels, ion 0 in column 0."""
-    if len(labels) == 0:
-        raise EvaluationError("no labels given")
-    width = len(labels[0])
-    out = np.empty((len(labels), width), dtype=np.int8)
-    for i, label in enumerate(labels):
-        if len(label) != width or any(c not in "01" for c in label):
-            raise EvaluationError(f"bad label {label!r}")
-        out[i] = [int(c) for c in label]
-    return out
+    """Validated (shots, ions) bit matrix from labels of one 0/1 per ion.
+
+    ``labels`` is a list of strings or a numpy ``U`` array; ion 0 is the
+    leftmost character and column 0.  Only this module knows the encoding.
+    """
+    text = np.ascontiguousarray(labels)
+    if text.ndim != 1 or text.size == 0:
+        raise EvaluationError(f"labels must be a non-empty list, got shape {text.shape}")
+    if text.dtype.kind != "U":
+        raise EvaluationError(f"labels must be strings of 0 and 1, got {text.dtype}")
+    width = text.dtype.itemsize // 4
+    # one code point per character; a shorter label is padded with code 0
+    bits = text.view(np.uint32).reshape(text.size, width) - np.uint32(ord("0"))
+    bad = (bits > 1).any(axis=1)
+    if bad.any():
+        label = str(text[np.argmax(bad)])
+        raise EvaluationError(f"bad label {label!r} among {width}-ion labels")
+    return bits.astype(np.int8)
 
 
-def bits_to_labels(bits: np.ndarray) -> list[str]:
-    return ["".join("1" if b else "0" for b in row) for row in np.asarray(bits)]
+def bits_to_states(bits: np.ndarray) -> np.ndarray:
+    """State index per row of a bit matrix; column 0 is the most significant bit."""
+    return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
-def label_to_index(label: str) -> int:
-    return int(label, 2)
+def labels_to_states(labels: Sequence[str]) -> tuple[np.ndarray, int]:
+    """Validated labels as (int64 state indices, number of ions)."""
+    bits = labels_to_bits(labels)
+    return bits_to_states(bits), bits.shape[1]
 
 
 def index_to_label(index: int, num_ions: int) -> str:
     return format(index, f"0{num_ions}b")
+
+
+def state_labels(num_ions: int) -> np.ndarray:
+    """Every register label as a numpy ``U`` array, indexed by state."""
+    return np.array([index_to_label(i, num_ions) for i in range(2**num_ions)])
+
+
+def bits_to_labels(bits: np.ndarray) -> list[str]:
+    return state_labels(bits.shape[1])[bits_to_states(bits)].tolist()
 
 
 @dataclass
@@ -59,14 +79,12 @@ def confusion(predicted: Sequence[str], prepared: Sequence[str]) -> ConfusionMat
         )
     if len(prepared) == 0:
         raise EvaluationError("empty evaluation set")
-    num_ions = len(prepared[0])
+    # one parse of both sides also rejects predictions of another width
+    states, num_ions = labels_to_states(np.concatenate([prepared, predicted]))
+    prep, pred = np.split(states, 2)
     size = 2**num_ions
-    counts = np.zeros((size, size), dtype=np.int64)
-    for pred, prep in zip(predicted, prepared):
-        if len(pred) != num_ions:
-            raise EvaluationError(f"label width mismatch: {pred!r} vs {prep!r}")
-        counts[label_to_index(prep), label_to_index(pred)] += 1
-    return ConfusionMatrix(counts, num_ions)
+    counts = np.bincount(prep * size + pred, minlength=size * size)
+    return ConfusionMatrix(counts.reshape(size, size), num_ions)
 
 
 @dataclass
@@ -143,31 +161,29 @@ def split(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic stratified split into (train, test) index arrays.
 
-    Each distinct label is permuted independently and cut at
-    ``round(fraction * n)``.  The two sides are disjoint, exhaustive, and
+    Each distinct label, in sorted order, is permuted independently and cut
+    at ``round(fraction * n)``.  The two sides are disjoint, exhaustive, and
     both non-empty for every label.
     """
     if not 0.0 < fraction < 1.0:
         raise EvaluationError(f"fraction must be inside (0, 1), got {fraction}")
-    labels = list(labels)
-    by_label: dict[str, list[int]] = {}
-    for i, label in enumerate(labels):
-        by_label.setdefault(label, []).append(i)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, len(labels))))
-    train: list[int] = []
-    test: list[int] = []
-    for label in sorted(by_label):
-        indices = np.asarray(by_label[label])
-        order = rng.permutation(indices.size)
+    states, num_ions = labels_to_states(labels)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, states.size)))
+    # a stable sort keeps each label's shots in their original order
+    order = np.argsort(states, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(states[order])) + 1)
+    train, test = [], []
+    for indices in groups:
+        shuffled = indices[rng.permutation(indices.size)]
         n_train = int(round(fraction * indices.size))
         if n_train == 0 or n_train == indices.size:
+            label = index_to_label(int(states[indices[0]]), num_ions)
             raise EvaluationError(
                 f"label {label!r}: {indices.size} shots cannot be split at {fraction}"
             )
-        shuffled = indices[order]
-        train.extend(shuffled[:n_train])
-        test.extend(shuffled[n_train:])
-    return np.sort(np.asarray(train)), np.sort(np.asarray(test))
+        train.append(shuffled[:n_train])
+        test.append(shuffled[n_train:])
+    return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
 
 
 def write_fidelity_csv(reports: Sequence[FidelityReport], path: str) -> None:

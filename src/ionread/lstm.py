@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .evaluate import labels_to_bits, labels_to_states, state_labels
 from .mlp import (
     NetworkError,
     TrainConfig,
@@ -237,12 +238,12 @@ def train(
     """Same epoch protocol as the feed-forward core, see :func:`mlp.fit`."""
     config = config or TrainConfig()
     x = np.asarray(sequences, dtype=float)
-    labels = list(labels)
+    labels = np.asarray(labels)
     if x.ndim != 3:
         raise NetworkError(f"sequences must be (batch, bins, channels), got {x.shape}")
     if x.shape[0] != len(labels):
         raise NetworkError(f"{x.shape[0]} sequences for {len(labels)} labels")
-    num_ions = len(labels[0])
+    _, num_ions = labels_to_states(labels)
     model = LstmModel(x.shape[2], hidden_size, 2**num_ions, seed=config.seed)
     return model, fit(model, x, labels, config, backward, predict)
 
@@ -251,9 +252,8 @@ def bright_marginal(probs: np.ndarray, ion: int, num_ions: int) -> np.ndarray:
     """P(ion bright) summed over all register states with that bit set."""
     if not 0 <= ion < num_ions:
         raise NetworkError(f"ion {ion} outside register of {num_ions}")
-    states = np.arange(probs.shape[-1])
-    mask = (states >> (num_ions - 1 - ion)) & 1 == 1
-    return np.atleast_2d(probs)[:, mask].sum(axis=1)
+    bright = labels_to_bits(state_labels(num_ions))[:, ion] == 1
+    return np.atleast_2d(probs)[:, bright].sum(axis=1)
 
 
 def probe(

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluate import confusion, fidelity, index_to_label, label_to_index, split
+from .evaluate import confusion, fidelity, labels_to_states, split, state_labels
 
 PROBABILITY_FLOOR = 1e-12
 HIDDEN_WIDTH_RANGE = (8, 40)
@@ -172,7 +172,7 @@ def cross_entropy(probs: np.ndarray, class_indices) -> float:
 
 def probabilities_to_labels(probs: np.ndarray, num_ions: int) -> list[str]:
     """Most probable register label per row; ties go to the lowest index."""
-    return [index_to_label(int(i), num_ions) for i in np.argmax(probs, axis=1)]
+    return state_labels(num_ions)[np.argmax(probs, axis=1)].tolist()
 
 
 def loss(model: MlpModel, x, class_indices) -> float:
@@ -242,7 +242,7 @@ def predict(model: MlpModel, features) -> list[str]:
 def fit(
     model,
     x: np.ndarray,
-    labels: list[str],
+    labels: Sequence[str],
     config: TrainConfig,
     backward,
     predict,
@@ -259,10 +259,11 @@ def fit(
     pass without improvement, and aborts with diagnostics once the loss or a
     parameter stops being finite.
     """
+    labels = np.asarray(labels)
+    states, _ = labels_to_states(labels)
     train_idx, val_idx = split(labels, 1.0 - config.validation_fraction, config.seed)
     x_train, x_val = x[train_idx], x[val_idx]
-    y_train = np.asarray([label_to_index(labels[i]) for i in train_idx])
-    val_labels = [labels[i] for i in val_idx]
+    y_train, val_labels = states[train_idx], labels[val_idx]
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
     params = model.parameters
@@ -315,12 +316,12 @@ def train(
     """
     config = config or TrainConfig()
     features = np.asarray(features, dtype=float)
-    labels = list(labels)
+    labels = np.asarray(labels)
     if features.shape[0] != len(labels):
         raise NetworkError(
             f"{features.shape[0]} feature rows for {len(labels)} labels"
         )
-    num_ions = len(labels[0])
+    _, num_ions = labels_to_states(labels)
     model = MlpModel(
         [features.shape[1], hidden[0], hidden[1], 2**num_ions], seed=config.seed
     )

@@ -27,6 +27,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.stats import poisson
 
+from .evaluate import labels_to_bits, state_labels
+
 TIME_RESOLUTION_US = 0.1
 MAX_IONS = 12
 
@@ -297,7 +299,7 @@ def stack_events(samples: Sequence[ReadoutSample]) -> tuple[np.ndarray, ...]:
 
 def all_labels(num_ions: int) -> list[str]:
     """All basis-state labels in binary order, ion 0 leftmost."""
-    return [format(i, f"0{num_ions}b") for i in range(2**num_ions)]
+    return state_labels(num_ions).tolist()
 
 
 def _sample_rng(seed: int, label_index: int, sample_index: int) -> np.random.Generator:
@@ -385,17 +387,6 @@ def route_events(
     return channels[order], times[order]
 
 
-def _simulate_shot(
-    label: str,
-    model: EmissionModel,
-    geometry: DetectorGeometry,
-    rng: np.random.Generator,
-) -> ReadoutSample:
-    ion_times = [simulate_ion(int(bit), model, rng) for bit in label]
-    channels, times = route_events(ion_times, geometry, model, rng)
-    return ReadoutSample(label, model.window_us, channels, times)
-
-
 def _pool_entry_index(label_index: int, sample_index: int, ion: int, bit: int,
                       num_ions: int, samples_per_label: int) -> int:
     # Sequential cursor into the per-(ion, bit) pool, computable without
@@ -425,44 +416,47 @@ def _pool_recording(
     return route_events(ion_times, geometry, model, rng)
 
 
-def _pooled_shot(
-    label: str,
+def _pooled_events(
+    bits: list[int],
     label_index: int,
     sample_index: int,
     model: EmissionModel,
     geometry: DetectorGeometry,
     seed: int,
     samples_per_label: int,
-) -> ReadoutSample:
+) -> tuple[np.ndarray, np.ndarray]:
     # Superimpose independent single-ion recordings, one per register site,
     # mirroring readout assembled from single-ion data.  Background enters
     # once per recording, i.e. num_ions times in total.
     chan_parts: list[np.ndarray] = []
     time_parts: list[np.ndarray] = []
-    for ion, bit in enumerate(label):
+    for ion, bit in enumerate(bits):
         entry = _pool_entry_index(
-            label_index, sample_index, ion, int(bit), geometry.num_ions, samples_per_label
+            label_index, sample_index, ion, bit, geometry.num_ions, samples_per_label
         )
-        channels, times = _pool_recording(ion, int(bit), entry, model, geometry, seed)
+        channels, times = _pool_recording(ion, bit, entry, model, geometry, seed)
         chan_parts.append(channels)
         time_parts.append(times)
     channels = np.concatenate(chan_parts)
     times = np.concatenate(time_parts)
     order = np.lexsort((np.arange(channels.size), channels, times))
-    return ReadoutSample(label, model.window_us, channels[order], times[order])
+    return channels[order], times[order]
 
 
 def _generate_label_block(args: tuple) -> list[ReadoutSample]:
     label, label_index, model, geometry, seed, samples_per_label, mode = args
+    bits = labels_to_bits([label])[0].tolist()
     out = []
     for k in range(samples_per_label):
         if mode == "fresh":
             rng = _sample_rng(seed, label_index, k)
-            out.append(_simulate_shot(label, model, geometry, rng))
+            ion_times = [simulate_ion(bit, model, rng) for bit in bits]
+            channels, times = route_events(ion_times, geometry, model, rng)
         else:
-            out.append(
-                _pooled_shot(label, label_index, k, model, geometry, seed, samples_per_label)
+            channels, times = _pooled_events(
+                bits, label_index, k, model, geometry, seed, samples_per_label
             )
+        out.append(ReadoutSample(label, model.window_us, channels, times))
     return out
 
 
@@ -636,10 +630,17 @@ def _sample_to_line(sample: ReadoutSample) -> str:
 
 def _sample_from_line(line: str) -> ReadoutSample:
     record = json.loads(line)
+    window_us = record["window_us"]
+    if type(window_us) not in (int, float) or not 0.0 < window_us < math.inf:
+        raise ValueError(f"window_us {window_us!r} is not a finite number above 0")
     events = record["events"]
-    channels = np.asarray([e[0] for e in events], dtype=np.int16)
+    channels = [e[0] for e in events]
+    for channel in channels:
+        if type(channel) is not int:
+            raise ValueError(f"channel {channel!r} is not an integer")
+    channels = np.asarray(channels, dtype=np.int16)
     times = np.asarray([e[1] for e in events], dtype=float)
-    return ReadoutSample(record["label"], record["window_us"], channels, times)
+    return ReadoutSample(record["label"], window_us, channels, times)
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
@@ -660,7 +661,12 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset file; reject any shot its geometry cannot have recorded."""
+    """Read a dataset file; reject any shot the simulator cannot have written.
+
+    Each shot needs a label of one 0/1 per ion, a finite ``window_us`` above
+    0, and integer channels of the geometry with finite times in
+    ``[0, window_us]``, sorted by time and then channel.
+    """
     with open(path) as fh:
         header = json.loads(fh.readline())
         if header.get("format") != _FORMAT_NAME:
@@ -695,6 +701,19 @@ def load_dataset(path: str) -> Dataset:
                 f"{path}:{line_numbers[shot[i]]}: event [{channels[i]}, {times[i]}] needs "
                 f"a channel in [0, {geometry.num_channels}) and a finite time in "
                 f"[0, {window_us[shot[i]]}]"
+            )
+        # the simulator's order: by time, equal times by channel
+        same_shot = shot[1:] == shot[:-1]
+        earlier = (times[1:] < times[:-1]) | (
+            (times[1:] == times[:-1]) & (channels[1:] < channels[:-1])
+        )
+        unordered = same_shot & earlier
+        if unordered.any():
+            i = int(np.argmax(unordered)) + 1
+            raise SimulationError(
+                f"{path}:{line_numbers[shot[i]]}: event [{channels[i]}, {times[i]}] "
+                f"follows [{channels[i - 1]}, {times[i - 1]}]; events must be "
+                f"sorted by time, then channel"
             )
     return Dataset(
         samples=samples,

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluate import bits_to_labels, labels_to_bits
+from .evaluate import bits_to_labels, bits_to_states, labels_to_bits, state_labels
 
 
 class ThresholdError(ValueError):
@@ -115,16 +115,8 @@ def classify_fixed(model: FixedThresholdModel, counts) -> list[str]:
 
 
 def _context_keys(num_ions: int, ion: int) -> list[str]:
-    """The ion's neighbour bit patterns, left neighbour first, by context code."""
-    width = len(neighbour_indices(num_ions, ion))
-    return [format(code, f"0{width}b") for code in range(2**width)]
-
-
-def _context_code(bits: np.ndarray, neighbours: tuple[int, ...]) -> np.ndarray:
-    code = np.zeros(bits.shape[0], dtype=np.int64)
-    for nb in neighbours:
-        code = code * 2 + bits[:, nb]
-    return code
+    """Neighbour bit patterns, left neighbour first, by context code; "0" if none."""
+    return state_labels(len(neighbour_indices(num_ions, ion))).tolist()
 
 
 @dataclass(frozen=True)
@@ -208,11 +200,9 @@ def fit_adaptive(
     tables: list[dict] = []
     starved: list[tuple[int, str]] = []
     for i in range(num_ions):
-        neighbours = neighbour_indices(num_ions, i)
-        codes = _context_code(bits, neighbours)
+        codes = bits_to_states(bits[:, neighbour_indices(num_ions, i)])
         table: dict[str, int] = {}
-        for code in range(2 ** len(neighbours)):
-            key = format(code, f"0{len(neighbours)}b")
+        for code, key in enumerate(_context_keys(num_ions, i)):
             mask = codes == code
             column = mat[mask, i]
             column_bits = bits[mask, i]
@@ -249,18 +239,16 @@ def classify_adaptive(
     # context-indexed threshold lookup tables, one per ion
     lookup = []
     for i in range(num_ions):
-        neighbours = neighbour_indices(num_ions, i)
-        table = np.empty(2 ** len(neighbours), dtype=np.int64)
-        for code in range(table.size):
-            table[code] = model.context_thresholds[i][format(code, f"0{len(neighbours)}b")]
-        lookup.append((neighbours, table))
+        keys = _context_keys(num_ions, i)
+        table = np.array([model.context_thresholds[i][k] for k in keys], dtype=np.int64)
+        lookup.append((neighbour_indices(num_ions, i), table))
     bits = (mat > np.asarray(model.fixed.thresholds)).astype(np.int8)
     converged = np.zeros(mat.shape[0], dtype=bool)
     for _ in range(model.max_iterations):
         new_bits = np.empty_like(bits)
         for i in range(num_ions):
             neighbours, table = lookup[i]
-            thresholds = table[_context_code(bits, neighbours)]
+            thresholds = table[bits_to_states(bits[:, neighbours])]
             new_bits[:, i] = mat[:, i] > thresholds
         stable = np.all(new_bits == bits, axis=1)
         converged |= stable

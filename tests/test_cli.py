@@ -272,6 +272,47 @@ class TestMaxNormalization:
         }
 
 
+MIDDLE_ION_CONTEXTS = [[1, key] for key in ("00", "01", "10", "11")]
+
+
+class TestAdaptiveDiagnostics:
+    @pytest.mark.parametrize(
+        "geometry, samples_per_label, starved, unconverged",
+        [
+            # 48 training shots per label: each of the middle ion's four
+            # contexts holds 96 shots, under the 100 needed; the rest fit
+            ("alternating", 60, MIDDLE_ION_CONTEXTS, 0),
+            # heavy crosstalk between adjacent channels: every context fits
+            # and a few test shots still flip at the iteration cap
+            ("adjacent", 150, [], 6),
+        ],
+    )
+    def test_summary_keeps_convergence_and_starved_contexts(
+        self, tmp_path, geometry, samples_per_label, starved, unconverged
+    ):
+        config = write_config(
+            tmp_path / "adaptive.cfg",
+            f"num_ions = 3\ngeometry = {geometry}\n"
+            f"samples_per_label = {samples_per_label}\nstrategies = FT,AT\nseed_data = 4\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        entry = summary["strategies"]["AT"]
+        assert entry["starved_contexts"] == starved
+        assert entry["unconverged_shots"] == unconverged
+        assert "unconverged_shots" not in summary["strategies"]["FT"]
+
+        model = load_model(out / entry["model_file"])
+        assert [list(s) for s in model.starved_contexts] == starved
+        dataset = sim.load_dataset(str(out / "dataset.jsonl"))
+        _, test_idx = evaluate.split(dataset.labels, 0.8, 4)
+        spec = features.FeatureSpec(num_bins=1)
+        counts = features.featurize_dataset(dataset.samples, spec, dataset.geometry)
+        _, converged = threshold.classify_adaptive(model, counts[test_idx].astype(np.int64))
+        assert int((~converged).sum()) == unconverged
+
+
 class TestModelFiles:
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "m.json"

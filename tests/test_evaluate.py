@@ -13,10 +13,11 @@ from ionread.evaluate import (
     fidelity,
     improvement,
     index_to_label,
-    label_to_index,
     labels_to_bits,
+    labels_to_states,
     report_to_dict,
     split,
+    state_labels,
     write_fidelity_csv,
 )
 
@@ -28,9 +29,30 @@ class TestLabelHelpers:
         assert bits_to_labels(bits) == ["010", "111", "000"]
 
     def test_index_mapping(self):
-        assert label_to_index("101") == 5
+        states, num_ions = labels_to_states(["101", "000", "011"])
+        assert states.tolist() == [5, 0, 3] and num_ions == 3
         assert index_to_label(5, 3) == "101"
         assert index_to_label(0, 2) == "00"
+        assert state_labels(2).tolist() == ["00", "01", "10", "11"]
+
+    def test_list_and_unicode_array_agree(self):
+        labels = ["010", "111", "000", "010", "101", "111"] * 4
+        array = np.array(labels)
+        assert array.dtype.kind == "U"
+        np.testing.assert_array_equal(labels_to_bits(labels), labels_to_bits(array))
+        for a, b in zip(labels_to_states(labels), labels_to_states(array)):
+            np.testing.assert_array_equal(a, b)
+        predicted = labels[1:] + labels[:1]
+        np.testing.assert_array_equal(
+            confusion(predicted, labels).counts,
+            confusion(np.array(predicted), array).counts,
+        )
+        for a, b in zip(split(labels, 0.5, seed=2), split(array, 0.5, seed=2)):
+            np.testing.assert_array_equal(a, b)
+        # a strided view of a U array reads the same labels
+        np.testing.assert_array_equal(
+            labels_to_bits(array[::2]), labels_to_bits(labels[::2])
+        )
 
     def test_rejects_bad_labels(self):
         with pytest.raises(EvaluationError):
@@ -39,6 +61,10 @@ class TestLabelHelpers:
             labels_to_bits(["0", "01"])
         with pytest.raises(EvaluationError):
             labels_to_bits([])
+        with pytest.raises(EvaluationError):
+            labels_to_bits([0, 1])
+        with pytest.raises(EvaluationError):
+            labels_to_bits(["", "0"])
 
 
 class TestConfusion:
@@ -57,6 +83,11 @@ class TestConfusion:
     def test_length_mismatch_raises(self):
         with pytest.raises(EvaluationError):
             confusion(["0"], ["0", "1"])
+
+    @pytest.mark.parametrize("bad", ["0a1", "01", "0111", "012"])
+    def test_bad_predicted_label_raises(self, bad):
+        with pytest.raises(EvaluationError):
+            confusion(["001", bad], ["001", "011"])
 
 
 class TestFidelity:
@@ -159,6 +190,57 @@ class TestSplit:
     def test_unsplittable_label_raises(self):
         with pytest.raises(EvaluationError, match="cannot be split"):
             split(["0", "0", "1"], 0.5, seed=0)
+
+
+def loop_split(labels, fraction, seed):
+    """Per-shot reference split: group by label, permute each in sorted order."""
+    by_label = {}
+    for i, label in enumerate(labels):
+        by_label.setdefault(label, []).append(i)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, len(labels))))
+    train, test = [], []
+    for label in sorted(by_label):
+        indices = np.asarray(by_label[label])
+        shuffled = indices[rng.permutation(indices.size)]
+        n_train = int(round(fraction * indices.size))
+        train.extend(shuffled[:n_train])
+        test.extend(shuffled[n_train:])
+    return np.sort(train), np.sort(test)
+
+
+class TestLoopReference:
+    """The vectorised codec against per-shot Python loops, exactly."""
+
+    @pytest.fixture
+    def labels(self):
+        states = np.random.default_rng(5).integers(0, 8, size=2000)
+        return [format(int(s), "03b") for s in states]
+
+    def test_bits_states_and_labels(self, labels):
+        bits = labels_to_bits(labels)
+        assert bits.dtype == np.int8
+        expected = [[int(c) for c in label] for label in labels]
+        np.testing.assert_array_equal(bits, expected)
+        states, num_ions = labels_to_states(labels)
+        assert states.dtype == np.int64 and num_ions == 3
+        np.testing.assert_array_equal(states, [int(label, 2) for label in labels])
+        assert bits_to_labels(bits) == labels
+        assert bits_to_labels(bits.astype(bool)) == labels
+
+    def test_confusion(self, labels):
+        predicted = labels[7:] + labels[:7]
+        expected = np.zeros((8, 8), dtype=np.int64)
+        for pred, prep in zip(predicted, labels):
+            expected[int(prep, 2), int(pred, 2)] += 1
+        counts = confusion(predicted, labels).counts
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, expected)
+
+    @pytest.mark.parametrize("fraction, seed", [(0.4, 1), (0.8, 7), (0.9, 123)])
+    def test_split(self, labels, fraction, seed):
+        expected = loop_split(labels, fraction, seed)
+        for got, want in zip(split(labels, fraction, seed), expected):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestReporting:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ionread import cli, lstm
+from ionread.evaluate import EvaluationError
 from ionread.lstm import (
     LstmModel,
     NetworkError,
@@ -279,6 +280,16 @@ class TestTraining:
     def test_label_count_mismatch_raises(self):
         with pytest.raises(NetworkError):
             train(np.zeros((4, 3, 1)), ["0", "1"], hidden_size=4)
+
+    @pytest.mark.parametrize("odd", ["1", "0a"])
+    def test_unreadable_labels_raise_before_the_first_step(self, monkeypatch, odd):
+        def no_step(*args):
+            raise AssertionError("a training step ran on unreadable labels")
+
+        monkeypatch.setattr(lstm, "backward", no_step)
+        labels = ["00", "01", "10", "11"] * 10 + [odd] * 20
+        with pytest.raises(EvaluationError):
+            train(np.zeros((60, 3, 1)), labels, hidden_size=4)
 
 
 class TestSerialisation:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ionread import cli, mlp, sim, threshold
-from ionread.evaluate import confusion, fidelity, label_to_index, split
+from ionread.evaluate import EvaluationError, confusion, fidelity, split
 from ionread.mlp import (
     AdadeltaState,
     MlpModel,
@@ -310,6 +310,16 @@ class TestTraining:
     def test_label_row_mismatch_raises(self):
         with pytest.raises(NetworkError):
             train(np.ones((4, 2)), ["0", "1"], hidden=(8, 8))
+
+    @pytest.mark.parametrize("odd", ["1", "0a", "012"])
+    def test_unreadable_labels_raise_before_the_first_step(self, monkeypatch, odd):
+        def no_step(*args):
+            raise AssertionError("a training step ran on unreadable labels")
+
+        monkeypatch.setattr(mlp, "backward", no_step)
+        labels = ["00", "01", "10", "11"] * 10 + [odd] * 20
+        with pytest.raises(EvaluationError):
+            train(np.ones((60, 2)), labels, hidden=(8, 8))
 
     def test_config_validation(self):
         with pytest.raises(NetworkError):

@@ -440,6 +440,36 @@ class TestLoadValidation:
         shot = {"label": "101", "window_us": 150.0, "events": [[0, 1.0], [2, time]]}
         assert f"event [2, {time}]" in self.load_with_shot(tmp_path, lines, shot)
 
+    @pytest.mark.parametrize("channel", [1.7, 1.0, True, "1", None])
+    def test_channel_must_be_an_integer(self, tmp_path, lines, channel):
+        shot = {"label": "101", "window_us": 150.0, "events": [[0, 1.0], [channel, 2.0]]}
+        assert f"channel {channel!r}" in self.load_with_shot(tmp_path, lines, shot)
+
+    @pytest.mark.parametrize("window", [0.0, -150.0, float("nan"), float("inf"), "150"])
+    def test_window_must_be_a_finite_number_above_zero(self, tmp_path, lines, window):
+        shot = {"label": "101", "window_us": window, "events": [[0, 0.0]]}
+        assert "window_us" in self.load_with_shot(tmp_path, lines, shot)
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            [[0, 1.0], [2, 3.5], [0, 2.0]],  # time goes back
+            [[0, 1.0], [2, 2.0], [0, 2.0]],  # equal times, channel goes back
+        ],
+    )
+    def test_events_must_be_in_simulator_order(self, tmp_path, lines, events):
+        shot = {"label": "101", "window_us": 150.0, "events": events}
+        message = self.load_with_shot(tmp_path, lines, shot)
+        assert f"event {events[2]} follows {events[1]}" in message
+
+    def test_equal_events_and_shot_boundaries_are_in_order(self, tmp_path, lines):
+        # equal (time, channel) pairs are allowed, and a shot may start
+        # earlier than the previous shot ended
+        path = tmp_path / "ordered.jsonl"
+        shot = {"label": "101", "window_us": 150.0, "events": [[0, 0.0], [0, 0.0]]}
+        path.write_text("\n".join(lines[:2] + [json.dumps(shot)] + lines[3:]) + "\n")
+        assert len(sim.load_dataset(path)) == len(lines) - 1
+
     @pytest.mark.parametrize(
         "text",
         [
