@@ -160,6 +160,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError(f"num_ions must be in [1, {sim.MAX_IONS}]")
     if config.mode not in ("fresh", "pool"):
         raise ConfigError(f"unknown generation mode {config.mode!r}")
+    if config.n_jobs < 1:
+        raise ConfigError(f"n_jobs must be >= 1, got {config.n_jobs}")
     if not 0.0 < config.train_fraction < 1.0:
         raise ConfigError("train_fraction must be inside (0, 1)")
     if config.samples_per_label < 2:
@@ -234,7 +236,7 @@ class StrategyResult:
     scale: np.ndarray | None
     feature_spec: features.FeatureSpec
     seconds: float
-    diagnostics: dict  # extra summary keys: AT convergence and starved contexts
+    diagnostics: dict  # extra summary keys: AT convergence, network training
 
 
 def run_strategy(
@@ -288,6 +290,12 @@ def run_strategy(
         model, history = network.train(
             x[train_idx], train_labels, spec.hidden, config=train_config
         )
+        best = max(history, key=lambda row: row["val_fidelity"])  # first maximum
+        diagnostics = {
+            "epochs_run": len(history),
+            "best_epoch": best["epoch"],
+            "stop_reason": "patience" if len(history) < config.epochs else "epoch_cap",
+        }
         predicted = network.predict(model, x[test_idx])
     report = evaluate.fidelity(
         evaluate.confusion(predicted, test_labels), strategy=spec.name
@@ -324,7 +332,10 @@ def load_model(path: str | Path):
     record's declared sizes, so a bad record fails here, not at first use.
     """
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ModelFileError(f"{path}: not a JSON model file: {exc}") from None
     if not isinstance(data, dict):
         raise ModelFileError(f"{path}: model file must hold a JSON object")
     cls = _MODEL_CLASSES.get(data.get("format"))

@@ -22,6 +22,7 @@ from .mlp import (
     checked_array,
     cross_entropy,
     fit,
+    parameter_slab,
     probabilities_to_labels,
     softmax,
 )
@@ -47,6 +48,7 @@ class LstmModel:
     """LSTM over count sequences with a dense softmax readout."""
 
     FORMAT = "ionread.lstm"
+    PARAMETER_NAMES = ("w_input", "w_hidden", "bias", "w_readout", "b_readout")
 
     def __init__(self, input_size: int, hidden_size: int, output_size: int, seed: int = 0):
         if input_size < 1 or hidden_size < 1:
@@ -59,23 +61,22 @@ class LstmModel:
         self.hidden_size = hidden_size
         self.output_size = output_size
         self.num_ions = output_size.bit_length() - 1
-        rng = np.random.default_rng(seed)
-
-        def init(fan_in: int, fan_out: int, shape) -> np.ndarray:
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-bound, bound, size=shape)
-
         h = hidden_size
-        self.w_input = init(input_size, h, (input_size, 4 * h))
-        self.w_hidden = init(h, h, (h, 4 * h))
-        self.bias = np.zeros(4 * h)
+        self.flat, self.parameters = parameter_slab(
+            [(input_size, 4 * h), (h, 4 * h), (4 * h,), (h, output_size), (output_size,)]
+        )
+        self.w_input, self.w_hidden, self.bias, self.w_readout, self.b_readout = (
+            self.parameters
+        )
+        rng = np.random.default_rng(seed)
+        for weights, fan_in, fan_out in (
+            (self.w_input, input_size, h),
+            (self.w_hidden, h, h),
+            (self.w_readout, h, output_size),
+        ):
+            bound = math.sqrt(6.0 / (fan_in + fan_out))
+            weights[...] = rng.uniform(-bound, bound, size=weights.shape)
         self.bias[h : 2 * h] = 1.0
-        self.w_readout = init(h, output_size, (h, output_size))
-        self.b_readout = np.zeros(output_size)
-
-    @property
-    def parameters(self) -> list[np.ndarray]:
-        return [self.w_input, self.w_hidden, self.bias, self.w_readout, self.b_readout]
 
     def to_dict(self) -> dict:
         return {
@@ -84,11 +85,7 @@ class LstmModel:
             "input_size": self.input_size,
             "hidden_size": self.hidden_size,
             "output_size": self.output_size,
-            "w_input": self.w_input.tolist(),
-            "w_hidden": self.w_hidden.tolist(),
-            "bias": self.bias.tolist(),
-            "w_readout": self.w_readout.tolist(),
-            "b_readout": self.b_readout.tolist(),
+            **{name: getattr(self, name).tolist() for name in self.PARAMETER_NAMES},
         }
 
     @classmethod
@@ -96,9 +93,8 @@ class LstmModel:
         if data.get("format") != cls.FORMAT:
             raise NetworkError("not a recurrent model record")
         model = cls(data["input_size"], data["hidden_size"], data["output_size"])
-        for name in ("w_input", "w_hidden", "bias", "w_readout", "b_readout"):
-            shape = getattr(model, name).shape
-            setattr(model, name, checked_array(data[name], shape, name))
+        for name, view in zip(cls.PARAMETER_NAMES, model.parameters):
+            view[...] = checked_array(data[name], view.shape, name)
         return model
 
 
@@ -178,17 +174,11 @@ def forward(model: LstmModel, sequences) -> np.ndarray:
     return probs
 
 
-def loss(model: LstmModel, sequences, class_indices) -> float:
-    return cross_entropy(forward(model, sequences), class_indices)
+def backward(model: LstmModel, sequences, class_indices) -> tuple[float, np.ndarray]:
+    """Mean batch loss and its gradient, laid out like ``model.flat``, via BPTT.
 
-
-def backward(
-    model: LstmModel, sequences, class_indices
-) -> tuple[float, list[np.ndarray]]:
-    """Mean batch loss and its gradients via backpropagation through time.
-
-    The loss is the one :func:`loss` would return, read off the same forward
-    pass the gradients need.
+    The loss is the cross-entropy of :func:`forward`'s probabilities, read
+    off the same forward pass the gradient needs.
     """
     x = _validate_sequences(model, sequences)
     y = np.asarray(class_indices, dtype=np.int64)
@@ -199,13 +189,13 @@ def backward(
     delta = probs.copy()
     delta[np.arange(batch), y] -= 1.0
     delta /= batch
-    grad_w_readout = h_last.T @ delta
-    grad_b_readout = delta.sum(axis=0)
+    grad, (grad_w_input, grad_w_hidden, grad_bias, grad_w_readout, grad_b_readout) = (
+        parameter_slab([p.shape for p in model.parameters])
+    )
+    np.matmul(h_last.T, delta, out=grad_w_readout)
+    delta.sum(axis=0, out=grad_b_readout)
 
     hs = model.hidden_size
-    grad_w_input = np.zeros_like(model.w_input)
-    grad_w_hidden = np.zeros_like(model.w_hidden)
-    grad_bias = np.zeros_like(model.bias)
     d_h = delta @ model.w_readout.T
     d_c = np.zeros((batch, hs))
     for t in range(bins - 1, -1, -1):
@@ -221,8 +211,7 @@ def backward(
         grad_bias += d_z.sum(axis=0)
         d_h = d_z @ model.w_hidden.T
         d_c = d_c * gates[:, hs : 2 * hs]
-    grads = [grad_w_input, grad_w_hidden, grad_bias, grad_w_readout, grad_b_readout]
-    return batch_loss, grads
+    return batch_loss, grad
 
 
 def predict(model: LstmModel, sequences) -> list[str]:

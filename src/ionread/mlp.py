@@ -85,17 +85,13 @@ class MlpModel:
             raise NetworkError(f"output width must be a power of two >= 2, got {out}")
         self.layer_sizes = layer_sizes
         self.num_ions = out.bit_length() - 1
+        fans = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+        self.flat, self.parameters = parameter_slab(fans + [(n,) for _, n in fans])
+        self.weights, self.biases = self.parameters[:3], self.parameters[3:]
         rng = np.random.default_rng(seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        for w, (fan_in, fan_out) in zip(self.weights, fans):
             bound = math.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
-
-    @property
-    def parameters(self) -> list[np.ndarray]:
-        return self.weights + self.biases
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
 
     def to_dict(self) -> dict:
         return {
@@ -111,9 +107,28 @@ class MlpModel:
         if data.get("format") != cls.FORMAT:
             raise NetworkError("not a feed-forward model record")
         model = cls(data["layer_sizes"])
-        model.weights = _checked_arrays(data["weights"], model.weights, "weights")
-        model.biases = _checked_arrays(data["biases"], model.biases, "biases")
+        for name, views in (("weights", model.weights), ("biases", model.biases)):
+            values = data[name]
+            if not isinstance(values, list) or len(values) != len(views):
+                raise NetworkError(f"{name} must be a list of {len(views)} arrays")
+            for i, (v, p) in enumerate(zip(values, views)):
+                p[...] = checked_array(v, p.shape, f"{name}[{i}]")
         return model
+
+
+def parameter_slab(shapes) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One zeroed float64 vector and, in order, a view of it per shape.
+
+    Every network's parameters, and ``backward``'s gradients, are laid out
+    this way, so one vector operation steps, snapshots or checks them all.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.zeros(sum(sizes))
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return flat, views
 
 
 def checked_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -127,16 +142,6 @@ def checked_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     if not np.all(np.isfinite(array)):
         raise NetworkError(f"{name} holds non-finite values")
     return array
-
-
-def _checked_arrays(values, like: list[np.ndarray], name: str) -> list[np.ndarray]:
-    """A record's list of arrays, each shaped like its counterpart in ``like``."""
-    if not isinstance(values, list) or len(values) != len(like):
-        raise NetworkError(f"{name} must be a list of {len(like)} arrays")
-    return [
-        checked_array(v, p.shape, f"{name}[{i}]")
-        for i, (v, p) in enumerate(zip(values, like))
-    ]
 
 
 def _validate_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -175,16 +180,12 @@ def probabilities_to_labels(probs: np.ndarray, num_ions: int) -> list[str]:
     return state_labels(num_ions)[np.argmax(probs, axis=1)].tolist()
 
 
-def loss(model: MlpModel, x, class_indices) -> float:
-    return cross_entropy(forward(model, x), class_indices)
+def backward(model: MlpModel, x, class_indices) -> tuple[float, np.ndarray]:
+    """Mean batch loss and its gradient, laid out like ``model.flat``.
 
-
-def backward(model: MlpModel, x, class_indices) -> tuple[float, list[np.ndarray]]:
-    """Mean batch loss and its gradients in ``model.parameters`` order.
-
-    The loss is the one :func:`loss` would return, read off the same forward
-    pass the gradients need.  The rectifier contributes zero gradient at
-    exactly zero input.
+    The loss is the cross-entropy of :func:`forward`'s probabilities, read
+    off the same forward pass the gradient needs.  The rectifier contributes
+    zero gradient at exactly zero input.
     """
     x = _validate_input(model, x)
     y = np.asarray(class_indices, dtype=np.int64)
@@ -194,45 +195,40 @@ def backward(model: MlpModel, x, class_indices) -> tuple[float, list[np.ndarray]
     delta = probs.copy()
     delta[np.arange(batch), y] -= 1.0
     delta /= batch
-    grad_w3 = a2.T @ delta
-    grad_b3 = delta.sum(axis=0)
+    grad, (grad_w1, grad_w2, grad_w3, grad_b1, grad_b2, grad_b3) = parameter_slab(
+        [p.shape for p in model.parameters]
+    )
+    np.matmul(a2.T, delta, out=grad_w3)
+    delta.sum(axis=0, out=grad_b3)
     back2 = (delta @ model.weights[2].T) * (a2 > 0.0)
-    grad_w2 = a1.T @ back2
-    grad_b2 = back2.sum(axis=0)
+    np.matmul(a1.T, back2, out=grad_w2)
+    back2.sum(axis=0, out=grad_b2)
     back1 = (back2 @ model.weights[1].T) * (a1 > 0.0)
-    grad_w1 = x.T @ back1
-    grad_b1 = back1.sum(axis=0)
-    return batch_loss, [grad_w1, grad_w2, grad_w3, grad_b1, grad_b2, grad_b3]
-
-
-class AdadeltaState:
-    """Running second moments of gradients and updates, one per parameter."""
-
-    def __init__(self, params: Sequence[np.ndarray]):
-        self.grad_sq = [np.zeros_like(p) for p in params]
-        self.delta_sq = [np.zeros_like(p) for p in params]
+    np.matmul(x.T, back1, out=grad_w1)
+    back1.sum(axis=0, out=grad_b1)
+    return batch_loss, grad
 
 
 def adadelta_step(
-    params: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
-    state: AdadeltaState,
+    params: np.ndarray,
+    grads: np.ndarray,
+    grad_sq: np.ndarray,
+    delta_sq: np.ndarray,
     rho: float = 0.95,
     epsilon: float = 1e-6,
 ) -> None:
-    """One in-place ADADELTA update.
+    """One in-place ADADELTA update on flat vectors; the moments start at zero.
 
     g2 <- rho g2 + (1-rho) g**2
     dx = -sqrt(d2 + eps) / sqrt(g2 + eps) * g
     d2 <- rho d2 + (1-rho) dx**2
     """
-    for p, g, g2, d2 in zip(params, grads, state.grad_sq, state.delta_sq):
-        g2 *= rho
-        g2 += (1.0 - rho) * g * g
-        step = -np.sqrt(d2 + epsilon) / np.sqrt(g2 + epsilon) * g
-        d2 *= rho
-        d2 += (1.0 - rho) * step * step
-        p += step
+    grad_sq *= rho
+    grad_sq += (1.0 - rho) * grads * grads
+    step = -np.sqrt(delta_sq + epsilon) / np.sqrt(grad_sq + epsilon) * grads
+    delta_sq *= rho
+    delta_sq += (1.0 - rho) * step * step
+    params += step
 
 
 def predict(model: MlpModel, features) -> list[str]:
@@ -250,7 +246,8 @@ def fit(
     """Train ``model`` in place on labelled rows; returns the epoch history.
 
     Shared by every network: ``backward`` and ``predict`` are the network's
-    own functions, and ``backward`` returns ``(batch loss, gradients)``.  A
+    own functions, and ``backward`` returns the batch loss and its gradient
+    laid out like ``model.flat``, the one vector every step updates.  A
     stratified ``validation_fraction`` of the rows is held out; after each
     epoch the register fidelity on that held-out part is recorded and the
     parameters with the best validation fidelity so far are kept.  An
@@ -266,9 +263,9 @@ def fit(
     y_train, val_labels = states[train_idx], labels[val_idx]
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
-    params = model.parameters
-    state = AdadeltaState(params)
-    best_params = [p.copy() for p in params]
+    params = model.flat
+    grad_sq, delta_sq = np.zeros_like(params), np.zeros_like(params)
+    best_params = params.copy()
     best_fidelity = -1.0
     best_epoch = -1
     history: list[dict] = []
@@ -279,10 +276,8 @@ def fit(
             batch = order[start : start + config.batch_size]
             xb, yb = x_train[batch], y_train[batch]
             batch_loss, grads = backward(model, xb, yb)
-            adadelta_step(params, grads, state, config.rho, config.epsilon)
-            if not math.isfinite(batch_loss) or not all(
-                np.isfinite(p).all() for p in params
-            ):
+            adadelta_step(params, grads, grad_sq, delta_sq, config.rho, config.epsilon)
+            if not math.isfinite(batch_loss) or not np.isfinite(params).all():
                 raise TrainingError(
                     f"non-finite loss or parameters at epoch {epoch}, "
                     f"batch offset {start}"
@@ -296,11 +291,10 @@ def fit(
         if val_fidelity > best_fidelity:
             best_fidelity = val_fidelity
             best_epoch = epoch
-            best_params = [p.copy() for p in params]
+            np.copyto(best_params, params)
         elif epoch - best_epoch >= config.patience:
             break
-    for current, best in zip(params, best_params):
-        current[...] = best
+    np.copyto(params, best_params)
     return history
 
 

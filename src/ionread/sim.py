@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -475,7 +476,8 @@ def generate_dataset(
     single-ion recordings drawn without replacement from per-(ion, state)
     pools.  Both modes derive one RNG stream per shot from
     ``(seed, label index, sample index)``, so the output is bit-identical
-    across runs and across ``n_jobs`` settings.
+    across runs and across ``n_jobs`` settings.  At most ``n_jobs`` worker
+    processes start, and never more than there are labels or usable CPUs.
     """
     if samples_per_label < 1:
         raise SimulationError("samples_per_label must be >= 1")
@@ -486,8 +488,9 @@ def generate_dataset(
         (label, idx, model, geometry, seed, samples_per_label, mode)
         for idx, label in enumerate(labels)
     ]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    workers = min(n_jobs, len(blocks), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_generate_label_block, blocks))
     else:
         results = [_generate_label_block(b) for b in blocks]
@@ -633,13 +636,17 @@ def _sample_from_line(line: str) -> ReadoutSample:
     window_us = record["window_us"]
     if type(window_us) not in (int, float) or not 0.0 < window_us < math.inf:
         raise ValueError(f"window_us {window_us!r} is not a finite number above 0")
-    events = record["events"]
-    channels = [e[0] for e in events]
-    for channel in channels:
+    channels, times = [], []
+    # unpacking rejects events of any other length
+    for channel, time in record["events"]:
         if type(channel) is not int:
             raise ValueError(f"channel {channel!r} is not an integer")
+        if type(time) is not float and type(time) is not int:
+            raise ValueError(f"time {time!r} is not a number")
+        channels.append(channel)
+        times.append(time)
     channels = np.asarray(channels, dtype=np.int16)
-    times = np.asarray([e[1] for e in events], dtype=float)
+    times = np.asarray(times, dtype=float)
     return ReadoutSample(record["label"], window_us, channels, times)
 
 
@@ -660,20 +667,40 @@ def save_dataset(dataset: Dataset, path: str) -> None:
             fh.write(_sample_to_line(sample) + "\n")
 
 
+def _read_header(path: str, line: str) -> dict:
+    """The header's :class:`Dataset` fields, with geometry and model built."""
+    try:
+        header = json.loads(line)
+        if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
+            raise SimulationError(f"not a {_FORMAT_NAME} file")
+        if header.get("version") != _FORMAT_VERSION:
+            raise SimulationError(f"unsupported version {header.get('version')}")
+        geometry = DetectorGeometry.from_dict(header["geometry"])
+        if type(geometry.num_ions) is not int or type(geometry.num_channels) is not int:
+            raise SimulationError("geometry num_ions and num_channels must be integers")
+        if header["mode"] not in ("fresh", "pool"):
+            raise SimulationError(f"unknown generation mode {header['mode']!r}")
+        fields = {key: header[key] for key in ("seed", "samples_per_label", "mode")}
+        return dict(fields, geometry=geometry, model=EmissionModel.from_dict(header["model"]))
+    except KeyError as exc:
+        raise SimulationError(f"{path}:1: header lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SimulationError(f"{path}:1: bad header: {exc}") from None
+
+
 def load_dataset(path: str) -> Dataset:
     """Read a dataset file; reject any shot the simulator cannot have written.
 
-    Each shot needs a label of one 0/1 per ion, a finite ``window_us`` above
-    0, and integer channels of the geometry with finite times in
-    ``[0, window_us]``, sorted by time and then channel.
+    The header must name the format, version, seed, ``samples_per_label``, a
+    generation mode, and a valid emission model and geometry.  Each shot
+    needs a label of one 0/1 per ion, a finite ``window_us`` above 0, and
+    events ``[channel, time]`` with integer channels of the geometry and
+    finite numeric times in ``[0, window_us]``, sorted by time and then
+    channel.
     """
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != _FORMAT_NAME:
-            raise SimulationError(f"{path}: not a {_FORMAT_NAME} file")
-        if header.get("version") != _FORMAT_VERSION:
-            raise SimulationError(f"{path}: unsupported version {header.get('version')}")
-        geometry = DetectorGeometry.from_dict(header["geometry"])
+        header = _read_header(path, fh.readline())
+        geometry = header["geometry"]
         labels = set(all_labels(geometry.num_ions))
         samples, line_numbers = [], []
         for line_number, line in enumerate(fh, start=2):
@@ -715,11 +742,4 @@ def load_dataset(path: str) -> Dataset:
                 f"follows [{channels[i - 1]}, {times[i - 1]}]; events must be "
                 f"sorted by time, then channel"
             )
-    return Dataset(
-        samples=samples,
-        geometry=geometry,
-        model=EmissionModel.from_dict(header["model"]),
-        seed=header["seed"],
-        samples_per_label=header["samples_per_label"],
-        mode=header["mode"],
-    )
+    return Dataset(samples=samples, **header)

@@ -205,6 +205,30 @@ def test_recurrent_parity_and_time_trends(three_qubit_experiment):
     assert ok
 
 
+def worst_gradient_error(network, model, x, y, samples_per_block):
+    """Largest relative gap between ``backward`` and central differences.
+
+    Samples about ``samples_per_block`` entries of every parameter block of
+    ``model.flat``.
+    """
+    _, grad = network.backward(model, x, y)
+    flat = model.flat
+    worst, start = 0.0, 0
+    for p in model.parameters:
+        for k in range(start, start + p.size, max(1, p.size // samples_per_block)):
+            old = flat[k]
+            flat[k] = old + 1e-5
+            up = network.backward(model, x, y)[0]
+            flat[k] = old - 1e-5
+            down = network.backward(model, x, y)[0]
+            flat[k] = old
+            fd = (up - down) / 2e-5
+            scale = max(abs(fd), abs(grad[k]), 1e-8)
+            worst = max(worst, abs(fd - grad[k]) / scale)
+        start += p.size
+    return worst
+
+
 def test_numerical_property_suite(tmp_path):
     started = time.perf_counter()
     checks = {}
@@ -223,45 +247,20 @@ def test_numerical_property_suite(tmp_path):
     net = mlp.MlpModel([3, 8, 8, 4], seed=5)
     x = rng.normal(size=(6, 3))
     y = rng.integers(0, 4, size=6)
-    _, grads = mlp.backward(net, x, y)
-    worst = 0.0
-    for p, g in zip(net.parameters, grads):
-        flat = p.ravel()
-        for k in range(0, flat.size, max(1, flat.size // 5)):
-            old = flat[k]
-            flat[k] = old + 1e-5
-            up = mlp.loss(net, x, y)
-            flat[k] = old - 1e-5
-            down = mlp.loss(net, x, y)
-            flat[k] = old
-            fd = (up - down) / 2e-5
-            scale = max(abs(fd), abs(g.ravel()[k]), 1e-8)
-            worst = max(worst, abs(fd - g.ravel()[k]) / scale)
-    checks["mlp gradient"] = worst < 1e-4
+    checks["mlp gradient"] = (
+        worst_gradient_error(mlp, net, x, y, samples_per_block=5) < 1e-4
+    )
 
     seq_net = lstm.LstmModel(input_size=2, hidden_size=3, output_size=4, seed=6)
     xs = rng.normal(size=(3, 4, 2))
     ys = rng.integers(0, 4, size=3)
-    _, grads = lstm.backward(seq_net, xs, ys)
-    worst = 0.0
-    for p, g in zip(seq_net.parameters, grads):
-        flat = p.ravel()
-        for k in range(0, flat.size, max(1, flat.size // 4)):
-            old = flat[k]
-            flat[k] = old + 1e-5
-            up = lstm.loss(seq_net, xs, ys)
-            flat[k] = old - 1e-5
-            down = lstm.loss(seq_net, xs, ys)
-            flat[k] = old
-            fd = (up - down) / 2e-5
-            scale = max(abs(fd), abs(g.ravel()[k]), 1e-8)
-            worst = max(worst, abs(fd - g.ravel()[k]) / scale)
-    checks["lstm gradient"] = worst < 1e-4
+    checks["lstm gradient"] = (
+        worst_gradient_error(lstm, seq_net, xs, ys, samples_per_block=4) < 1e-4
+    )
 
     # one ADADELTA step on unit gradient, against the closed form
     param = np.zeros(1)
-    state = mlp.AdadeltaState([param])
-    mlp.adadelta_step([param], [np.ones(1)], state)
+    mlp.adadelta_step(param, np.ones(1), np.zeros(1), np.zeros(1))
     expected = -math.sqrt(1e-6) / math.sqrt(0.05 + 1e-6)
     checks["adadelta step"] = abs(param[0] - expected) < 1e-12
 

@@ -73,6 +73,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_config({"geometry": "ring", "num_ions": "3"})
 
+    @pytest.mark.parametrize("n_jobs", ["0", "-3"])
+    def test_n_jobs_must_be_positive(self, n_jobs):
+        with pytest.raises(ConfigError, match="n_jobs"):
+            build_config({"n_jobs": n_jobs})
+
     def test_strategy_names_collapse_to_table_order(self):
         config = build_config({"strategies": "RNN,FT,RNN,NN"})
         assert config.strategy_names() == ["FT", "NN", "RNN"]
@@ -130,6 +135,32 @@ class TestRunCommand:
         assert "NN" in summary["improvements_over_FT"]
         for entry in summary["strategies"].values():
             assert 0.0 <= entry["average"] <= 1.0
+
+    def test_training_diagnostics_at_the_epoch_cap(self, tiny_run):
+        _, out = tiny_run
+        summary = json.loads((out / "summary.json").read_text())
+        entry = summary["strategies"]["NN"]
+        with open(out / entry["history_file"]) as fh:
+            fidelities = [float(row["val_fidelity"]) for row in csv.DictReader(fh)]
+        assert entry["epochs_run"] == len(fidelities) == 3
+        assert entry["best_epoch"] == fidelities.index(max(fidelities))
+        assert entry["stop_reason"] == "epoch_cap"
+        assert "epochs_run" not in summary["strategies"]["FT"]
+
+    def test_training_diagnostics_on_a_patience_stop(self, tmp_path):
+        config = write_config(
+            tmp_path / "patience.cfg",
+            "num_ions = 1\ngeometry = single\nsamples_per_label = 60\n"
+            "epochs = 50\npatience = 1\nstrategies = NN,RNN\nseed_data = 11\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for entry in summary["strategies"].values():
+            assert entry["stop_reason"] == "patience"
+            assert entry["epochs_run"] < 50
+            # patience 1 stops at the first epoch that does not improve
+            assert entry["best_epoch"] == entry["epochs_run"] - 2
 
     def test_dataset_round_trips(self, tiny_run):
         _, out = tiny_run
@@ -318,6 +349,13 @@ class TestModelFiles:
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"format": "ionread.cnn", "version": 1}))
         with pytest.raises(ModelFileError, match="unknown model format"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text", ["", '{"format": "ionread.mlp", "lay', "nan?"])
+    def test_not_json(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(ModelFileError, match="not a JSON model file"):
             load_model(path)
 
     def test_not_an_object(self, tmp_path):

@@ -5,18 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from ionread import cli, mlp, sim, threshold
+from ionread import cli, lstm, mlp, sim, threshold
 from ionread.evaluate import EvaluationError, confusion, fidelity, split
 from ionread.mlp import (
-    AdadeltaState,
     MlpModel,
     NetworkError,
     TrainConfig,
     TrainingError,
     adadelta_step,
     backward,
+    cross_entropy,
     forward,
-    loss,
     predict,
     softmax,
     train,
@@ -71,7 +70,7 @@ class TestForwardLoss:
             w[...] = 0.0
         x = np.ones((5, 3))
         np.testing.assert_allclose(forward(model, x), 0.25, atol=1e-15)
-        assert loss(model, x, [0, 1, 2, 3, 0]) == pytest.approx(
+        assert cross_entropy(forward(model, x), [0, 1, 2, 3, 0]) == pytest.approx(
             math.log(4.0), abs=1e-12
         )
 
@@ -96,21 +95,17 @@ class TestForwardLoss:
 class TestGradients:
     @staticmethod
     def finite_difference(model, x, y, h=1e-5):
-        grads = []
-        for param in model.parameters:
-            grad = np.zeros_like(param)
-            it = np.nditer(param, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                keep = param[idx]
-                param[idx] = keep + h
-                up = loss(model, x, y)
-                param[idx] = keep - h
-                down = loss(model, x, y)
-                param[idx] = keep
-                grad[idx] = (up - down) / (2.0 * h)
-            grads.append(grad)
-        return grads
+        flat = model.flat
+        grad = np.zeros_like(flat)
+        for k in range(flat.size):
+            keep = flat[k]
+            flat[k] = keep + h
+            up = cross_entropy(forward(model, x), y)
+            flat[k] = keep - h
+            down = cross_entropy(forward(model, x), y)
+            flat[k] = keep
+            grad[k] = (up - down) / (2.0 * h)
+        return grad
 
     def test_matches_finite_differences(self):
         # ten random small models; norm-relative error per parameter tensor
@@ -123,7 +118,8 @@ class TestGradients:
             y = rng.integers(0, n_out, size=7)
             _, analytic = backward(model, x, y)
             numeric = self.finite_difference(model, x, y)
-            for a, n in zip(analytic, numeric):
+            ends = np.cumsum([p.size for p in model.parameters])
+            for a, n in zip(np.split(analytic, ends[:-1]), np.split(numeric, ends[:-1])):
                 err = np.linalg.norm(a - n) / max(
                     np.linalg.norm(a) + np.linalg.norm(n), 1e-12
                 )
@@ -134,56 +130,134 @@ class TestGradients:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(11, 4))
         y = rng.integers(0, 4, size=11)
-        batch_loss, grads = backward(model, x, y)
-        assert batch_loss == loss(model, x, y)
+        batch_loss, grad = backward(model, x, y)
         probs = forward(model, x)
+        assert batch_loss == cross_entropy(probs, y)
         residual = probs.copy()
         residual[np.arange(11), y] -= 1.0
-        np.testing.assert_allclose(grads[5], residual.mean(axis=0), atol=1e-12)
+        # the output bias is the last block of the layout
+        np.testing.assert_allclose(grad[-4:], residual.mean(axis=0), atol=1e-12)
 
     def test_zero_input_kills_first_layer_weight_gradient(self):
         model = MlpModel([4, 8, 8, 2], seed=7)
-        _, grads = backward(model, np.zeros((3, 4)), [0, 1, 0])
-        np.testing.assert_array_equal(grads[0], 0.0)
+        _, grad = backward(model, np.zeros((3, 4)), [0, 1, 0])
+        # the first-layer weights are the first block of the layout
+        np.testing.assert_array_equal(grad[: 4 * 8], 0.0)
+
+
+def adadelta_moments(size):
+    """Zeroed running second moments of gradients and updates."""
+    return np.zeros(size), np.zeros(size)
 
 
 class TestAdadelta:
     def test_frozen_first_step(self):
-        params = [np.array([0.0])]
-        adadelta_step(params, [np.array([1.0])], AdadeltaState(params))
-        assert params[0][0] == pytest.approx(-4.472091234311e-3, abs=1e-12)
+        params = np.array([0.0])
+        adadelta_step(params, np.array([1.0]), *adadelta_moments(1))
+        assert params[0] == pytest.approx(-4.472091234311e-3, abs=1e-12)
 
     def test_matches_scalar_oracle_over_many_steps(self):
         rng = np.random.default_rng(21)
         grads = rng.normal(size=50).tolist()
-        params = [np.array([0.0])]
-        state = AdadeltaState(params)
+        params = np.array([0.0])
+        moments = adadelta_moments(1)
         for g, expected in zip(grads, adadelta_scalar_oracle(grads)):
-            adadelta_step(params, [np.array([g])], state)
-            assert params[0][0] == pytest.approx(expected, abs=1e-12)
+            adadelta_step(params, np.array([g]), *moments)
+            assert params[0] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_gradient_is_a_no_op(self):
-        params = [np.full((2, 2), 3.5)]
-        state = AdadeltaState(params)
-        adadelta_step(params, [np.zeros((2, 2))], state)
-        np.testing.assert_array_equal(params[0], 3.5)
+        params = np.full(4, 3.5)
+        adadelta_step(params, np.zeros(4), *adadelta_moments(4))
+        np.testing.assert_array_equal(params, 3.5)
 
     def test_step_opposes_gradient(self):
-        params = [np.array([0.0, 0.0])]
-        state = AdadeltaState(params)
-        adadelta_step(params, [np.array([2.0, -0.5])], state)
-        assert params[0][0] < 0.0 < params[0][1]
+        params = np.array([0.0, 0.0])
+        adadelta_step(params, np.array([2.0, -0.5]), *adadelta_moments(2))
+        assert params[0] < 0.0 < params[1]
 
     def test_elementwise_independence(self):
         # a vector update must equal per-component scalar updates
         grads = np.array([0.3, -1.2, 4.0])
-        params = [grads * 0.0]
-        state = AdadeltaState(params)
+        params = grads * 0.0
+        moments = adadelta_moments(3)
         for _ in range(3):
-            adadelta_step(params, [grads], state)
+            adadelta_step(params, grads, *moments)
         for i, g in enumerate(grads):
             expected = adadelta_scalar_oracle([g, g, g])[-1]
-            assert params[0][i] == pytest.approx(expected, abs=1e-12)
+            assert params[i] == pytest.approx(expected, abs=1e-12)
+
+
+class PerArrayAdadelta:
+    """ADADELTA as a loop over the parameter arrays, with per-array moments.
+
+    The reference the flat vector update must match bit for bit: ADADELTA
+    works element by element, so the layout must not change any weight.
+    """
+
+    def __init__(self, model):
+        self.params = model.parameters
+        self.grad_sq = [np.zeros_like(p) for p in self.params]
+        self.delta_sq = [np.zeros_like(p) for p in self.params]
+
+    def __call__(self, params, grad, grad_sq, delta_sq, rho, epsilon):
+        ends = np.cumsum([p.size for p in self.params])
+        grads = np.split(grad, ends[:-1])
+        for p, g, g2, d2 in zip(self.params, grads, self.grad_sq, self.delta_sq):
+            g = g.reshape(p.shape)
+            g2 *= rho
+            g2 += (1.0 - rho) * g * g
+            step = -np.sqrt(d2 + epsilon) / np.sqrt(g2 + epsilon) * g
+            d2 *= rho
+            d2 += (1.0 - rho) * step * step
+            p += step
+
+
+def tiny_networks():
+    """A tiny MLP and LSTM problem each: (network module, model, inputs, labels)."""
+    rng = np.random.default_rng(50)
+    x = rng.normal(size=(300, 3))
+    labels = ["00", "01", "10", "11"] * 75
+    sequences = rng.poisson(1.0, size=(200, 4, 2)).astype(float)
+    return [
+        (mlp, MlpModel([3, 8, 8, 4], seed=51), x, labels),
+        (lstm, lstm.LstmModel(2, 3, 2, seed=52), sequences, ["0", "1"] * 100),
+    ]
+
+
+def assert_views_of_flat(model):
+    for p in model.parameters:
+        assert np.shares_memory(p, model.flat)
+    assert sum(p.size for p in model.parameters) == model.flat.size
+
+
+class TestFlatSlab:
+    @pytest.mark.parametrize("case", range(2))
+    def test_flat_update_matches_per_array_loop(self, monkeypatch, case):
+        config = TrainConfig(batch_size=32, epochs=4, patience=10, seed=53)
+        network, model, x, labels = tiny_networks()[case]
+        reference = tiny_networks()[case][1]
+        history = mlp.fit(model, x, labels, config, network.backward, network.predict)
+        monkeypatch.setattr(mlp, "adadelta_step", PerArrayAdadelta(reference))
+        expected = mlp.fit(
+            reference, x, labels, config, network.backward, network.predict
+        )
+        assert history == expected
+        assert len(history) == 4
+        for p, r in zip(model.parameters, reference.parameters):
+            np.testing.assert_array_equal(p, r)
+
+    def test_parameters_are_views_of_one_vector(self, tmp_path):
+        for network, model, x, labels in tiny_networks():
+            assert_views_of_flat(model)
+            assert_views_of_flat(type(model).from_dict(model.to_dict()))
+            path = tmp_path / "model.json"
+            cli.save_model(model, path)
+            loaded = cli.load_model(path)
+            assert_views_of_flat(loaded)
+            np.testing.assert_array_equal(loaded.flat, model.flat)
+            mlp.fit(model, x, labels, TrainConfig(epochs=2, seed=54),
+                    network.backward, network.predict)
+            assert_views_of_flat(model)
 
 
 class TestTraining:
@@ -293,16 +367,16 @@ class TestTraining:
         history = mlp.fit(model, x, y, config, recording_backward, predict)
         [(xb, yb)] = batches
         assert xb.shape[0] == 64
-        assert history[0]["train_loss"] == loss(initial, xb, yb)
-        assert history[0]["train_loss"] != loss(model, xb, yb)
+        assert history[0]["train_loss"] == cross_entropy(forward(initial, xb), yb)
+        assert history[0]["train_loss"] != cross_entropy(forward(model, xb), yb)
 
     def test_non_finite_step_on_last_batch_raises(self):
         # finite loss, so only a check of the stepped parameters can catch it
         model, x, y, config = self.one_batch_problem()
 
         def nan_backward(net, xb, yb):
-            batch_loss, grads = backward(net, xb, yb)
-            return batch_loss, [np.full_like(g, np.nan) for g in grads]
+            batch_loss, grad = backward(net, xb, yb)
+            return batch_loss, np.full_like(grad, np.nan)
 
         with pytest.raises(TrainingError):
             mlp.fit(model, x, y, config, nan_backward, predict)

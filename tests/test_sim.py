@@ -258,6 +258,35 @@ class TestGenerateDataset:
         sim.save_dataset(parallel, pp)
         assert ps.read_bytes() == pp.read_bytes()
 
+    @pytest.mark.parametrize(
+        "n_jobs, cpus, workers", [(500, 64, 8), (500, 3, 3), (2, 64, 2), (1, 64, None)]
+    )
+    def test_worker_count_is_capped(self, monkeypatch, n_jobs, cpus, workers):
+        # a recording stand-in for the pool: no process is started
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        model, geometry = sim.EmissionModel(), sim.alternating_geometry(3)
+        pooled = sim.generate_dataset(model, geometry, 3, seed=6, n_jobs=n_jobs)
+        assert started == ([] if workers is None else [workers])
+        serial = sim.generate_dataset(model, geometry, 3, seed=6)
+        for a, b in zip(pooled.samples, serial.samples):
+            np.testing.assert_array_equal(a.times, b.times)
+
     def test_seed_changes_output(self, tmp_path):
         model = sim.EmissionModel()
         geometry = sim.single_ion_geometry()
@@ -406,14 +435,16 @@ class TestSerialisation:
             sim.load_dataset(path)
 
 
-class TestLoadValidation:
-    @pytest.fixture
-    def lines(self, tmp_path):
-        ds = sim.generate_dataset(sim.EmissionModel(), sim.alternating_geometry(3), 2, seed=4)
-        path = tmp_path / "ds.jsonl"
-        sim.save_dataset(ds, path)
-        return path.read_text().splitlines()
+@pytest.fixture
+def lines(tmp_path):
+    """The lines of a small 3-ion dataset file: the header, then one per shot."""
+    ds = sim.generate_dataset(sim.EmissionModel(), sim.alternating_geometry(3), 2, seed=4)
+    path = tmp_path / "ds.jsonl"
+    sim.save_dataset(ds, path)
+    return path.read_text().splitlines()
 
+
+class TestLoadValidation:
     def load_with_shot(self, tmp_path, lines, shot):
         """Replace line 3 (the second shot) and load; return the error text."""
         path = tmp_path / "edited.jsonl"
@@ -471,6 +502,24 @@ class TestLoadValidation:
         assert len(sim.load_dataset(path)) == len(lines) - 1
 
     @pytest.mark.parametrize(
+        "event, complaint",
+        [
+            ('[2, "42.7"]', "time '42.7' is not a number"),
+            ("[2, true]", "time True is not a number"),
+            ("[2, null]", "time None is not a number"),
+            ("[2, 4.0, 1]", "too many values to unpack"),
+            ("2", "cannot unpack"),
+            ('"12"', "channel '1' is not an integer"),
+        ],
+    )
+    def test_event_must_be_channel_and_numeric_time(
+        self, tmp_path, lines, event, complaint
+    ):
+        text = f'{{"label": "101", "window_us": 150.0, "events": [[0, 1.0], {event}]}}'
+        message = self.load_with_shot(tmp_path, lines, text)
+        assert "malformed shot" in message and complaint in message
+
+    @pytest.mark.parametrize(
         "text",
         [
             '{"label": "101", "window_us": 150.0, "events": [[70000, 1.0]]}',
@@ -481,6 +530,58 @@ class TestLoadValidation:
     )
     def test_unparsable_shot_is_named(self, tmp_path, lines, text):
         assert "malformed shot" in self.load_with_shot(tmp_path, lines, text)
+
+
+class TestHeaderValidation:
+    def load_with_header(self, tmp_path, lines, header):
+        path = tmp_path / "edited.jsonl"
+        text = header if isinstance(header, str) else json.dumps(header)
+        path.write_text("\n".join([text] + lines[1:]) + "\n")
+        with pytest.raises(sim.SimulationError) as excinfo:
+            sim.load_dataset(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}:1:")
+        return message
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        with pytest.raises(sim.SimulationError, match=f"{path}:1: bad header"):
+            sim.load_dataset(path)
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]", '"ionread.dataset"'])
+    def test_header_must_be_a_json_object(self, tmp_path, lines, text):
+        self.load_with_header(tmp_path, lines, text)
+
+    @pytest.mark.parametrize(
+        "key", ["seed", "samples_per_label", "mode", "model", "geometry"]
+    )
+    def test_missing_key_is_named(self, tmp_path, lines, key):
+        header = json.loads(lines[0])
+        del header[key]
+        assert f"lacks key '{key}'" in self.load_with_header(tmp_path, lines, header)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("model", "bogus_rate", 1.0),
+            ("model", "bright_rate", "0.06"),
+            ("geometry", "num_ions", "3"),
+            ("geometry", "num_ions", 3.0),
+            ("geometry", "num_channels", 5.0),
+            ("geometry", "crosstalk", [[1.0]]),
+        ],
+    )
+    def test_bad_model_or_geometry(self, tmp_path, lines, section, key, value):
+        header = json.loads(lines[0])
+        header[section][key] = value
+        self.load_with_header(tmp_path, lines, header)
+
+    def test_mode_must_be_known(self, tmp_path, lines):
+        header = json.loads(lines[0])
+        header["mode"] = "replay"
+        message = self.load_with_header(tmp_path, lines, header)
+        assert "unknown generation mode 'replay'" in message
 
 
 class TestGeometryValidation:
