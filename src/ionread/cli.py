@@ -21,6 +21,8 @@ import csv
 import json
 import sys
 import time
+import traceback
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -295,6 +297,7 @@ def run_strategy(
             "epochs_run": len(history),
             "best_epoch": best["epoch"],
             "stop_reason": "patience" if len(history) < config.epochs else "epoch_cap",
+            "final_train_loss": float(history[-1]["train_loss"]),
         }
         predicted = network.predict(model, x[test_idx])
     report = evaluate.fidelity(
@@ -392,30 +395,98 @@ def _make_dataset(config: ExperimentConfig) -> sim.Dataset:
     )
 
 
-def run_experiment(
-    config: ExperimentConfig, out_dir: Path, selected: Sequence[str] | None = None
-) -> dict:
+# Set in each training worker by ``_pool_init``: (dataset, train_idx, test_idx,
+# config).  Pool tasks are these private functions, never a public one, so a
+# task pickles by name even while a public function is wrapped.
+_POOL_TASK: tuple | None = None
+
+
+def _pool_init(*task) -> None:
+    global _POOL_TASK
+    _POOL_TASK = task
+
+
+def _pool_save(path: str) -> None:
+    sim.save_dataset(_POOL_TASK[0], path)
+
+
+def _pool_run(name: str) -> StrategyResult:
+    return run_strategy(STRATEGIES[name], *_POOL_TASK)
+
+
+def _attempt(name: str, task: tuple) -> StrategyResult | Exception:
+    try:
+        return run_strategy(STRATEGIES[name], *task)
+    except Exception as exc:
+        return exc
+
+
+def _train_all(
+    names: list[str], task: tuple, dataset_path: str, n_jobs: int
+) -> dict[str, StrategyResult | BaseException]:
+    """Write the dataset and train every strategy: its result or its exception.
+
+    ``names`` are in table order, cheapest first.  With one job everything
+    runs here, in that order.  Otherwise the caller is one of the ``n_jobs``
+    processes and trains the costliest strategy, while a pool writes the
+    dataset and then trains the others, costliest first.  A failed dataset
+    write raises.
+    """
+    workers = sim.worker_count(n_jobs, len(names) + 1) - 1
+    if workers < 1:
+        sim.save_dataset(task[0], dataset_path)
+        return {name: _attempt(name, task) for name in names}
+    *pooled, own = names
+    with ProcessPoolExecutor(workers, initializer=_pool_init, initargs=task) as pool:
+        saved = pool.submit(_pool_save, dataset_path)
+        futures = {name: pool.submit(_pool_run, name) for name in reversed(pooled)}
+        try:
+            outcomes = {own: _attempt(own, task)}
+            saved.result()
+        except BaseException:
+            for future in futures.values():
+                future.cancel()
+            raise
+        for name, future in futures.items():
+            error = future.exception()
+            outcomes[name] = future.result() if error is None else error
+    return {name: outcomes[name] for name in names}
+
+
+def _write_traceback(error: BaseException, path: Path) -> None:
+    # a worker's exception carries the worker's traceback as its __cause__
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("".join(traceback.format_exception(error)))
+
+
+def run_experiment(config: ExperimentConfig, out_dir: Path) -> dict:
     """Generate, split once, train every strategy, and write all artifacts.
 
-    A failing strategy is recorded under ``errors`` and does not stop the
-    others; quantities derived from it are simply absent.
+    A failing strategy is recorded under ``errors``, with its traceback in
+    ``errors/<strategy>.txt``, and does not stop the others; quantities
+    derived from it are simply absent.  With ``n_jobs`` above one, training
+    runs in that many processes, the caller included; every artifact is the
+    same as with one, but for ``n_jobs`` and the per-strategy ``seconds`` in
+    the summary.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = list(selected) if selected is not None else config.strategy_names()
+    for stale in (out_dir / "errors").glob("*.txt"):  # from an earlier run
+        stale.unlink()
+    names = config.strategy_names()
     dataset = _make_dataset(config)
-    sim.save_dataset(dataset, str(out_dir / "dataset.jsonl"))
     train_idx, test_idx = evaluate.split(
         dataset.labels, config.train_fraction, config.seed_data
     )
+    task = (dataset, train_idx, test_idx, config)
+    outcomes = _train_all(names, task, str(out_dir / "dataset.jsonl"), config.n_jobs)
     results: dict[str, StrategyResult] = {}
     errors: dict[str, str] = {}
-    for name in names:
-        try:
-            results[name] = run_strategy(
-                STRATEGIES[name], dataset, train_idx, test_idx, config
-            )
-        except Exception as exc:
-            errors[name] = f"{type(exc).__name__}: {exc}"
+    for name, outcome in outcomes.items():
+        if isinstance(outcome, StrategyResult):
+            results[name] = outcome
+        else:
+            errors[name] = f"{type(outcome).__name__}: {outcome}"
+            _write_traceback(outcome, out_dir / "errors" / f"{_file_stem(name)}.txt")
     summary: dict = {
         "config": asdict(config),
         "seed_data": config.seed_data,

@@ -88,6 +88,11 @@ class LstmModel:
             **{name: getattr(self, name).tolist() for name in self.PARAMETER_NAMES},
         }
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the record, so the copy's views share
+        # the copy's own ``flat``
+        return type(self).from_dict, (self.to_dict(),)
+
     @classmethod
     def from_dict(cls, data: dict) -> "LstmModel":
         if data.get("format") != cls.FORMAT:

@@ -102,6 +102,11 @@ class MlpModel:
             "biases": [b.tolist() for b in self.biases],
         }
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the record, so the copy's views share
+        # the copy's own ``flat``
+        return type(self).from_dict, (self.to_dict(),)
+
     @classmethod
     def from_dict(cls, data: dict) -> "MlpModel":
         if data.get("format") != cls.FORMAT:

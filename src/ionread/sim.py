@@ -461,6 +461,14 @@ def _generate_label_block(args: tuple) -> list[ReadoutSample]:
     return out
 
 
+def worker_count(n_jobs: int, tasks: int) -> int:
+    """How many processes ``tasks`` independent tasks may run on.
+
+    At most ``n_jobs``, one per task and one per usable CPU.
+    """
+    return min(n_jobs, tasks, len(os.sched_getaffinity(0)))
+
+
 def generate_dataset(
     model: EmissionModel,
     geometry: DetectorGeometry,
@@ -488,7 +496,7 @@ def generate_dataset(
         (label, idx, model, geometry, seed, samples_per_label, mode)
         for idx, label in enumerate(labels)
     ]
-    workers = min(n_jobs, len(blocks), len(os.sched_getaffinity(0)))
+    workers = worker_count(n_jobs, len(blocks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_generate_label_block, blocks))

@@ -1,6 +1,10 @@
 """Command line pipeline: config handling, artifacts, failure isolation."""
 import csv
+import faulthandler
 import json
+import os
+import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -141,11 +145,17 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         entry = summary["strategies"]["NN"]
         with open(out / entry["history_file"]) as fh:
-            fidelities = [float(row["val_fidelity"]) for row in csv.DictReader(fh)]
+            rows = list(csv.DictReader(fh))
+        fidelities = [float(row["val_fidelity"]) for row in rows]
         assert entry["epochs_run"] == len(fidelities) == 3
         assert entry["best_epoch"] == fidelities.index(max(fidelities))
         assert entry["stop_reason"] == "epoch_cap"
+        # the history file rounds the same loss to six decimals
+        assert entry["final_train_loss"] == pytest.approx(
+            float(rows[-1]["train_loss"]), abs=5e-7
+        )
         assert "epochs_run" not in summary["strategies"]["FT"]
+        assert "final_train_loss" not in summary["strategies"]["FT"]
 
     def test_training_diagnostics_on_a_patience_stop(self, tmp_path):
         config = write_config(
@@ -178,21 +188,65 @@ class TestRunCommand:
         assert sum(1 for row in rows[1:] if row[1] == "average") == 2
 
 
+def two_cpus(monkeypatch):
+    """Let ``n_jobs = 2`` start its pool on any host."""
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 class TestFailureIsolation:
-    def test_inapplicable_strategy_is_recorded_not_fatal(self, tmp_path, capsys):
+    @staticmethod
+    def run_inapplicable(tmp_path, capsys, monkeypatch, n_jobs):
+        """Run FT, an inapplicable TNN+ and RNN; returns TNN+'s traceback file.
+
+        At two jobs the caller trains RNN and TNN+ fails in the pool.
+        """
+        two_cpus(monkeypatch)
         config = write_config(
             tmp_path / "bad.cfg",
             "num_ions = 2\ngeometry = adjacent\nsamples_per_label = 40\n"
-            "strategies = FT,TNN+\nepochs = 1\n",
+            f"strategies = FT,TNN+,RNN\nepochs = 1\nn_jobs = {n_jobs}\n",
         )
-        code = main(["run", "--config", config, "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        code = main(["run", "--config", config, "--out", str(out)])
         assert code == 1
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert "FT" in summary["strategies"]
-        assert "TNN+" in summary["errors"]
-        assert "intermediate" in summary["errors"]["TNN+"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["strategies"]) == {"FT", "RNN"}
+        assert summary["errors"] == {
+            "TNN+": "FeatureError: intermediate channels requested but not "
+            "recorded by this geometry"
+        }
         stream = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert stream["error"] == "StrategyFailure"
+        assert [p.name for p in (out / "errors").iterdir()] == ["TNN_plus.txt"]
+        text = (out / "errors" / "TNN_plus.txt").read_text()
+        assert "in channel_ids" in text
+        assert text.rstrip().endswith("not recorded by this geometry")
+        return text
+
+    def test_inapplicable_strategy_is_recorded_not_fatal(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        text = self.run_inapplicable(tmp_path, capsys, monkeypatch, n_jobs=1)
+        assert text.startswith("Traceback (most recent call last)")
+        assert "in _pool_run" not in text
+
+    def test_failure_in_a_worker_keeps_the_worker_traceback(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        text = self.run_inapplicable(tmp_path, capsys, monkeypatch, n_jobs=2)
+        # the worker's own frames, carried across as the exception's cause
+        assert "in _pool_run" in text
+        assert "direct cause of the following exception" in text
+
+    def test_a_rerun_drops_old_tracebacks(self, tmp_path, capsys, monkeypatch):
+        self.run_inapplicable(tmp_path, capsys, monkeypatch, n_jobs=1)
+        config = write_config(
+            tmp_path / "good.cfg",
+            "num_ions = 2\ngeometry = adjacent\nsamples_per_label = 40\n"
+            "strategies = FT\n",
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert list((tmp_path / "out" / "errors").iterdir()) == []
 
 
 class TestGenerateCommand:
@@ -424,3 +478,149 @@ class TestErrorReporting:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ConfigError"
         assert "bogus_key" in payload["message"]
+
+
+@pytest.fixture(scope="module")
+def runs_by_jobs(tmp_path_factory):
+    cfg = tmp_path_factory.mktemp("cfg")
+    out = tmp_path_factory.mktemp("jobs")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        two_cpus(monkeypatch)
+        for n_jobs in (1, 2):
+            config = write_config(
+                cfg / f"jobs{n_jobs}.cfg",
+                "preset = 3q\nsamples_per_label = 30\nepochs = 2\n"
+                f"seed_data = 8\nseed_train = 9\nn_jobs = {n_jobs}\n",
+            )
+            assert main(["run", "--config", config, "--out", str(out / str(n_jobs))]) == 0
+    return out / "1", out / "2"
+
+
+def artifact_bytes(out):
+    return {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != "summary.json"
+    }
+
+
+def comparable_summary(out):
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["config"]["n_jobs"]
+    for entry in summary["strategies"].values():
+        del entry["seconds"]
+    return summary
+
+
+class RecordingPool:
+    """Stand-in for the process pool that runs each task inline on submit."""
+
+    started: list[int] = []
+    submitted: list[str] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.started.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted.append(fn.__name__ if fn is cli._pool_save else args[0])
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class TestTrainingPool:
+    def test_two_jobs_write_the_same_artifacts_as_one(self, runs_by_jobs):
+        serial, pooled = runs_by_jobs
+        serial_files = artifact_bytes(serial)
+        assert set(serial_files) == {
+            "dataset.jsonl",
+            "fidelity_report.csv",
+            *(f"models/{cli._file_stem(name)}.json" for name in cli.STRATEGY_ORDER),
+            *(f"history/{cli._file_stem(name)}.csv"
+              for name in ("NN", "NN+", "TNN", "TNN+", "RNN")),
+        }
+        assert artifact_bytes(pooled) == serial_files
+        assert comparable_summary(pooled) == comparable_summary(serial)
+        summary = json.loads((pooled / "summary.json").read_text())
+        assert list(summary["strategies"]) == list(cli.STRATEGY_ORDER)
+
+    @pytest.mark.parametrize(
+        "n_jobs, cpus, strategies, workers",
+        [
+            (1, 64, "FT,AT,RNN", None),
+            (2, 1, "FT,AT,RNN", None),
+            (500, 64, "FT,AT,RNN", 3),  # dataset write, FT and AT
+            (500, 3, "FT,AT,RNN", 2),  # the caller is the third process
+            (500, 64, "RNN", 1),  # the dataset write alone
+        ],
+    )
+    def test_pool_size_and_task_order(
+        self, tmp_path, monkeypatch, n_jobs, cpus, strategies, workers
+    ):
+        monkeypatch.setattr(RecordingPool, "started", [])
+        monkeypatch.setattr(RecordingPool, "submitted", [])
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_POOL_TASK", None)
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        config = build_config(
+            preset="3q",
+            overrides={"samples_per_label": 20, "epochs": 1, "strategies": strategies,
+                       "n_jobs": n_jobs},
+        )
+        summary = cli.run_experiment(config, tmp_path)
+        assert RecordingPool.started == ([] if workers is None else [workers])
+        # the caller keeps RNN; the pool writes first, then costliest first
+        pooled = ["_pool_save"] + [s for s in ("AT", "FT") if s in strategies]
+        assert RecordingPool.submitted == ([] if workers is None else pooled)
+        assert summary["errors"] == {}
+        assert list(summary["strategies"]) == config.strategy_names()
+        assert (tmp_path / "dataset.jsonl").exists()
+
+    def test_a_dead_worker_fails_its_strategies_not_the_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        two_cpus(monkeypatch)
+        train = cli.run_strategy
+        caller = os.getpid()
+
+        def exit_on_ft(spec, *args):
+            if spec.name == "FT":
+                assert os.getpid() != caller, "FT should train in the pool"
+                os._exit(3)  # the forked worker inherits this patch
+            return train(spec, *args)
+
+        monkeypatch.setattr(cli, "run_strategy", exit_on_ft)
+        config = write_config(
+            tmp_path / "dies.cfg",
+            "preset = 3q\nsamples_per_label = 20\nepochs = 1\n"
+            "strategies = FT,AT,RNN\nn_jobs = 2\n",
+        )
+        out = tmp_path / "out"
+        # fail, never hang
+        faulthandler.dump_traceback_later(300, exit=True, file=sys.__stderr__)
+        try:
+            code = main(["run", "--config", config, "--out", str(out)])
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert code == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert "RNN" in summary["strategies"]
+        assert (out / "models" / "RNN.json").exists()
+        # FT ran last in the pool; anything still queued with it fails the same way
+        assert "FT" in summary["errors"]
+        for name, message in summary["errors"].items():
+            assert message.startswith("BrokenProcessPool: ")
+            assert (out / "errors" / f"{cli._file_stem(name)}.txt").exists()
+        assert set(summary["errors"]) | set(summary["strategies"]) == {"FT", "AT", "RNN"}
+        stream = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert stream["error"] == "StrategyFailure"

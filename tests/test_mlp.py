@@ -1,6 +1,7 @@
 """Classifier core: softmax, backprop gradients, ADADELTA, training loop."""
 import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -258,6 +259,26 @@ class TestFlatSlab:
             mlp.fit(model, x, labels, TrainConfig(epochs=2, seed=54),
                     network.backward, network.predict)
             assert_views_of_flat(model)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.deepcopy, lambda model: pickle.loads(pickle.dumps(model))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_keep_their_parameters_in_one_vector(self, duplicate):
+        for network, model, x, labels in tiny_networks():
+            twin = duplicate(model)
+            assert_views_of_flat(twin)
+            assert not np.shares_memory(twin.flat, model.flat)
+            for p, q in zip(model.parameters, twin.parameters):
+                np.testing.assert_array_equal(p, q)
+            before = [p.copy() for p in twin.parameters]
+            mlp.fit(twin, x, labels, TrainConfig(epochs=1, seed=55),
+                    network.backward, network.predict)
+            # the steps land in the views forward reads, and in no other model
+            for old, new, untouched in zip(before, twin.parameters, model.parameters):
+                assert not np.array_equal(old, new)
+                np.testing.assert_array_equal(old, untouched)
 
 
 class TestTraining:
