@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 import traceback
@@ -401,9 +402,10 @@ def _make_dataset(config: ExperimentConfig) -> sim.Dataset:
 _POOL_TASK: tuple | None = None
 
 
-def _pool_init(*task) -> None:
+def _pool_init(parent: int, *task) -> None:
     global _POOL_TASK
     _POOL_TASK = task
+    sim.exit_with_parent(parent)
 
 
 def _pool_save(path: str) -> None:
@@ -437,7 +439,9 @@ def _train_all(
         sim.save_dataset(task[0], dataset_path)
         return {name: _attempt(name, task) for name in names}
     *pooled, own = names
-    with ProcessPoolExecutor(workers, initializer=_pool_init, initargs=task) as pool:
+    with ProcessPoolExecutor(
+        workers, initializer=_pool_init, initargs=(os.getpid(), *task)
+    ) as pool:
         saved = pool.submit(_pool_save, dataset_path)
         futures = {name: pool.submit(_pool_run, name) for name in reversed(pooled)}
         try:
@@ -467,11 +471,15 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> dict:
     derived from it are simply absent.  With ``n_jobs`` above one, training
     runs in that many processes, the caller included; every artifact is the
     same as with one, but for ``n_jobs`` and the per-strategy ``seconds`` in
-    the summary.
+    the summary.  Model, history and traceback files that an earlier run left
+    in ``out_dir`` are deleted first, so the folders hold this run's alone.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    for stale in (out_dir / "errors").glob("*.txt"):  # from an earlier run
-        stale.unlink()
+    # artifacts of an earlier run into the same directory
+    stale_patterns = (("errors", "*.txt"), ("models", "*.json"), ("history", "*.csv"))
+    for folder, pattern in stale_patterns:
+        for stale in (out_dir / folder).glob(pattern):
+            stale.unlink()
     names = config.strategy_names()
     dataset = _make_dataset(config)
     train_idx, test_idx = evaluate.split(

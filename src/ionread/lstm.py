@@ -32,16 +32,27 @@ DEFAULT_HIDDEN_SIZE = 32
 INFERENCE_BLOCK_ROWS = 2048
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function that never takes ``exp`` of a positive number.
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function ``1/(1+exp(-x))``, into ``out`` when given.
 
-    Bit-identical to ``1/(1+exp(-x))`` for ``x >= 0`` and to
-    ``exp(x)/(1+exp(x))`` below zero, without branching on the sign.
+    Four passes: negate, exp, add one, divide.  Far below zero ``exp``
+    overflows to inf, silenced here, and the result saturates to exactly 0.
     """
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0.0, 1.0, e)
-    e += 1.0
-    return np.divide(out, e, out=out)
+    with np.errstate(over="ignore"):
+        out = np.negative(x, out=out)
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
+def _gate_rows(model: LstmModel, vector: np.ndarray) -> np.ndarray:
+    """``[w_input; w_hidden; bias]`` of a vector laid out like ``model.flat``.
+
+    The three blocks are adjacent, so they read as one (input + hidden + 1,
+    4 hidden) matrix view that multiplies ``[x_t; h_t; 1]``.
+    """
+    rows = model.input_size + model.hidden_size + 1
+    return vector[: rows * 4 * model.hidden_size].reshape(rows, 4 * model.hidden_size)
 
 
 class LstmModel:
@@ -68,6 +79,7 @@ class LstmModel:
         self.w_input, self.w_hidden, self.bias, self.w_readout, self.b_readout = (
             self.parameters
         )
+        self.w_gates = _gate_rows(self, self.flat)
         rng = np.random.default_rng(seed)
         for weights, fan_in, fan_out in (
             (self.w_input, input_size, h),
@@ -108,28 +120,75 @@ def initial_state(model: LstmModel, batch: int) -> tuple[np.ndarray, np.ndarray]
     return np.zeros((batch, model.hidden_size)), np.zeros((batch, model.hidden_size))
 
 
-def _cell(model: LstmModel, x_t: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """One time bin of the LSTM: the activations BPTT needs and the next (h, c).
+def _cell(
+    model: LstmModel,
+    xh: np.ndarray,
+    act: np.ndarray,
+    c: np.ndarray,
+    c_next: np.ndarray,
+    h_next: np.ndarray,
+) -> None:
+    """One time bin of the LSTM, gate-major: one column per sequence.
 
-    The activations are the packed sigmoid gates ``[input, forget, output]``,
-    the candidate and ``tanh`` of the next cell state.
+    ``xh`` is ``[x_t; h_t; 1]``.  Writes the activations BPTT needs into
+    ``act``, as ``[input, forget, output, candidate, tanh(c_next)]`` blocks of
+    ``hidden_size`` rows, and the next state into ``c_next`` and ``h_next``.
     """
     hs = model.hidden_size
-    z = x_t @ model.w_input + h @ model.w_hidden + model.bias
-    gates = sigmoid(z[:, : 3 * hs])
-    candidate = np.tanh(z[:, 3 * hs :])
-    c_next = gates[:, hs : 2 * hs] * c + gates[:, :hs] * candidate
-    tanh_c = np.tanh(c_next)
-    h_next = gates[:, 2 * hs :] * tanh_c
-    return (gates, candidate, tanh_c), h_next, c_next
+    z = act[: 4 * hs]
+    np.matmul(model.w_gates.T, xh, out=z)
+    sigmoid(z[: 3 * hs], out=z[: 3 * hs])
+    np.tanh(z[3 * hs :], out=z[3 * hs :])
+    gate_in, forget, gate_out, candidate, tanh_c = act.reshape(5, hs, xh.shape[1])
+    np.multiply(forget, c, out=c_next)
+    np.multiply(gate_in, candidate, out=h_next)
+    c_next += h_next
+    np.tanh(c_next, out=tanh_c)
+    np.multiply(gate_out, tanh_c, out=h_next)
+
+
+def _unroll(model: LstmModel, x: np.ndarray, keep: bool):
+    """Run the cell over every bin of ``x`` (batch, bins, inputs), from zero state.
+
+    Returns the slabs ``xh`` (``[x_t; h_t; 1]`` per step), ``act`` and ``c``
+    (cell state per step) and the final hidden state, all gate-major.  With
+    ``keep`` every step has its own slot, as BPTT needs; without it two slots
+    alternate and only the current state is held.
+    """
+    batch, bins, n_in = x.shape
+    hs = model.hidden_size
+    slots = bins + 1 if keep else 2
+    xh = np.empty((slots, n_in + hs + 1, batch))
+    xh[:, -1] = 1.0
+    xh[0, n_in:-1] = 0.0
+    act = np.empty((bins if keep else 1, 5 * hs, batch))
+    c = np.empty((slots, hs, batch))
+    c[0] = 0.0
+    for t in range(bins):
+        now, after = t % slots, (t + 1) % slots
+        xh[now, :n_in] = x[:, t].T
+        _cell(model, xh[now], act[t % len(act)], c[now], c[after], xh[after, n_in:-1])
+    return xh, act, c, xh[bins % slots, n_in:-1]
 
 
 def step(
     model: LstmModel, x_t: np.ndarray, h: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance one time bin; use with ``initial_state`` to stream counts."""
-    _, h_next, c_next = _cell(model, x_t, h, c)
-    return h_next, c_next
+    """Advance one time bin; use with ``initial_state`` to stream counts.
+
+    ``x_t``, ``h`` and ``c`` hold one row per sequence, as do the returned
+    next ``(h, c)``.
+    """
+    hs = model.hidden_size
+    batch = x_t.shape[0]
+    xh = np.empty((model.input_size + hs + 1, batch))
+    xh[: model.input_size] = x_t.T
+    xh[model.input_size : -1] = h.T
+    xh[-1] = 1.0
+    act = np.empty((5 * hs, batch))
+    c_next, h_next = np.empty((2, hs, batch))
+    _cell(model, xh, act, np.ascontiguousarray(c.T), c_next, h_next)
+    return h_next.T.copy(), c_next.T.copy()
 
 
 def readout(model: LstmModel, h: np.ndarray) -> np.ndarray:
@@ -149,18 +208,6 @@ def _validate_sequences(model: LstmModel, sequences) -> np.ndarray:
     return x
 
 
-def _forward_cached(model: LstmModel, x: np.ndarray):
-    batch, bins, _ = x.shape
-    h, c = initial_state(model, batch)
-    cache = []
-    for t in range(bins):
-        activations, h_next, c_next = _cell(model, x[:, t], h, c)
-        cache.append((h, c, *activations))
-        h, c = h_next, c_next
-    probs = readout(model, h)
-    return probs, h, cache
-
-
 def forward(model: LstmModel, sequences) -> np.ndarray:
     """Class probabilities from full sequences, shape (batch, 2**N).
 
@@ -172,50 +219,72 @@ def forward(model: LstmModel, sequences) -> np.ndarray:
     # rows, not every bin's activations for the whole batch
     for start in range(0, x.shape[0], INFERENCE_BLOCK_ROWS):
         block = x[start : start + INFERENCE_BLOCK_ROWS]
-        h, c = initial_state(model, block.shape[0])
-        for t in range(x.shape[1]):
-            _, h, c = _cell(model, block[:, t], h, c)
-        probs[start : start + block.shape[0]] = readout(model, h)
+        h = _unroll(model, block, keep=False)[-1]
+        probs[start : start + block.shape[0]] = readout(model, h.T)
     return probs
 
 
-def backward(model: LstmModel, sequences, class_indices) -> tuple[float, np.ndarray]:
+def backward(
+    model: LstmModel, sequences, class_indices, out: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """Mean batch loss and its gradient, laid out like ``model.flat``, via BPTT.
 
     The loss is the cross-entropy of :func:`forward`'s probabilities, read
-    off the same forward pass the gradient needs.
+    off the same forward pass the gradient needs.  The gradient is written
+    into ``out`` when given, else into a new vector.
     """
     x = _validate_sequences(model, sequences)
     y = np.asarray(class_indices, dtype=np.int64)
     batch, bins, _ = x.shape
-    probs, h_last, cache = _forward_cached(model, x)
+    xh, act, c, h_last = _unroll(model, x, keep=True)
+    probs = readout(model, h_last.T)
     batch_loss = cross_entropy(probs, y)
 
     delta = probs.copy()
     delta[np.arange(batch), y] -= 1.0
     delta /= batch
-    grad, (grad_w_input, grad_w_hidden, grad_bias, grad_w_readout, grad_b_readout) = (
-        parameter_slab([p.shape for p in model.parameters])
+    grad, (*_, grad_w_readout, grad_b_readout) = parameter_slab(
+        [p.shape for p in model.parameters], out
     )
-    np.matmul(h_last.T, delta, out=grad_w_readout)
+    np.matmul(h_last, delta, out=grad_w_readout)
     delta.sum(axis=0, out=grad_b_readout)
+    grad_gates = _gate_rows(model, grad)
+    grad_gates[...] = 0.0
+    step_grad = np.empty_like(grad_gates)
 
     hs = model.hidden_size
-    d_h = delta @ model.w_readout.T
-    d_c = np.zeros((batch, hs))
+    d_h = model.w_readout @ delta.T
+    d_c = np.zeros((hs, batch))
+    d_z = np.empty((4 * hs, batch))
+    d_sig = d_z[: 3 * hs]
+    d_in, d_forget, d_out, d_cand = d_z.reshape(4, hs, batch)
+    scratch = np.empty((hs, batch))
     for t in range(bins - 1, -1, -1):
-        h_prev, c_prev, gates, candidate, tanh_c = cache[t]
-        d_c = d_c + d_h * gates[:, 2 * hs :] * (1.0 - tanh_c**2)
-        d_gates = np.concatenate([d_c * candidate, d_c * c_prev, d_h * tanh_c], axis=1)
-        d_z = np.concatenate(
-            [d_gates * gates * (1.0 - gates), d_c * gates[:, :hs] * (1.0 - candidate**2)],
-            axis=1,
-        )
-        grad_w_input += x[:, t].T @ d_z
-        grad_w_hidden += h_prev.T @ d_z
-        grad_bias += d_z.sum(axis=0)
-        d_h = d_z @ model.w_hidden.T
-        d_c = d_c * gates[:, hs : 2 * hs]
+        gate_in, forget, gate_out, candidate, tanh_c = act[t].reshape(5, hs, batch)
+        # d_c += d_h * gate_out * (1 - tanh_c**2)
+        np.multiply(tanh_c, tanh_c, out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        scratch *= gate_out
+        scratch *= d_h
+        d_c += scratch
+        # each sigmoid gate's s * (1 - s), then the factor its output met
+        sig = act[t, : 3 * hs]
+        np.subtract(1.0, sig, out=d_sig)
+        d_sig *= sig
+        d_in *= candidate
+        d_in *= d_c
+        d_forget *= c[t]
+        d_forget *= d_c
+        d_out *= tanh_c
+        d_out *= d_h
+        np.multiply(candidate, candidate, out=d_cand)
+        np.subtract(1.0, d_cand, out=d_cand)
+        d_cand *= gate_in
+        d_cand *= d_c
+        np.matmul(xh[t], d_z.T, out=step_grad)
+        grad_gates += step_grad
+        np.matmul(model.w_hidden, d_z, out=d_h)
+        d_c *= forget
     return batch_loss, grad
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -461,6 +463,28 @@ def _generate_label_block(args: tuple) -> list[ReadoutSample]:
     return out
 
 
+# How often, in seconds, a pool worker checks that the process that started
+# it is still alive.
+PARENT_POLL_S = 0.25
+
+
+def exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker once process ``parent`` is gone.
+
+    A worker waiting on its task queue never sees end-of-file when its parent
+    is killed outright, because under fork it inherited the queue's write
+    end.  A daemon thread polls ``os.getppid()`` and exits the worker when
+    the worker has been re-parented.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
 def worker_count(n_jobs: int, tasks: int) -> int:
     """How many processes ``tasks`` independent tasks may run on.
 
@@ -498,7 +522,9 @@ def generate_dataset(
     ]
     workers = worker_count(n_jobs, len(blocks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=exit_with_parent, initargs=(os.getpid(),)
+        ) as pool:
             results = list(pool.map(_generate_label_block, blocks))
     else:
         results = [_generate_label_block(b) for b in blocks]

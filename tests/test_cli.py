@@ -3,7 +3,10 @@ import csv
 import faulthandler
 import json
 import os
+import signal
+import subprocess
 import sys
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -247,6 +250,20 @@ class TestFailureIsolation:
         )
         assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
         assert list((tmp_path / "out" / "errors").iterdir()) == []
+
+
+class TestStaleArtifacts:
+    def test_a_rerun_drops_models_and_histories_it_did_not_write(self, tmp_path):
+        out = tmp_path / "out"
+        for strategies in ("FT,NN", "FT"):
+            config = write_config(
+                tmp_path / "run.cfg",
+                "num_ions = 2\ngeometry = adjacent\nsamples_per_label = 40\n"
+                f"strategies = {strategies}\nepochs = 1\n",
+            )
+            assert main(["run", "--config", config, "--out", str(out)]) == 0
+        assert [p.name for p in (out / "models").iterdir()] == ["FT.json"]
+        assert not (out / "history" / "NN.csv").exists()
 
 
 class TestGenerateCommand:
@@ -512,6 +529,15 @@ def comparable_summary(out):
     return summary
 
 
+def process_alive(pid):
+    """True while ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        stat = open(f"/proc/{pid}/stat").read()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 class RecordingPool:
     """Stand-in for the process pool that runs each task inline on submit."""
 
@@ -572,6 +598,9 @@ class TestTrainingPool:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "_POOL_TASK", None)
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        # the stand-in runs the initializer here: record it, start no watcher
+        watched = []
+        monkeypatch.setattr(sim, "exit_with_parent", watched.append)
         config = build_config(
             preset="3q",
             overrides={"samples_per_label": 20, "epochs": 1, "strategies": strategies,
@@ -579,12 +608,56 @@ class TestTrainingPool:
         )
         summary = cli.run_experiment(config, tmp_path)
         assert RecordingPool.started == ([] if workers is None else [workers])
+        assert watched == ([] if workers is None else [os.getpid()])
         # the caller keeps RNN; the pool writes first, then costliest first
         pooled = ["_pool_save"] + [s for s in ("AT", "FT") if s in strategies]
         assert RecordingPool.submitted == ([] if workers is None else pooled)
         assert summary["errors"] == {}
         assert list(summary["strategies"]) == config.strategy_names()
         assert (tmp_path / "dataset.jsonl").exists()
+
+    def test_worker_exits_when_the_caller_is_killed(self, tmp_path):
+        # the caller trains RNN for a minute while its one worker, FT done,
+        # waits on the task queue; SIGKILL the caller and watch the worker
+        pid_file = tmp_path / "pids.txt"
+        script = (
+            "import os, sys, time\n"
+            "from ionread import cli, sim\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "sim.save_dataset = lambda dataset, path: None\n"
+            "def stand_in(spec, *task):\n"
+            f"    with open({str(pid_file)!r}, 'a') as fh:\n"
+            "        fh.write(f'{spec.name} {os.getpid()}\\n')\n"
+            "    if spec.name == 'RNN':\n"
+            "        time.sleep(60)\n"
+            "    raise RuntimeError('stand-in')\n"
+            "cli.run_strategy = stand_in\n"
+            "cli._train_all(['FT', 'RNN'], (None,) * 4, 'unused', 2)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        caller = subprocess.Popen([sys.executable, "-c", script], env=env)
+        worker = None
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and caller.poll() is None:
+                lines = pid_file.read_text().split() if pid_file.exists() else []
+                pids = dict(zip(lines[::2], map(int, lines[1::2])))
+                if len(pids) == 2:
+                    worker = pids["FT"]
+                    break
+                time.sleep(0.05)
+            assert worker is not None and worker != caller.pid
+            caller.kill()
+            caller.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and process_alive(worker):
+                time.sleep(0.05)
+            assert not process_alive(worker), "the orphaned worker kept running"
+        finally:
+            caller.kill()
+            caller.wait(timeout=10)
+            if worker is not None and process_alive(worker):
+                os.kill(worker, signal.SIGKILL)
 
     def test_a_dead_worker_fails_its_strategies_not_the_run(
         self, tmp_path, monkeypatch, capsys

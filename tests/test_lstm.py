@@ -1,5 +1,6 @@
 """Recurrent core: gate arithmetic, BPTT gradients, streaming, training."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,20 +53,36 @@ def masked_sigmoid(x):
     return out
 
 
+def ulp_gap(a, b):
+    """Units in the last place between non-negative doubles of equal shape."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
 class TestSigmoid:
-    def test_bit_identical_to_masked_form(self):
-        edges = np.array([0.0, -0.0, 1e4, -1e4, 700.0, -745.0, 36.0, -36.0, 1e-300])
+    def test_within_four_ulp_of_masked_form(self):
+        edges = np.array([0.0, -0.0, 700.0, -700.0, 36.0, -36.0, 1e-300, 1e4])
         draws = np.random.default_rng(30).normal(scale=6.0, size=200_000)
-        x = np.concatenate([edges, np.linspace(-40.0, 40.0, 8001), draws])
-        np.testing.assert_array_equal(sigmoid(x), masked_sigmoid(x))
+        x = np.concatenate([edges, np.linspace(-700.0, 700.0, 1_400_001), draws])
+        assert ulp_gap(sigmoid(x), masked_sigmoid(x)).max() <= 4
+        # below -700 the masked form reaches denormals, the direct form 0
+        far = np.array([-700.5, -708.0, -709.9, -745.0, -746.0, -1e4, -1e300])
+        np.testing.assert_allclose(sigmoid(far), masked_sigmoid(far), rtol=0, atol=1e-300)
+        assert sigmoid(np.array([-1e4]))[0] == 0.0
 
     def test_packed_slab_equals_per_gate_calls(self):
         hidden = 7
-        z = np.random.default_rng(31).normal(scale=4.0, size=(33, 4 * hidden))
-        slab = z[:, : 3 * hidden]
-        blocks = [sigmoid(slab[:, k * hidden : (k + 1) * hidden]) for k in range(3)]
-        np.testing.assert_array_equal(sigmoid(slab), np.concatenate(blocks, axis=1))
-        np.testing.assert_array_equal(sigmoid(slab), masked_sigmoid(slab))
+        z = np.random.default_rng(31).normal(scale=4.0, size=(4 * hidden, 33))
+        slab = z[: 3 * hidden]
+        blocks = [sigmoid(slab[k * hidden : (k + 1) * hidden]) for k in range(3)]
+        np.testing.assert_array_equal(sigmoid(slab), np.concatenate(blocks))
+        assert ulp_gap(sigmoid(slab), masked_sigmoid(slab)).max() <= 4
+
+    def test_writes_in_place_when_given_out(self):
+        x = np.random.default_rng(32).normal(scale=5.0, size=(6, 9))
+        expected = sigmoid(x)
+        result = sigmoid(x, out=x)
+        assert result is x
+        np.testing.assert_array_equal(x, expected)
 
     def test_midpoint_and_symmetry(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
@@ -237,6 +254,112 @@ class TestGradients:
         # the readout bias is the last block of the layout
         np.testing.assert_allclose(grad[-4:], residual.mean(axis=0), atol=1e-12)
 
+    def test_reused_gradient_buffer_leaks_nothing_between_batches(self):
+        rng = np.random.default_rng(40)
+        model = LstmModel(3, 6, 4, seed=41)
+        first = rng.normal(size=(16, 7, 3)), rng.integers(0, 4, size=16)
+        second = rng.normal(size=(9, 4, 3)), rng.integers(0, 4, size=9)
+        empty = rng.normal(size=(5, 0, 3)), rng.integers(0, 4, size=5)
+        buffer = np.full_like(model.flat, np.nan)
+        for xb, yb in (first, second, empty, first):
+            loss, grad = backward(model, xb, yb, out=buffer)
+            fresh_loss, fresh = backward(model, xb, yb)
+            assert grad is buffer
+            assert loss == fresh_loss
+            np.testing.assert_array_equal(grad, fresh)
+
+
+def reference_forward(model, x):
+    """Per-bin loop on row-major (batch, features) arrays, one tuple per bin.
+
+    The cell as three matmuls and a bias add with the masked logistic:
+    returns the probabilities, the last hidden and cell state and each bin's
+    ``(h, c, gates, candidate, tanh_c)``.
+    """
+    hs = model.hidden_size
+    batch, bins, _ = x.shape
+    h, c = np.zeros((batch, hs)), np.zeros((batch, hs))
+    cache = []
+    for t in range(bins):
+        z = x[:, t] @ model.w_input + h @ model.w_hidden + model.bias
+        gates = masked_sigmoid(z[:, : 3 * hs])
+        candidate = np.tanh(z[:, 3 * hs :])
+        c_next = gates[:, hs : 2 * hs] * c + gates[:, :hs] * candidate
+        tanh_c = np.tanh(c_next)
+        cache.append((h, c, gates, candidate, tanh_c))
+        h, c = gates[:, 2 * hs :] * tanh_c, c_next
+    return readout(model, h), h, c, cache
+
+
+def reference_backward(model, x, y):
+    """Per-bin BPTT over :func:`reference_forward`'s cache.
+
+    The gate derivatives joined by ``np.concatenate`` and the weight
+    gradients as ``x.T @ d_z``, ``h.T @ d_z`` and ``d_z.sum``: the reference
+    the stacked, gate-major ``backward`` must match to rounding.
+    """
+    hs = model.hidden_size
+    batch, bins, _ = x.shape
+    probs, h, _, cache = reference_forward(model, x)
+    delta = probs.copy()
+    delta[np.arange(batch), y] -= 1.0
+    delta /= batch
+    grads = [np.zeros_like(p) for p in model.parameters]
+    grad_w_input, grad_w_hidden, grad_bias, grad_w_readout, grad_b_readout = grads
+    grad_w_readout[...] = h.T @ delta
+    grad_b_readout[...] = delta.sum(axis=0)
+    d_h = delta @ model.w_readout.T
+    d_c = np.zeros((batch, hs))
+    for t in range(bins - 1, -1, -1):
+        h_prev, c_prev, gates, candidate, tanh_c = cache[t]
+        d_c = d_c + d_h * gates[:, 2 * hs :] * (1.0 - tanh_c**2)
+        d_gates = np.concatenate([d_c * candidate, d_c * c_prev, d_h * tanh_c], axis=1)
+        d_z = np.concatenate(
+            [d_gates * gates * (1.0 - gates), d_c * gates[:, :hs] * (1.0 - candidate**2)],
+            axis=1,
+        )
+        grad_w_input += x[:, t].T @ d_z
+        grad_w_hidden += h_prev.T @ d_z
+        grad_bias += d_z.sum(axis=0)
+        d_h = d_z @ model.w_hidden.T
+        d_c = d_c * gates[:, hs : 2 * hs]
+    return cross_entropy(probs, y), grads
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize("hidden", [1, 32])
+    @pytest.mark.parametrize("bins", [0, 1, 15])
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_backward_matches_per_bin_bptt(self, batch, bins, hidden):
+        rng = np.random.default_rng(batch * 1000 + bins * 10 + hidden)
+        model = LstmModel(5, hidden, 8, seed=bins + hidden)
+        for p in model.parameters:
+            p[...] = rng.normal(scale=0.5, size=p.shape)
+        x = rng.poisson(1.5, size=(batch, bins, 5)) / 3.0
+        y = rng.integers(0, 8, size=batch)
+        batch_loss, grad = backward(model, x, y)
+        expected_loss, expected = reference_backward(model, x, y)
+        assert abs(batch_loss - expected_loss) <= 1e-12 * expected_loss
+        ends = np.cumsum([p.size for p in model.parameters])
+        for got, want in zip(np.split(grad, ends[:-1]), expected):
+            assert np.linalg.norm(got - want.ravel()) <= 1e-12 * np.linalg.norm(want)
+
+    def test_forward_and_step_match_per_bin_loop(self):
+        # more rows than one inference block, trained-looking weights
+        rng = np.random.default_rng(42)
+        model = LstmModel(5, 32, 8, seed=43)
+        for p in model.parameters:
+            p[...] = rng.normal(scale=0.5, size=p.shape)
+        x = rng.poisson(1.5, size=(lstm.INFERENCE_BLOCK_ROWS + 300, 15, 5)) / 3.0
+        expected, _, _, _ = reference_forward(model, x)
+        np.testing.assert_allclose(forward(model, x), expected, rtol=0, atol=1e-12)
+        _, h_expected, c_expected, _ = reference_forward(model, x[:50, :4])
+        h, c = initial_state(model, 50)
+        for t in range(4):
+            h, c = step(model, x[:50, t], h, c)
+        np.testing.assert_allclose(h, h_expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c, c_expected, rtol=0, atol=1e-12)
+
 
 class TestMarginals:
     def test_bright_marginal_masks(self):
@@ -274,6 +397,20 @@ class TestTraining:
         for pa, pb in zip(model_a.parameters, model_b.parameters):
             np.testing.assert_array_equal(pa, pb)
         assert hist_a == hist_b
+
+    def test_huge_inputs_raise_no_floating_point_warning(self):
+        # gates far past saturation: an unguarded exp overflow would warn
+        rng = np.random.default_rng(23)
+        x = rng.uniform(-1e4, 1e4, size=(40, 6, 2))
+        labels = ["00", "01", "10", "11"] * 10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, history = train(x, labels, hidden_size=5, config=TrainConfig(epochs=2))
+            probs = forward(model, x)
+            batch_loss, grad = backward(model, x, rng.integers(0, 4, size=40))
+        assert len(history) == 2
+        assert np.all(np.isfinite(probs)) and math.isfinite(batch_loss)
+        assert np.all(np.isfinite(grad))
 
     def test_label_count_mismatch_raises(self):
         with pytest.raises(NetworkError):

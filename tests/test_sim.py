@@ -1,5 +1,6 @@
 """Simulator checks against closed-form and quadrature oracles."""
 import json
+import os
 
 import numpy as np
 import pytest
@@ -266,7 +267,10 @@ class TestGenerateDataset:
         started = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
+                # each worker watches for the death of the process that made it
+                assert initializer is sim.exit_with_parent
+                assert initargs == (os.getpid(),)
                 started.append(max_workers)
 
             def __enter__(self):
