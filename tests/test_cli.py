@@ -532,7 +532,8 @@ def comparable_summary(out):
 def process_alive(pid):
     """True while ``pid`` exists and is not a zombie waiting to be reaped."""
     try:
-        stat = open(f"/proc/{pid}/stat").read()
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
     except FileNotFoundError:
         return False
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
