@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 import traceback
@@ -402,10 +401,10 @@ def _make_dataset(config: ExperimentConfig) -> sim.Dataset:
 _POOL_TASK: tuple | None = None
 
 
-def _pool_init(parent: int, *task) -> None:
+def _pool_init(*task) -> None:
     global _POOL_TASK
     _POOL_TASK = task
-    sim.exit_with_parent(parent)
+    sim.exit_with_parent()
 
 
 def _pool_save(path: str) -> None:
@@ -439,9 +438,7 @@ def _train_all(
         sim.save_dataset(task[0], dataset_path)
         return {name: _attempt(name, task) for name in names}
     *pooled, own = names
-    with ProcessPoolExecutor(
-        workers, initializer=_pool_init, initargs=(os.getpid(), *task)
-    ) as pool:
+    with ProcessPoolExecutor(workers, initializer=_pool_init, initargs=task) as pool:
         saved = pool.submit(_pool_save, dataset_path)
         futures = {name: pool.submit(_pool_run, name) for name in reversed(pooled)}
         try:

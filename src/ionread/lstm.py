@@ -224,14 +224,11 @@ def forward(model: LstmModel, sequences) -> np.ndarray:
     return probs
 
 
-def backward(
-    model: LstmModel, sequences, class_indices, out: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
+def backward(model: LstmModel, sequences, class_indices) -> tuple[float, np.ndarray]:
     """Mean batch loss and its gradient, laid out like ``model.flat``, via BPTT.
 
     The loss is the cross-entropy of :func:`forward`'s probabilities, read
-    off the same forward pass the gradient needs.  The gradient is written
-    into ``out`` when given, else into a new vector.
+    off the same forward pass the gradient needs.
     """
     x = _validate_sequences(model, sequences)
     y = np.asarray(class_indices, dtype=np.int64)
@@ -244,12 +241,11 @@ def backward(
     delta[np.arange(batch), y] -= 1.0
     delta /= batch
     grad, (*_, grad_w_readout, grad_b_readout) = parameter_slab(
-        [p.shape for p in model.parameters], out
+        [p.shape for p in model.parameters]
     )
     np.matmul(h_last, delta, out=grad_w_readout)
     delta.sum(axis=0, out=grad_b_readout)
     grad_gates = _gate_rows(model, grad)
-    grad_gates[...] = 0.0
     step_grad = np.empty_like(grad_gates)
 
     hs = model.hidden_size

@@ -121,23 +121,14 @@ class MlpModel:
         return model
 
 
-def parameter_slab(
-    shapes, flat: np.ndarray | None = None
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A float64 vector and, in order, a view of it per shape.
+def parameter_slab(shapes) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One zeroed float64 vector and, in order, a view of it per shape.
 
-    The vector is ``flat`` when given, else a new zeroed one.  Every
-    network's parameters, and ``backward``'s gradients, are laid out this
-    way, so one vector operation steps, snapshots or checks them all.
+    Every network's parameters, and ``backward``'s gradients, are laid out
+    this way, so one vector operation steps, snapshots or checks them all.
     """
     sizes = [math.prod(shape) for shape in shapes]
-    if flat is None:
-        flat = np.zeros(sum(sizes))
-    elif flat.shape != (sum(sizes),) or flat.dtype != np.float64:
-        raise NetworkError(
-            f"buffer must hold {sum(sizes)} float64 values, "
-            f"got shape {flat.shape} of {flat.dtype}"
-        )
+    flat = np.zeros(sum(sizes))
     views, start = [], 0
     for shape, size in zip(shapes, sizes):
         views.append(flat[start : start + size].reshape(shape))
@@ -194,15 +185,12 @@ def probabilities_to_labels(probs: np.ndarray, num_ions: int) -> list[str]:
     return state_labels(num_ions)[np.argmax(probs, axis=1)].tolist()
 
 
-def backward(
-    model: MlpModel, x, class_indices, out: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
+def backward(model: MlpModel, x, class_indices) -> tuple[float, np.ndarray]:
     """Mean batch loss and its gradient, laid out like ``model.flat``.
 
     The loss is the cross-entropy of :func:`forward`'s probabilities, read
-    off the same forward pass the gradient needs.  The gradient is written
-    into ``out`` when given, else into a new vector.  The rectifier
-    contributes zero gradient at exactly zero input.
+    off the same forward pass the gradient needs.  The rectifier contributes
+    zero gradient at exactly zero input.
     """
     x = _validate_input(model, x)
     y = np.asarray(class_indices, dtype=np.int64)
@@ -213,7 +201,7 @@ def backward(
     delta[np.arange(batch), y] -= 1.0
     delta /= batch
     grad, (grad_w1, grad_w2, grad_w3, grad_b1, grad_b2, grad_b3) = parameter_slab(
-        [p.shape for p in model.parameters], out
+        [p.shape for p in model.parameters]
     )
     np.matmul(a2.T, delta, out=grad_w3)
     delta.sum(axis=0, out=grad_b3)
@@ -263,9 +251,8 @@ def fit(
     """Train ``model`` in place on labelled rows; returns the epoch history.
 
     Shared by every network: ``backward`` and ``predict`` are the network's
-    own functions, and ``backward(model, x, y, out=grads)`` returns the batch
-    loss and its gradient laid out like ``model.flat``, the one vector every
-    step updates, written into one buffer that every batch reuses.  A
+    own functions, and ``backward`` returns the batch loss and its gradient
+    laid out like ``model.flat``, the one vector every step updates.  A
     stratified ``validation_fraction`` of the rows is held out; after each
     epoch the register fidelity on that held-out part is recorded and the
     parameters with the best validation fidelity so far are kept.  An
@@ -282,7 +269,7 @@ def fit(
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
     params = model.flat
-    grads, grad_sq, delta_sq = (np.zeros_like(params) for _ in range(3))
+    grad_sq, delta_sq = np.zeros_like(params), np.zeros_like(params)
     best_params = params.copy()
     best_fidelity = -1.0
     best_epoch = -1
@@ -293,7 +280,7 @@ def fit(
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
             xb, yb = x_train[batch], y_train[batch]
-            batch_loss, grads = backward(model, xb, yb, out=grads)
+            batch_loss, grads = backward(model, xb, yb)
             adadelta_step(params, grads, grad_sq, delta_sq, config.rho, config.epsilon)
             if not math.isfinite(batch_loss) or not np.isfinite(params).all():
                 raise TrainingError(

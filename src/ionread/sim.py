@@ -468,14 +468,17 @@ def _generate_label_block(args: tuple) -> list[ReadoutSample]:
 PARENT_POLL_S = 0.25
 
 
-def exit_with_parent(parent: int) -> None:
-    """Pool initializer: end this worker once process ``parent`` is gone.
+def exit_with_parent() -> None:
+    """Pool initializer: end this worker once the process that started it is gone.
 
     A worker waiting on its task queue never sees end-of-file when its parent
     is killed outright, because under fork it inherited the queue's write
     end.  A daemon thread polls ``os.getppid()`` and exits the worker when
-    the worker has been re-parented.
+    the worker has been re-parented.  The parent is read here, in the worker,
+    so it is the pool's caller under fork and spawn and the fork server under
+    forkserver, which itself exits with the caller.
     """
+    parent = os.getppid()
 
     def watch() -> None:
         while os.getppid() == parent:
@@ -523,7 +526,7 @@ def generate_dataset(
     workers = worker_count(n_jobs, len(blocks))
     if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=exit_with_parent, initargs=(os.getpid(),)
+            max_workers=workers, initializer=exit_with_parent
         ) as pool:
             results = list(pool.map(_generate_label_block, blocks))
     else:

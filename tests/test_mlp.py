@@ -247,40 +247,6 @@ class TestFlatSlab:
         for p, r in zip(model.parameters, reference.parameters):
             np.testing.assert_array_equal(p, r)
 
-    @pytest.mark.parametrize("case", range(2))
-    def test_one_gradient_buffer_per_fit_changes_nothing(self, case):
-        config = TrainConfig(batch_size=32, epochs=4, patience=10, seed=56)
-        network, model, x, labels = tiny_networks()[case]
-        reference = tiny_networks()[case][1]
-        buffers = set()
-
-        def reusing_backward(net, xb, yb, out=None):
-            buffers.add(id(out))
-            return network.backward(net, xb, yb, out=out)
-
-        def fresh_backward(net, xb, yb, out=None):
-            return network.backward(net, xb, yb)
-
-        history = mlp.fit(model, x, labels, config, reusing_backward, network.predict)
-        expected = mlp.fit(reference, x, labels, config, fresh_backward, network.predict)
-        assert len(buffers) == 1 and id(None) not in buffers
-        assert history == expected
-        np.testing.assert_array_equal(model.flat, reference.flat)
-
-    def test_reused_gradient_buffer_leaks_nothing_between_batches(self):
-        model = MlpModel([3, 8, 8, 4], seed=57)
-        rng = np.random.default_rng(58)
-        buffer = np.full_like(model.flat, np.nan)
-        for rows in (16, 5, 16):
-            xb, yb = rng.normal(size=(rows, 3)), rng.integers(0, 4, size=rows)
-            loss, grad = backward(model, xb, yb, out=buffer)
-            fresh_loss, fresh = backward(model, xb, yb)
-            assert grad is buffer
-            assert loss == fresh_loss
-            np.testing.assert_array_equal(grad, fresh)
-        with pytest.raises(NetworkError):
-            backward(model, xb, yb, out=np.zeros(model.flat.size + 1))
-
     def test_parameters_are_views_of_one_vector(self, tmp_path):
         for network, model, x, labels in tiny_networks():
             assert_views_of_flat(model)
@@ -415,9 +381,9 @@ class TestTraining:
         initial = copy.deepcopy(model)
         batches = []
 
-        def recording_backward(net, xb, yb, out=None):
+        def recording_backward(net, xb, yb):
             batches.append((xb, yb))
-            return backward(net, xb, yb, out=out)
+            return backward(net, xb, yb)
 
         history = mlp.fit(model, x, y, config, recording_backward, predict)
         [(xb, yb)] = batches
@@ -429,8 +395,8 @@ class TestTraining:
         # finite loss, so only a check of the stepped parameters can catch it
         model, x, y, config = self.one_batch_problem()
 
-        def nan_backward(net, xb, yb, out=None):
-            batch_loss, grad = backward(net, xb, yb, out=out)
+        def nan_backward(net, xb, yb):
+            batch_loss, grad = backward(net, xb, yb)
             return batch_loss, np.full_like(grad, np.nan)
 
         with pytest.raises(TrainingError):

@@ -1,6 +1,9 @@
 """Simulator checks against closed-form and quadrature oracles."""
 import json
+import multiprocessing
 import os
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -267,10 +270,9 @@ class TestGenerateDataset:
         started = []
 
         class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers, initializer):
                 # each worker watches for the death of the process that made it
                 assert initializer is sim.exit_with_parent
-                assert initargs == (os.getpid(),)
                 started.append(max_workers)
 
             def __enter__(self):
@@ -290,6 +292,18 @@ class TestGenerateDataset:
         serial = sim.generate_dataset(model, geometry, 3, seed=6)
         for a, b in zip(pooled.samples, serial.samples):
             np.testing.assert_array_equal(a.times, b.times)
+
+    def test_worker_started_by_a_fork_server_keeps_running(self):
+        # under forkserver a worker's parent is the fork server, not the pool's
+        # caller: the watcher must not take that for the caller's death
+        context = multiprocessing.get_context("forkserver")
+        with ProcessPoolExecutor(
+            1, mp_context=context, initializer=sim.exit_with_parent
+        ) as pool:
+            worker = pool.submit(os.getpid).result(timeout=60)
+            time.sleep(4 * sim.PARENT_POLL_S)
+            assert pool.submit(os.getpid).result(timeout=60) == worker
+        assert worker != os.getpid()
 
     def test_seed_changes_output(self, tmp_path):
         model = sim.EmissionModel()
