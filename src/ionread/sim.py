@@ -22,15 +22,15 @@ import math
 import os
 import threading
 import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import poisson
 
-from .evaluate import labels_to_bits, state_labels
+from .evaluate import index_to_label, labels_to_bits, state_labels
 
 TIME_RESOLUTION_US = 0.1
 MAX_IONS = 12
@@ -60,6 +60,9 @@ ADJACENT_SPREAD = (0.12, 0.76, 0.12)
 
 _ROW_SUM_TOL = 1e-12
 _POOL_STREAM_TAG = 0x9E3779B9
+# Shots drawn from one random stream in fresh mode.  Part of the generation
+# contract: changing it changes every fresh dataset.
+BLOCK_SHOTS = 4096
 
 
 class SimulationError(ValueError):
@@ -253,8 +256,7 @@ class ReadoutSample:
     """One detection shot: the prepared label plus all recorded events.
 
     Events are stored as parallel arrays sorted by arrival time, ties broken
-    by channel index and then insertion order.  Arrival times are quantised
-    to ``TIME_RESOLUTION_US``.
+    by channel index.  Arrival times are quantised to ``TIME_RESOLUTION_US``.
     """
 
     label: str
@@ -267,24 +269,92 @@ class ReadoutSample:
         return int(self.channels.shape[0])
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """A labelled collection of readout shots, label-major ordered."""
+    """A labelled collection of readout shots, label-major ordered, held as columns.
 
-    samples: list[ReadoutSample]
+    Shot ``i``'s events are ``channels[offsets[i]:offsets[i + 1]]`` (int16)
+    and the same slice of ``times`` (float64, quantised), sorted by time and
+    then channel.  ``window_us[i]`` is the shot's window and ``states[i]`` its
+    prepared register state (int64, ion 0 the most significant bit).  The
+    arrays are made read-only.
+    """
+
+    offsets: np.ndarray
+    channels: np.ndarray
+    times: np.ndarray
+    window_us: np.ndarray
+    states: np.ndarray
     geometry: DetectorGeometry
     model: EmissionModel
     seed: int
     samples_per_label: int
     mode: str = "fresh"
 
+    def __post_init__(self) -> None:
+        for column in (self.offsets, self.channels, self.times, self.window_us, self.states):
+            column.flags.writeable = False
+
     @cached_property
-    def labels(self) -> list[str]:
-        """Per-shot labels, built once; treat the list as read-only."""
-        return [s.label for s in self.samples]
+    def labels(self) -> np.ndarray:
+        """Per-shot labels as a read-only numpy ``U`` array, built once."""
+        labels = state_labels(self.geometry.num_ions)[self.states]
+        labels.flags.writeable = False
+        return labels
+
+    @property
+    def samples(self) -> "Samples":
+        """Every shot as a :class:`ReadoutSample`, built on access."""
+        return Samples(self, range(len(self)))
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return int(self.states.shape[0])
+
+
+class Samples(Sequence):
+    """Read-only sequence view of some of a dataset's shots.
+
+    Indexing builds a :class:`ReadoutSample` whose arrays are views into the
+    dataset's columns; nothing is cached, so holding the view costs no
+    per-shot memory.  A slice is another view.
+    """
+
+    __slots__ = ("_dataset", "_shots")
+
+    def __init__(self, dataset: Dataset, shots: range):
+        self._dataset = dataset
+        self._shots = shots
+
+    def __len__(self) -> int:
+        return len(self._shots)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Samples(self._dataset, self._shots[key])
+        return self._sample(self._shots[key])
+
+    def __iter__(self):
+        return map(self._sample, self._shots)
+
+    def _sample(self, i: int) -> ReadoutSample:
+        ds = self._dataset
+        lo, hi = ds.offsets[i], ds.offsets[i + 1]
+        return ReadoutSample(
+            index_to_label(int(ds.states[i]), ds.geometry.num_ions),
+            float(ds.window_us[i]),
+            ds.channels[lo:hi],
+            ds.times[lo:hi],
+        )
+
+    def events(self) -> tuple[np.ndarray, ...]:
+        """:func:`stack_events` of this view, read from the columns."""
+        ds = self._dataset
+        index = np.arange(self._shots.start, self._shots.stop, self._shots.step)
+        starts = ds.offsets[index]
+        lengths = ds.offsets[index + 1] - starts
+        shot = np.repeat(np.arange(index.size), lengths)
+        event = np.arange(shot.size) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return shot, ds.channels[event], ds.times[event], ds.window_us[index]
 
 
 def stack_events(samples: Sequence[ReadoutSample]) -> tuple[np.ndarray, ...]:
@@ -293,6 +363,8 @@ def stack_events(samples: Sequence[ReadoutSample]) -> tuple[np.ndarray, ...]:
     The first three hold one entry per event, ``shot`` being the event's
     index into ``samples``; ``window_us`` holds one entry per shot.
     """
+    if isinstance(samples, Samples):
+        return samples.events()
     lengths = [s.channels.shape[0] for s in samples]
     channels = np.concatenate([s.channels for s in samples])
     times = np.concatenate([s.times for s in samples])
@@ -303,12 +375,6 @@ def stack_events(samples: Sequence[ReadoutSample]) -> tuple[np.ndarray, ...]:
 def all_labels(num_ions: int) -> list[str]:
     """All basis-state labels in binary order, ion 0 leftmost."""
     return state_labels(num_ions).tolist()
-
-
-def _sample_rng(seed: int, label_index: int, sample_index: int) -> np.random.Generator:
-    # One independent stream per shot: regeneration is bit-identical no
-    # matter in which order or on how many workers shots are produced.
-    return np.random.default_rng(np.random.SeedSequence((seed, label_index, sample_index)))
 
 
 def simulate_ion(state: int, model: EmissionModel, rng: np.random.Generator) -> np.ndarray:
@@ -446,21 +512,84 @@ def _pooled_events(
     return channels[order], times[order]
 
 
-def _generate_label_block(args: tuple) -> list[ReadoutSample]:
-    label, label_index, model, geometry, seed, samples_per_label, mode = args
-    bits = labels_to_bits([label])[0].tolist()
-    out = []
-    for k in range(samples_per_label):
-        if mode == "fresh":
-            rng = _sample_rng(seed, label_index, k)
-            ion_times = [simulate_ion(bit, model, rng) for bit in bits]
-            channels, times = route_events(ion_times, geometry, model, rng)
-        else:
-            channels, times = _pooled_events(
-                bits, label_index, k, model, geometry, seed, samples_per_label
+def _fresh_block(
+    bits: np.ndarray,
+    shots: int,
+    model: EmissionModel,
+    geometry: DetectorGeometry,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``shots`` shots of one register state, drawn as whole vectors.
+
+    The law of :func:`simulate_ion` for every ion followed by
+    :func:`route_events`.  Returns (events per shot, channels, times), the
+    events sorted by shot, then time, then channel.
+    """
+    window = model.window_us
+    bright = bits.astype(bool)[:, None]
+    rates = np.where(bright, model.pump_bright_to_dark_rate, model.pump_dark_to_bright_rate)
+    # one flip time per (ion, shot), ion-major; a zero rate never flips
+    flip = rng.standard_exponential((bits.size, shots))
+    flip = np.divide(flip, rates, out=np.full_like(flip, np.inf), where=rates > 0.0)
+    flip = np.minimum(flip, window)
+    start = np.where(bright, 0.0, flip).ravel()
+    span = np.where(bright, flip, window).ravel() - start
+    counts = rng.poisson(model.bright_rate * span)
+    owner = np.repeat(np.arange(counts.size), counts)
+    signal_times = start[owner] + span[owner] * rng.random(owner.size)
+    # inverse-CDF routing; the last channel with mass absorbs the rounding, so
+    # a channel without mass is never chosen
+    cum = np.cumsum(geometry.crosstalk_matrix, axis=1)
+    cum[cum >= cum[:, -1:]] = 1.0
+    u = rng.random(owner.size)
+    signal_channels = np.empty(owner.size, dtype=np.int16)
+    bounds = np.cumsum(counts.reshape(bits.size, shots).sum(axis=1))
+    lo = 0
+    for ion, hi in enumerate(bounds):
+        signal_channels[lo:hi] = np.searchsorted(cum[ion], u[lo:hi], side="right")
+        lo = hi
+    background = rng.poisson(model.background_rate * window, (geometry.num_channels, shots))
+    bg_owner = np.repeat(np.arange(background.size), background.ravel())
+    shot = np.concatenate([owner % shots, bg_owner % shots])
+    channels = np.concatenate([signal_channels, (bg_owner // shots).astype(np.int16)])
+    times = np.concatenate([signal_times, rng.uniform(0.0, window, bg_owner.size)])
+    if not geometry.intermediate_channels_present:
+        recorded = np.zeros(geometry.num_channels, dtype=bool)
+        recorded[list(geometry.ion_channel)] = True
+        keep = recorded[channels]
+        shot, channels, times = shot[keep], channels[keep], times[keep]
+    times = np.round(np.floor(times / TIME_RESOLUTION_US) * TIME_RESOLUTION_US, 1)
+    order = np.lexsort((channels, times, shot))
+    return np.bincount(shot, minlength=shots), channels[order], times[order]
+
+
+def _generate_label_block(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    label_index, model, geometry, seed, samples_per_label, mode = args
+    bits = labels_to_bits([index_to_label(label_index, geometry.num_ions)])[0]
+    if mode == "fresh":
+        # one stream per (seed, label, block): the output cannot depend on
+        # which worker simulates which label
+        parts = [
+            _fresh_block(
+                bits,
+                min(BLOCK_SHOTS, samples_per_label - first),
+                model,
+                geometry,
+                np.random.default_rng(np.random.SeedSequence((seed, label_index, block))),
             )
-        out.append(ReadoutSample(label, model.window_us, channels, times))
-    return out
+            for block, first in enumerate(range(0, samples_per_label, BLOCK_SHOTS))
+        ]
+    else:
+        parts = [
+            (np.array([channels.size]), channels, times)
+            for channels, times in (
+                _pooled_events(
+                    bits.tolist(), label_index, k, model, geometry, seed, samples_per_label
+                )
+                for k in range(samples_per_label)
+            )
+        ]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 # How often, in seconds, a pool worker checks that the process that started
@@ -506,37 +635,75 @@ def generate_dataset(
 ) -> Dataset:
     """Generate a balanced labelled dataset over all basis states.
 
-    ``mode="fresh"`` simulates every register shot independently.
-    ``mode="pool"`` assembles each shot by superimposing independent
-    single-ion recordings drawn without replacement from per-(ion, state)
-    pools.  Both modes derive one RNG stream per shot from
-    ``(seed, label index, sample index)``, so the output is bit-identical
-    across runs and across ``n_jobs`` settings.  At most ``n_jobs`` worker
-    processes start, and never more than there are labels or usable CPUs.
+    ``mode="fresh"`` simulates every register shot independently, in
+    blocks of ``BLOCK_SHOTS`` shots with one RNG stream per
+    ``(seed, label index, block index)``.  ``mode="pool"`` assembles each
+    shot by superimposing independent single-ion recordings drawn without
+    replacement from per-(ion, state) pools, one RNG stream per recording.
+    Either way the output is bit-identical across runs and across ``n_jobs``
+    settings.  At most ``n_jobs`` worker processes start, and never more
+    than there are labels or usable CPUs.
     """
     if samples_per_label < 1:
         raise SimulationError("samples_per_label must be >= 1")
     if mode not in ("fresh", "pool"):
         raise SimulationError(f"unknown generation mode {mode!r}")
-    labels = all_labels(geometry.num_ions)
-    blocks = [
-        (label, idx, model, geometry, seed, samples_per_label, mode)
-        for idx, label in enumerate(labels)
+    num_labels = 2**geometry.num_ions
+    tasks = [
+        (idx, model, geometry, seed, samples_per_label, mode) for idx in range(num_labels)
     ]
-    workers = worker_count(n_jobs, len(blocks))
+    workers = worker_count(n_jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=exit_with_parent
         ) as pool:
-            results = list(pool.map(_generate_label_block, blocks))
+            results = list(pool.map(_generate_label_block, tasks))
     else:
-        results = [_generate_label_block(b) for b in blocks]
-    samples = [s for block in results for s in block]
-    return Dataset(samples, geometry, model, seed, samples_per_label, mode)
+        results = [_generate_label_block(task) for task in tasks]
+    lengths, channels, times = (np.concatenate(column) for column in zip(*results))
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return Dataset(
+        offsets,
+        channels,
+        times,
+        np.full(lengths.size, model.window_us),
+        np.repeat(np.arange(num_labels, dtype=np.int64), samples_per_label),
+        geometry,
+        model,
+        seed,
+        samples_per_label,
+        mode,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Exact per-shot count distribution and threshold fidelity for a single ion.
+
+def poisson_pmf(k: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Poisson pmf ``exp(k log mu - mu - lgamma(k + 1))``, broadcast over k and mu.
+
+    A mean of 0 puts all mass on k = 0.
+    """
+    k = np.asarray(k, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    log_factorial = np.asarray(np.frompyfunc(math.lgamma, 1, 1)(k + 1.0), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_log_mu = np.where(k == 0.0, 0.0, k * np.log(mu))
+    return np.exp(k_log_mu - mu - log_factorial)
+
+
+_QUADRATURE_NODES = 400
+
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    nodes, weights = np.polynomial.legendre.leggauss(_QUADRATURE_NODES)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
 
 def count_distribution(
     state: int, model: EmissionModel, max_count: int | None = None
@@ -547,6 +714,8 @@ def count_distribution(
     conditioned on a flip at ``tau``, the count is Poisson with mean equal to
     the bright exposure plus the background mean.
     """
+    if state not in (0, 1):
+        raise SimulationError(f"ion state must be 0 or 1, got {state!r}")
     lam = model.bright_rate
     window = model.window_us
     bg = model.background_rate * window
@@ -559,16 +728,46 @@ def count_distribution(
     )
     no_flip_mu = lam * window + bg if state == 1 else bg
     if rate == 0.0:
-        return poisson.pmf(ks, no_flip_mu)
-    nodes, weights = np.polynomial.legendre.leggauss(400)
+        return poisson_pmf(ks, no_flip_mu)
+    nodes, weights = _gauss_legendre()
     tau = 0.5 * window * (nodes + 1.0)
     weights = 0.5 * window * weights
     density = rate * np.exp(-rate * tau)
     exposure = tau if state == 1 else window - tau
     mu = lam * exposure + bg
-    pmf = poisson.pmf(ks[:, None], mu[None, :]) @ (density * weights)
-    pmf += math.exp(-rate * window) * poisson.pmf(ks, no_flip_mu)
+    pmf = poisson_pmf(ks[:, None], mu[None, :]) @ (density * weights)
+    pmf += math.exp(-rate * window) * poisson_pmf(ks, no_flip_mu)
     return pmf
+
+
+def expected_channel_means(
+    model: EmissionModel, geometry: DetectorGeometry, mode: str
+) -> np.ndarray:
+    """Expected events per (label, recorded channel), in ``all_labels`` order.
+
+    A bright ion emits until it pumps dark at rate r, so its exposure is
+    E[min(tau, W)] = (1 - exp(-r W)) / r; a dark ion emits from its flip on,
+    W minus the same expression at its own rate.  Pool mode superimposes one
+    single-ion recording per ion, so background enters once per ion.
+    """
+    if mode not in ("fresh", "pool"):
+        raise SimulationError(f"unknown generation mode {mode!r}")
+    window = model.window_us
+
+    def exposure(rate: float) -> float:
+        return window if rate == 0.0 else (1.0 - math.exp(-rate * window)) / rate
+
+    bright = exposure(model.pump_bright_to_dark_rate)
+    dark = window - exposure(model.pump_dark_to_bright_rate)
+    background = model.background_rate * window
+    if mode == "pool":
+        background *= geometry.num_ions
+    bits = labels_to_bits(state_labels(geometry.num_ions))
+    exposures = np.where(bits == 1, bright, dark)
+    means = model.bright_rate * exposures @ geometry.crosstalk_matrix + background
+    if not geometry.intermediate_channels_present:
+        means = means[:, list(geometry.ion_channel)]
+    return means
 
 
 class SingleIonFidelity(NamedTuple):
@@ -662,13 +861,8 @@ _FORMAT_NAME = "ionread.dataset"
 _FORMAT_VERSION = 1
 
 
-def _sample_to_line(sample: ReadoutSample) -> str:
-    events = [[int(c), float(t)] for c, t in zip(sample.channels, sample.times)]
-    record = {"label": sample.label, "window_us": sample.window_us, "events": events}
-    return json.dumps(record, separators=(",", ":"))
-
-
-def _sample_from_line(line: str) -> ReadoutSample:
+def _shot_from_line(line: str) -> tuple[object, float, np.ndarray, np.ndarray]:
+    """(label, window_us, channels, times) of one shot line, types checked."""
     record = json.loads(line)
     window_us = record["window_us"]
     if type(window_us) not in (int, float) or not 0.0 < window_us < math.inf:
@@ -684,7 +878,7 @@ def _sample_from_line(line: str) -> ReadoutSample:
         times.append(time)
     channels = np.asarray(channels, dtype=np.int16)
     times = np.asarray(times, dtype=float)
-    return ReadoutSample(record["label"], window_us, channels, times)
+    return record["label"], window_us, channels, times
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
@@ -698,10 +892,19 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         "model": dataset.model.to_dict(),
         "geometry": dataset.geometry.to_dict(),
     }
+    bounds = dataset.offsets.tolist()
     with open(path, "w") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for sample in dataset.samples:
-            fh.write(_sample_to_line(sample) + "\n")
+        for i, (label, window_us) in enumerate(
+            zip(dataset.labels.tolist(), dataset.window_us.tolist())
+        ):
+            lo, hi = bounds[i], bounds[i + 1]
+            events = [
+                list(event)
+                for event in zip(dataset.channels[lo:hi].tolist(), dataset.times[lo:hi].tolist())
+            ]
+            record = {"label": label, "window_us": window_us, "events": events}
+            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 def _read_header(path: str, line: str) -> dict:
@@ -738,45 +941,56 @@ def load_dataset(path: str) -> Dataset:
     with open(path) as fh:
         header = _read_header(path, fh.readline())
         geometry = header["geometry"]
-        labels = set(all_labels(geometry.num_ions))
-        samples, line_numbers = [], []
+        state_of = {label: k for k, label in enumerate(all_labels(geometry.num_ions))}
+        lengths, windows, states, line_numbers = [], [], [], []
+        channel_parts = [np.empty(0, dtype=np.int16)]
+        time_parts = [np.empty(0, dtype=float)]
         for line_number, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
-                sample = _sample_from_line(line)
+                label, window_us, channels, times = _shot_from_line(line)
             except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
                 raise SimulationError(
                     f"{path}:{line_number}: malformed shot {exc!r}"
                 ) from exc
-            if not (isinstance(sample.label, str) and sample.label in labels):
+            if not (isinstance(label, str) and label in state_of):
                 raise SimulationError(
-                    f"{path}:{line_number}: label {sample.label!r} is not one 0/1 per ion"
+                    f"{path}:{line_number}: label {label!r} is not one 0/1 per ion"
                 )
-            samples.append(sample)
+            lengths.append(channels.size)
+            windows.append(window_us)
+            states.append(state_of[label])
+            channel_parts.append(channels)
+            time_parts.append(times)
             line_numbers.append(line_number)
-    if samples:
-        shot, channels, times, window_us = stack_events(samples)
-        bad = (channels < 0) | (channels >= geometry.num_channels)
-        bad |= ~((times >= 0.0) & (times <= window_us[shot]))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise SimulationError(
-                f"{path}:{line_numbers[shot[i]]}: event [{channels[i]}, {times[i]}] needs "
-                f"a channel in [0, {geometry.num_channels}) and a finite time in "
-                f"[0, {window_us[shot[i]]}]"
-            )
-        # the simulator's order: by time, equal times by channel
-        same_shot = shot[1:] == shot[:-1]
-        earlier = (times[1:] < times[:-1]) | (
-            (times[1:] == times[:-1]) & (channels[1:] < channels[:-1])
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    channels = np.concatenate(channel_parts)
+    times = np.concatenate(time_parts)
+    window_us = np.asarray(windows, dtype=float)
+    shot = np.repeat(np.arange(len(lengths)), lengths)
+    bad = (channels < 0) | (channels >= geometry.num_channels)
+    bad |= ~((times >= 0.0) & (times <= window_us[shot]))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SimulationError(
+            f"{path}:{line_numbers[shot[i]]}: event [{channels[i]}, {times[i]}] needs "
+            f"a channel in [0, {geometry.num_channels}) and a finite time in "
+            f"[0, {window_us[shot[i]]}]"
         )
-        unordered = same_shot & earlier
-        if unordered.any():
-            i = int(np.argmax(unordered)) + 1
-            raise SimulationError(
-                f"{path}:{line_numbers[shot[i]]}: event [{channels[i]}, {times[i]}] "
-                f"follows [{channels[i - 1]}, {times[i - 1]}]; events must be "
-                f"sorted by time, then channel"
-            )
-    return Dataset(samples=samples, **header)
+    # the simulator's order: by time, equal times by channel
+    same_shot = shot[1:] == shot[:-1]
+    earlier = (times[1:] < times[:-1]) | (
+        (times[1:] == times[:-1]) & (channels[1:] < channels[:-1])
+    )
+    unordered = same_shot & earlier
+    if unordered.any():
+        i = int(np.argmax(unordered)) + 1
+        raise SimulationError(
+            f"{path}:{line_numbers[shot[i]]}: event [{channels[i]}, {times[i]}] "
+            f"follows [{channels[i - 1]}, {times[i - 1]}]; events must be "
+            f"sorted by time, then channel"
+        )
+    states = np.asarray(states, dtype=np.int64)
+    return Dataset(offsets, channels, times, window_us, states, **header)

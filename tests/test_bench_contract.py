@@ -2,13 +2,17 @@
 
 ``bench/workloads.py`` is imported as it is and two of its workloads run at
 the sizes of ``bench/run.py --tiny``, so an API change that would break the
-harness fails here first.
+harness fails here first.  The package's channel-mean law is checked against
+the harness's own copy.
 """
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ionread import sim
 
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -43,3 +47,19 @@ def test_readout_streams_every_shot_and_verifies(workloads, tmp_path):
     result = readout.verify()
     assert result.failures == []
     assert set(result.quality) == set(workloads.READOUT_MODELS)
+
+
+@pytest.mark.parametrize("mode", ["fresh", "pool"])
+@pytest.mark.parametrize(
+    "geometry",
+    [sim.single_ion_geometry(), sim.alternating_geometry(3), sim.adjacent_geometry(5)],
+    ids=["single", "alternating", "adjacent"],
+)
+def test_expected_channel_means_match_the_bench_law(workloads, geometry, mode):
+    model = sim.calibrate_to_fidelity(0.995)
+    np.testing.assert_allclose(
+        sim.expected_channel_means(model, geometry, mode),
+        workloads.analytic_channel_means(model, geometry, mode),
+        rtol=1e-13,
+        atol=0,
+    )

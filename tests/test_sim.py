@@ -7,10 +7,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 from scipy.stats import poisson
 
-from ionread import sim
+from ionread import features, sim
 
 
 def flip_count_pmf_oracle(k, state, bright_rate, flip_rate, window, background):
@@ -222,12 +222,12 @@ class TestGenerateDataset:
         geometry = sim.alternating_geometry(3)
         ds = sim.generate_dataset(model, geometry, samples_per_label=2, seed=1)
         assert len(ds) == 16
-        assert ds.labels == [l for l in sim.all_labels(3) for _ in range(2)]
+        assert ds.labels.tolist() == [l for l in sim.all_labels(3) for _ in range(2)]
 
     def test_labels_built_once(self):
         ds = sim.generate_dataset(sim.EmissionModel(), sim.single_ion_geometry(), 3, seed=2)
         assert ds.labels is ds.labels
-        assert ds.labels == [s.label for s in ds.samples]
+        assert ds.labels.tolist() == [s.label for s in ds.samples]
 
     def test_single_ion_bright_mean_at_scale(self):
         # 1e5-shot dataset: the bright-state count mean stays within 3 sigma.
@@ -348,6 +348,212 @@ class TestGenerateDataset:
             sim.alternating_geometry(13)
 
 
+QUIET = dict(
+    pump_bright_to_dark_rate=0.0,
+    pump_dark_to_bright_rate=0.0,
+    background_scatter_rate=0.0,
+    detector_dark_rate=0.0,
+)
+
+
+def channel_counts(dataset):
+    """(shots, num_channels) event counts per channel, from the columns."""
+    shot = np.repeat(np.arange(len(dataset)), np.diff(dataset.offsets))
+    counts = np.zeros((len(dataset), dataset.geometry.num_channels))
+    np.add.at(counts, (shot, dataset.channels), 1.0)
+    return counts
+
+
+def label_counts(dataset, label):
+    """Events per shot of one label."""
+    return np.diff(dataset.offsets)[dataset.labels == label]
+
+
+class TestBlockSampler:
+    """The law of the fresh block sampler, checked on generated datasets."""
+
+    @pytest.mark.parametrize(
+        "geometry, per_label",
+        [(sim.alternating_geometry(3), 20000), (sim.adjacent_geometry(5), 2000)],
+    )
+    def test_channel_means_match_analytic_law(self, geometry, per_label):
+        model = sim.calibrate_to_fidelity(0.995)
+        ds = sim.generate_dataset(model, geometry, per_label, seed=31)
+        expected = sim.expected_channel_means(model, geometry, "fresh")
+        counts = channel_counts(ds)
+        if not geometry.intermediate_channels_present:
+            counts = counts[:, list(geometry.ion_channel)]
+        counts = counts.reshape(2**geometry.num_ions, per_label, -1)
+        sigma = np.sqrt(np.maximum(counts.var(axis=1, ddof=1), expected) / per_label)
+        assert np.all(np.abs(counts.mean(axis=1) - expected) < 5.0 * sigma)
+
+    @pytest.mark.parametrize("state", [0, 1])
+    def test_single_ion_counts_follow_the_exact_pmf(self, state):
+        model = sim.calibrate_to_fidelity(0.995)
+        ds = sim.generate_dataset(model, sim.single_ion_geometry(), 50000, seed=32)
+        counts = label_counts(ds, str(state))
+        pmf = sim.count_distribution(state, model)
+        # pool the sparse tail so every expected cell holds at least 5 shots
+        expected = pmf * counts.size
+        last = int(np.flatnonzero(expected >= 5.0)[-1]) if state else 1
+        observed = np.bincount(np.minimum(counts, last), minlength=last + 1)
+        cells = np.append(expected[:last], expected[last:].sum())
+        assert observed.size == cells.size
+        cells *= counts.size / cells.sum()
+        assert stats.chisquare(observed, cells).pvalue > 1e-3
+
+    def test_bright_flip_low_count_tail_matches_quadrature_oracle(self):
+        model = sim.EmissionModel(**dict(QUIET, pump_bright_to_dark_rate=2e-3))
+        counts = label_counts(
+            sim.generate_dataset(model, sim.single_ion_geometry(), 40000, seed=33), "1"
+        )
+        oracle = sum(flip_count_pmf_oracle(k, 1, 0.06, 2e-3, 150.0, 0.0) for k in range(5))
+        se = np.sqrt(oracle * (1 - oracle) / counts.size)
+        assert abs(np.mean(counts <= 4) - oracle) < 4.0 * se
+
+    def test_dark_flip_high_count_tail_matches_quadrature_oracle(self):
+        model = sim.EmissionModel(**dict(QUIET, pump_dark_to_bright_rate=1e-3))
+        counts = label_counts(
+            sim.generate_dataset(model, sim.single_ion_geometry(), 40000, seed=34), "0"
+        )
+        oracle = 1.0 - sum(
+            flip_count_pmf_oracle(k, 0, 0.06, 1e-3, 150.0, 0.0) for k in range(2)
+        )
+        se = np.sqrt(oracle * (1 - oracle) / counts.size)
+        assert abs(np.mean(counts >= 2) - oracle) < 4.0 * se
+
+    def test_crosstalk_thins_a_poisson_stream_binomially(self):
+        # 5% leak onto one neighbour channel: two independent Poisson streams
+        # with means 0.05 * 9 and 0.95 * 9
+        geometry = sim.DetectorGeometry(1, 2, (0,), ((0.95, 0.05),), True)
+        ds = sim.generate_dataset(sim.EmissionModel(**QUIET), geometry, 20000, seed=35)
+        counts = channel_counts(ds)[ds.labels == "1"]
+        n = counts.shape[0]
+        for channel, mean in ((1, 0.45), (0, 8.55)):
+            assert abs(counts[:, channel].mean() - mean) < 4.0 * np.sqrt(mean / n)
+            assert abs(counts[:, channel].var() - mean) < 5.0 * mean * np.sqrt(2.0 / n)
+        assert abs(np.corrcoef(counts.T)[0, 1]) < 4.0 / np.sqrt(n)
+
+    def test_background_one_false_count_per_300_shots(self):
+        geometry = sim.alternating_geometry(2)  # three channels
+        model = sim.EmissionModel(pump_dark_to_bright_rate=0.0)
+        ds = sim.generate_dataset(model, geometry, 100000, seed=36)
+        totals = label_counts(ds, "00")
+        expected = 3 * model.background_rate * model.window_us
+        assert abs(totals.mean() - expected) < 4.0 * np.sqrt(expected / totals.size)
+
+    def test_channels_without_mass_receive_nothing(self):
+        # the first and last channels carry no mass in any row, and no
+        # background; the middle channels split the photons
+        geometry = sim.DetectorGeometry(
+            2, 4, (1, 2), ((0.0, 0.7, 0.3, 0.0), (0.0, 0.0, 1.0, 0.0)), True
+        )
+        ds = sim.generate_dataset(sim.EmissionModel(**QUIET), geometry, 3000, seed=37)
+        seen = np.bincount(ds.channels, minlength=4)
+        assert seen[0] == 0 and seen[3] == 0
+        assert seen[1] > 0 and seen[2] > 0
+        only_ion_1 = channel_counts(ds)[ds.labels == "01"]
+        assert only_ion_1[:, 1].sum() == 0
+
+    def test_unrecorded_channels_are_dropped(self):
+        geometry = sim.DetectorGeometry(
+            2, 3, (0, 2), ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5)), False
+        )
+        ds = sim.generate_dataset(sim.EmissionModel(), geometry, 500, seed=38)
+        assert ds.channels.size > 0
+        assert not np.any(ds.channels == 1)
+
+    def test_events_quantised_and_ordered_by_time_then_channel(self):
+        ds = sim.generate_dataset(
+            sim.EmissionModel(), sim.alternating_geometry(3), 2000, seed=39
+        )
+        assert ds.channels.dtype == np.int16 and ds.times.dtype == np.float64
+        ticks = ds.times / sim.TIME_RESOLUTION_US
+        np.testing.assert_allclose(ticks, np.round(ticks), rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(ds.times, np.round(ds.times, 1))
+        shot = np.repeat(np.arange(len(ds)), np.diff(ds.offsets))
+        order = np.lexsort((ds.channels, ds.times, shot))
+        np.testing.assert_array_equal(order, np.arange(order.size))
+        assert np.all((ds.times >= 0.0) & (ds.times < ds.model.window_us))
+
+    def test_blocks_and_remainder_do_not_depend_on_n_jobs(self):
+        per_label = 2 * sim.BLOCK_SHOTS + 5
+        model, geometry = sim.EmissionModel(), sim.alternating_geometry(1)
+        serial = sim.generate_dataset(model, geometry, per_label, seed=40, n_jobs=1)
+        parallel = sim.generate_dataset(model, geometry, per_label, seed=40, n_jobs=2)
+        assert len(serial) == 2 * per_label
+        for column in ("offsets", "channels", "times", "window_us", "states"):
+            np.testing.assert_array_equal(getattr(serial, column), getattr(parallel, column))
+        # each block draws from its own stream
+        counts = label_counts(serial, "1")
+        blocks = counts[: 2 * sim.BLOCK_SHOTS].reshape(2, sim.BLOCK_SHOTS)
+        assert not np.array_equal(blocks[0], blocks[1])
+
+
+class TestSamplesView:
+    @pytest.fixture
+    def dataset(self):
+        return sim.generate_dataset(
+            sim.EmissionModel(), sim.alternating_geometry(3), 40, seed=41
+        )
+
+    def test_indexing_builds_samples_from_the_columns(self, dataset):
+        view = dataset.samples
+        assert len(view) == len(dataset) == 320
+        for i in (0, np.int64(57), -1, 319):
+            sample = view[i]
+            k = int(i) % len(dataset)
+            lo, hi = dataset.offsets[k], dataset.offsets[k + 1]
+            assert sample.label == dataset.labels[k] and type(sample.label) is str
+            assert sample.window_us == 150.0 and type(sample.window_us) is float
+            np.testing.assert_array_equal(sample.channels, dataset.channels[lo:hi])
+            np.testing.assert_array_equal(sample.times, dataset.times[lo:hi])
+            assert sample.num_events == hi - lo
+            assert np.shares_memory(sample.times, dataset.times) or hi == lo
+        with pytest.raises(IndexError):
+            view[320]
+        with pytest.raises(IndexError):
+            view[-321]
+
+    def test_nothing_is_cached_and_nothing_is_writable(self, dataset):
+        view = dataset.samples
+        assert view[5] is not view[5]
+        with pytest.raises(ValueError):
+            view[5].times[:] = 0.0
+        with pytest.raises(ValueError):
+            dataset.labels[0] = "000"
+
+    def test_slices_are_views_and_iteration_walks_every_shot(self, dataset):
+        shots = list(dataset.samples)
+        assert len(shots) == len(dataset)
+        for key in (slice(10, 50), slice(None, None, 7), slice(300, 5, -3), slice(5, 5)):
+            part = dataset.samples[key]
+            assert isinstance(part, sim.Samples)
+            expected = shots[key]
+            assert len(part) == len(expected)
+            for a, b in zip(part, expected):
+                assert a.label == b.label
+                np.testing.assert_array_equal(a.times, b.times)
+                np.testing.assert_array_equal(a.channels, b.channels)
+        assert dataset.samples[10:50][3].label == shots[13].label
+
+    @pytest.mark.parametrize("key", [slice(None), slice(3, 200), slice(None, None, -5)])
+    def test_featurizing_a_view_equals_featurizing_its_list(self, dataset, key):
+        view = dataset.samples[key]
+        for spec in (
+            features.FeatureSpec(num_bins=1),
+            features.FeatureSpec(num_bins=15, include_intermediate=True),
+        ):
+            np.testing.assert_array_equal(
+                features.featurize_dataset(view, spec, dataset.geometry),
+                features.featurize_dataset(list(view), spec, dataset.geometry),
+            )
+            np.testing.assert_array_equal(
+                features.sequence_dataset(view, spec, dataset.geometry),
+                features.sequence_dataset(list(view), spec, dataset.geometry),
+            )
+
+
 class TestCountDistribution:
     def test_normalised_and_matches_independent_quadrature(self):
         model = sim.EmissionModel(
@@ -375,6 +581,37 @@ class TestCountDistribution:
         np.testing.assert_allclose(
             pmf[:20], poisson.pmf(np.arange(20), 9.0 + bg), atol=1e-12
         )
+
+    def test_poisson_pmf_matches_scipy(self):
+        k = np.arange(120)[:, None]
+        mu = np.concatenate([[0.0, 1e-9, 3e-3], np.linspace(0.01, 60.0, 200)])
+        np.testing.assert_allclose(
+            sim.poisson_pmf(k, mu[None, :]), poisson.pmf(k, mu[None, :]), rtol=0, atol=1e-12
+        )
+        assert sim.poisson_pmf(0, 0.0) == 1.0 and sim.poisson_pmf(3, 0.0) == 0.0
+
+    def test_rejects_a_state_other_than_0_or_1(self):
+        with pytest.raises(sim.SimulationError, match="state"):
+            sim.count_distribution(2, sim.EmissionModel())
+
+    def test_quadrature_nodes_built_once_and_read_only(self, monkeypatch):
+        calls = []
+        real = np.polynomial.legendre.leggauss
+
+        def counting(degree):
+            calls.append(degree)
+            return real(degree)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        sim._gauss_legendre.cache_clear()
+        model = sim.EmissionModel()
+        first = sim.count_distribution(1, model)
+        for _ in range(5):
+            np.testing.assert_array_equal(sim.count_distribution(1, model), first)
+            sim.count_distribution(0, model)
+        assert len(calls) <= 1
+        nodes, weights = sim._gauss_legendre()
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 class TestCalibration:
@@ -432,10 +669,24 @@ class TestSerialisation:
         assert back.samples_per_label == 10
         assert back.model == model
         assert back.geometry == geometry
-        assert back.labels == ds.labels
+        np.testing.assert_array_equal(back.labels, ds.labels)
         for s0, s1 in zip(ds.samples, back.samples):
             np.testing.assert_array_equal(s0.channels, s1.channels)
             np.testing.assert_array_equal(s0.times, s1.times)
+
+    @pytest.mark.parametrize("mode", ["fresh", "pool"])
+    def test_saving_a_loaded_file_rewrites_it_byte_for_byte(self, tmp_path, mode):
+        ds = sim.generate_dataset(
+            sim.EmissionModel(), sim.adjacent_geometry(3), 12, seed=22, mode=mode
+        )
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        sim.save_dataset(ds, first)
+        back = sim.load_dataset(first)
+        sim.save_dataset(back, second)
+        assert first.read_bytes() == second.read_bytes()
+        for column in ("offsets", "channels", "times", "window_us", "states"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
+            assert getattr(back, column).dtype == getattr(ds, column).dtype
 
     def test_header_is_json_with_format_marker(self, tmp_path):
         ds = sim.generate_dataset(sim.EmissionModel(), sim.single_ion_geometry(), 2, seed=0)
