@@ -19,7 +19,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+import threading
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -391,8 +393,42 @@ def _make_dataset(config: ExperimentConfig) -> sim.Dataset:
         config.samples_per_label,
         config.seed_data,
         mode=config.mode,
-        n_jobs=config.n_jobs,
     )
+
+
+# How often, in seconds, a pool worker checks that the process that started
+# it is still alive.
+PARENT_POLL_S = 0.25
+
+
+def exit_with_parent() -> None:
+    """Pool initializer: end this worker once the process that started it is gone.
+
+    A worker waiting on its task queue never sees end-of-file when its parent
+    is killed outright, because under fork it inherited the queue's write
+    end.  A daemon thread polls ``os.getppid()`` and exits the worker when
+    the worker has been re-parented.  The parent is read here, in the worker,
+    so it is the pool's caller under fork and spawn and the fork server under
+    forkserver, which itself exits with the caller.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
+def worker_count(n_jobs: int, tasks: int) -> int:
+    """How many processes ``tasks`` independent tasks may run on.
+
+    At most ``n_jobs``, one per task and one per usable CPU.  Where the
+    platform cannot say which CPUs this process may use, every CPU counts.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(n_jobs, tasks, cpus or 1)
 
 
 # Set in each training worker by ``_pool_init``: (dataset, train_idx, test_idx,
@@ -404,7 +440,7 @@ _POOL_TASK: tuple | None = None
 def _pool_init(*task) -> None:
     global _POOL_TASK
     _POOL_TASK = task
-    sim.exit_with_parent()
+    exit_with_parent()
 
 
 def _pool_save(path: str) -> None:
@@ -433,7 +469,7 @@ def _train_all(
     dataset and then trains the others, costliest first.  A failed dataset
     write raises.
     """
-    workers = sim.worker_count(n_jobs, len(names) + 1) - 1
+    workers = worker_count(n_jobs, len(names) + 1) - 1
     if workers < 1:
         sim.save_dataset(task[0], dataset_path)
         return {name: _attempt(name, task) for name in names}
@@ -591,8 +627,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> dict:
     result, dataset, test_idx = _trained_rnn(config)
     model: lstm.LstmModel = result.model
     spec = result.feature_spec
-    test_samples = [dataset.samples[i] for i in test_idx]
-    sequences = features.sequence_dataset(test_samples, spec, dataset.geometry)
+    sequences = features.sequence_dataset(dataset.samples, spec, dataset.geometry)[test_idx]
     if result.scale is not None:
         sequences = sequences / result.scale
     test_labels = np.asarray(dataset.labels)[test_idx]

@@ -19,11 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
-import time
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -361,7 +357,10 @@ def stack_events(samples: Sequence[ReadoutSample]) -> tuple[np.ndarray, ...]:
     """Every shot's events end to end: ``(shot, channels, times, window_us)``.
 
     The first three hold one entry per event, ``shot`` being the event's
-    index into ``samples``; ``window_us`` holds one entry per shot.
+    index into ``samples``; ``window_us`` holds one entry per shot.  A
+    :class:`Samples` view is read from its columns; any other sequence is
+    stacked shot by shot, which serves callers that hold shots in a list,
+    such as the readout-3q benchmark streaming held-out shots.
     """
     if isinstance(samples, Samples):
         return samples.events()
@@ -563,75 +562,12 @@ def _fresh_block(
     return np.bincount(shot, minlength=shots), channels[order], times[order]
 
 
-def _generate_label_block(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    label_index, model, geometry, seed, samples_per_label, mode = args
-    bits = labels_to_bits([index_to_label(label_index, geometry.num_ions)])[0]
-    if mode == "fresh":
-        # one stream per (seed, label, block): the output cannot depend on
-        # which worker simulates which label
-        parts = [
-            _fresh_block(
-                bits,
-                min(BLOCK_SHOTS, samples_per_label - first),
-                model,
-                geometry,
-                np.random.default_rng(np.random.SeedSequence((seed, label_index, block))),
-            )
-            for block, first in enumerate(range(0, samples_per_label, BLOCK_SHOTS))
-        ]
-    else:
-        parts = [
-            (np.array([channels.size]), channels, times)
-            for channels, times in (
-                _pooled_events(
-                    bits.tolist(), label_index, k, model, geometry, seed, samples_per_label
-                )
-                for k in range(samples_per_label)
-            )
-        ]
-    return tuple(np.concatenate(column) for column in zip(*parts))
-
-
-# How often, in seconds, a pool worker checks that the process that started
-# it is still alive.
-PARENT_POLL_S = 0.25
-
-
-def exit_with_parent() -> None:
-    """Pool initializer: end this worker once the process that started it is gone.
-
-    A worker waiting on its task queue never sees end-of-file when its parent
-    is killed outright, because under fork it inherited the queue's write
-    end.  A daemon thread polls ``os.getppid()`` and exits the worker when
-    the worker has been re-parented.  The parent is read here, in the worker,
-    so it is the pool's caller under fork and spawn and the fork server under
-    forkserver, which itself exits with the caller.
-    """
-    parent = os.getppid()
-
-    def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(PARENT_POLL_S)
-        os._exit(1)
-
-    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
-
-
-def worker_count(n_jobs: int, tasks: int) -> int:
-    """How many processes ``tasks`` independent tasks may run on.
-
-    At most ``n_jobs``, one per task and one per usable CPU.
-    """
-    return min(n_jobs, tasks, len(os.sched_getaffinity(0)))
-
-
 def generate_dataset(
     model: EmissionModel,
     geometry: DetectorGeometry,
     samples_per_label: int,
     seed: int,
     mode: str = "fresh",
-    n_jobs: int = 1,
 ) -> Dataset:
     """Generate a balanced labelled dataset over all basis states.
 
@@ -640,27 +576,39 @@ def generate_dataset(
     ``(seed, label index, block index)``.  ``mode="pool"`` assembles each
     shot by superimposing independent single-ion recordings drawn without
     replacement from per-(ion, state) pools, one RNG stream per recording.
-    Either way the output is bit-identical across runs and across ``n_jobs``
-    settings.  At most ``n_jobs`` worker processes start, and never more
-    than there are labels or usable CPUs.
+    Either way the output is bit-identical across runs.  Labels are
+    simulated one after another, in this process.
     """
     if samples_per_label < 1:
         raise SimulationError("samples_per_label must be >= 1")
     if mode not in ("fresh", "pool"):
         raise SimulationError(f"unknown generation mode {mode!r}")
     num_labels = 2**geometry.num_ions
-    tasks = [
-        (idx, model, geometry, seed, samples_per_label, mode) for idx in range(num_labels)
-    ]
-    workers = worker_count(n_jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=exit_with_parent
-        ) as pool:
-            results = list(pool.map(_generate_label_block, tasks))
-    else:
-        results = [_generate_label_block(task) for task in tasks]
-    lengths, channels, times = (np.concatenate(column) for column in zip(*results))
+    per_label = []
+    for label_index, bits in enumerate(labels_to_bits(state_labels(geometry.num_ions))):
+        if mode == "fresh":
+            parts = [
+                _fresh_block(
+                    bits,
+                    min(BLOCK_SHOTS, samples_per_label - first),
+                    model,
+                    geometry,
+                    np.random.default_rng(np.random.SeedSequence((seed, label_index, block))),
+                )
+                for block, first in enumerate(range(0, samples_per_label, BLOCK_SHOTS))
+            ]
+        else:
+            parts = [
+                (np.array([channels.size]), channels, times)
+                for channels, times in (
+                    _pooled_events(
+                        bits.tolist(), label_index, k, model, geometry, seed, samples_per_label
+                    )
+                    for k in range(samples_per_label)
+                )
+            ]
+        per_label.append([np.concatenate(column) for column in zip(*parts)])
+    lengths, channels, times = (np.concatenate(column) for column in zip(*per_label))
     offsets = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     return Dataset(
@@ -920,6 +868,9 @@ def _read_header(path: str, line: str) -> dict:
             raise SimulationError("geometry num_ions and num_channels must be integers")
         if header["mode"] not in ("fresh", "pool"):
             raise SimulationError(f"unknown generation mode {header['mode']!r}")
+        for key, least in (("seed", 0), ("samples_per_label", 1)):
+            if type(header[key]) is not int or header[key] < least:
+                raise SimulationError(f"{key} must be an integer >= {least}, got {header[key]!r}")
         fields = {key: header[key] for key in ("seed", "samples_per_label", "mode")}
         return dict(fields, geometry=geometry, model=EmissionModel.from_dict(header["model"]))
     except KeyError as exc:
@@ -931,8 +882,9 @@ def _read_header(path: str, line: str) -> dict:
 def load_dataset(path: str) -> Dataset:
     """Read a dataset file; reject any shot the simulator cannot have written.
 
-    The header must name the format, version, seed, ``samples_per_label``, a
-    generation mode, and a valid emission model and geometry.  Each shot
+    The header must name the format, version, an integer seed >= 0, an
+    integer ``samples_per_label`` >= 1, a generation mode, and a valid
+    emission model and geometry.  Each shot
     needs a label of one 0/1 per ion, a finite ``window_us`` above 0, and
     events ``[channel, time]`` with integer channels of the geometry and
     finite numeric times in ``[0, window_us]``, sorted by time and then

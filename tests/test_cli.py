@@ -193,7 +193,7 @@ class TestRunCommand:
 
 def two_cpus(monkeypatch):
     """Let ``n_jobs = 2`` start its pool on any host."""
-    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 class TestFailureIsolation:
@@ -598,10 +598,10 @@ class TestTrainingPool:
         monkeypatch.setattr(RecordingPool, "submitted", [])
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "_POOL_TASK", None)
-        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         # the stand-in runs the initializer here: record it, start no watcher
         watched = []
-        monkeypatch.setattr(sim, "exit_with_parent", lambda: watched.append(True))
+        monkeypatch.setattr(cli, "exit_with_parent", lambda: watched.append(True))
         config = build_config(
             preset="3q",
             overrides={"samples_per_label": 20, "epochs": 1, "strategies": strategies,
@@ -616,6 +616,19 @@ class TestTrainingPool:
         assert summary["errors"] == {}
         assert list(summary["strategies"]) == config.strategy_names()
         assert (tmp_path / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_runs_where_the_platform_has_no_cpu_affinity(self, tmp_path, monkeypatch, n_jobs):
+        # macOS and Windows have no os.sched_getaffinity: count every CPU
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert cli.worker_count(500, 64) == 2
+        config = write_config(
+            tmp_path / "tiny.cfg",
+            "preset = 3q\nsamples_per_label = 20\nepochs = 1\nstrategies = FT,RNN\n"
+            f"n_jobs = {n_jobs}\n",
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
 
     def test_worker_exits_when_the_caller_is_killed(self, tmp_path):
         # the caller trains RNN for a minute while its one worker, FT done,
@@ -706,7 +719,8 @@ class TestWithoutScipy:
         # generate and run end to end when importing it fails
         config = write_config(
             tmp_path / "tiny.cfg",
-            "preset = 3q\nsamples_per_label = 20\nepochs = 1\nstrategies = FT,AT,NN\n",
+            "preset = 3q\nsamples_per_label = 20\nepochs = 1\nstrategies = FT,AT,NN\n"
+            "n_jobs = 2\n",
         )
         script = (
             "import sys\n"
@@ -715,7 +729,7 @@ class TestWithoutScipy:
             "model = sim.calibrate_to_fidelity(0.995)\n"
             "geometry = sim.alternating_geometry(2)\n"
             "for mode in ('fresh', 'pool'):\n"
-            "    sim.generate_dataset(model, geometry, 5, seed=1, mode=mode, n_jobs=2)\n"
+            "    sim.generate_dataset(model, geometry, 5, seed=1, mode=mode)\n"
             f"code = cli.main(['run', '--config', {config!r}, '--out', {str(tmp_path / 'out')!r}])\n"
             "assert sys.modules['scipy'] is None\n"
             "sys.exit(code)\n"

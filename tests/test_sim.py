@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.stats import poisson
 
-from ionread import features, sim
+from ionread import cli, features, sim
 
 
 def flip_count_pmf_oracle(k, state, bright_rate, flip_rate, window, background):
@@ -252,56 +252,15 @@ class TestGenerateDataset:
         sim.save_dataset(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
-    def test_parallel_generation_matches_serial(self, tmp_path):
-        model = sim.EmissionModel()
-        geometry = sim.alternating_geometry(2)
-        serial = sim.generate_dataset(model, geometry, 25, seed=6, n_jobs=1)
-        parallel = sim.generate_dataset(model, geometry, 25, seed=6, n_jobs=2)
-        ps, pp = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
-        sim.save_dataset(serial, ps)
-        sim.save_dataset(parallel, pp)
-        assert ps.read_bytes() == pp.read_bytes()
-
-    @pytest.mark.parametrize(
-        "n_jobs, cpus, workers", [(500, 64, 8), (500, 3, 3), (2, 64, 2), (1, 64, None)]
-    )
-    def test_worker_count_is_capped(self, monkeypatch, n_jobs, cpus, workers):
-        # a recording stand-in for the pool: no process is started
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer):
-                # each worker watches for the death of the process that made it
-                assert initializer is sim.exit_with_parent
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        model, geometry = sim.EmissionModel(), sim.alternating_geometry(3)
-        pooled = sim.generate_dataset(model, geometry, 3, seed=6, n_jobs=n_jobs)
-        assert started == ([] if workers is None else [workers])
-        serial = sim.generate_dataset(model, geometry, 3, seed=6)
-        for a, b in zip(pooled.samples, serial.samples):
-            np.testing.assert_array_equal(a.times, b.times)
-
     def test_worker_started_by_a_fork_server_keeps_running(self):
         # under forkserver a worker's parent is the fork server, not the pool's
         # caller: the watcher must not take that for the caller's death
         context = multiprocessing.get_context("forkserver")
         with ProcessPoolExecutor(
-            1, mp_context=context, initializer=sim.exit_with_parent
+            1, mp_context=context, initializer=cli.exit_with_parent
         ) as pool:
             worker = pool.submit(os.getpid).result(timeout=60)
-            time.sleep(4 * sim.PARENT_POLL_S)
+            time.sleep(4 * cli.PARENT_POLL_S)
             assert pool.submit(os.getpid).result(timeout=60) == worker
         assert worker != os.getpid()
 
@@ -476,14 +435,14 @@ class TestBlockSampler:
         np.testing.assert_array_equal(order, np.arange(order.size))
         assert np.all((ds.times >= 0.0) & (ds.times < ds.model.window_us))
 
-    def test_blocks_and_remainder_do_not_depend_on_n_jobs(self):
+    def test_blocks_and_remainder_repeat_exactly(self):
         per_label = 2 * sim.BLOCK_SHOTS + 5
         model, geometry = sim.EmissionModel(), sim.alternating_geometry(1)
-        serial = sim.generate_dataset(model, geometry, per_label, seed=40, n_jobs=1)
-        parallel = sim.generate_dataset(model, geometry, per_label, seed=40, n_jobs=2)
+        serial = sim.generate_dataset(model, geometry, per_label, seed=40)
+        repeat = sim.generate_dataset(model, geometry, per_label, seed=40)
         assert len(serial) == 2 * per_label
         for column in ("offsets", "channels", "times", "window_us", "states"):
-            np.testing.assert_array_equal(getattr(serial, column), getattr(parallel, column))
+            np.testing.assert_array_equal(getattr(serial, column), getattr(repeat, column))
         # each block draws from its own stream
         counts = label_counts(serial, "1")
         blocks = counts[: 2 * sim.BLOCK_SHOTS].reshape(2, sim.BLOCK_SHOTS)
@@ -851,6 +810,26 @@ class TestHeaderValidation:
         header["mode"] = "replay"
         message = self.load_with_header(tmp_path, lines, header)
         assert "unknown generation mode 'replay'" in message
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", "abc"),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("seed", True),
+            ("seed", None),
+            ("samples_per_label", -7),
+            ("samples_per_label", 0),
+            ("samples_per_label", 2.0),
+            ("samples_per_label", False),
+        ],
+    )
+    def test_seed_and_samples_per_label_must_be_counts(self, tmp_path, lines, key, value):
+        header = json.loads(lines[0])
+        header[key] = value
+        message = self.load_with_header(tmp_path, lines, header)
+        assert f"{key} must be an integer >= " in message
 
 
 class TestGeometryValidation:
