@@ -396,6 +396,57 @@ def _make_dataset(config: ExperimentConfig) -> sim.Dataset:
     )
 
 
+# Deviation, in standard errors, at which the simulator self-check flags a
+# (label, channel) pair.  Preset 3q checks 40 pairs, so a correct simulator
+# is flagged about once in 40 000 runs.
+CHECK_SIGMAS = 5.0
+
+
+def simulator_check(dataset: sim.Dataset) -> dict:
+    """Events per (label, recorded channel) against ``sim.expected_channel_means``.
+
+    One ``bincount`` over the event columns gives every shot's count per
+    channel.  A pair whose mean count lies more than ``CHECK_SIGMAS``
+    standard errors from the analytic mean is flagged.  The standard error
+    takes the larger of the sample and the Poisson variance, because
+    pumping spreads the counts wider than Poisson.
+    """
+    geometry = dataset.geometry
+    expected = sim.expected_channel_means(dataset.model, geometry, dataset.mode)
+    recorded = (
+        list(range(geometry.num_channels))
+        if geometry.intermediate_channels_present
+        else list(geometry.ion_channel)
+    )
+    n, width, num_labels = len(dataset), geometry.num_channels, expected.shape[0]
+    shot = np.repeat(np.arange(n), np.diff(dataset.offsets))
+    counts = np.bincount(shot * width + dataset.channels, minlength=n * width)
+    # then each shot's counts summed per (label, channel)
+    key = (dataset.states[:, None] * width + np.arange(width)).ravel()
+    sums, squares = (
+        np.bincount(key, weights=w, minlength=num_labels * width).reshape(-1, width)[:, recorded]
+        for w in (counts, counts.astype(float) ** 2)
+    )
+    shots = np.bincount(dataset.states, minlength=num_labels)[:, None]
+    mean = sums / shots
+    variance = (squares - shots * mean**2) / np.maximum(shots - 1, 1)
+    stderr = np.sqrt(np.maximum(variance, expected) / shots)
+    diff = mean - expected
+    z = np.divide(diff, stderr, out=np.where(diff == 0.0, 0.0, np.inf), where=stderr > 0.0)
+    labels = sim.all_labels(geometry.num_ions)
+    flagged = [
+        {
+            "label": labels[k],
+            "channel": recorded[c],
+            "mean": float(mean[k, c]),
+            "expected": float(expected[k, c]),
+            "z": float(z[k, c]),
+        }
+        for k, c in zip(*np.nonzero(np.abs(z) > CHECK_SIGMAS))
+    ]
+    return {"sigmas": CHECK_SIGMAS, "max_abs_z": float(np.abs(z).max()), "flagged": flagged}
+
+
 # How often, in seconds, a pool worker checks that the process that started
 # it is still alive.
 PARENT_POLL_S = 0.25
@@ -537,6 +588,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> dict:
         "strategies": {},
         "improvements_over_FT": {},
         "errors": errors,
+        "diagnostics": {"simulator": simulator_check(dataset)},
     }
     reports = []
     for name, result in results.items():

@@ -18,6 +18,8 @@ from .sim import DetectorGeometry, ReadoutSample, stack_events
 # Shots binned per pass: bounds the per-event index arrays, which would
 # otherwise add tens of MB on top of the output for a large dataset.
 BLOCK_SHOTS = 512
+# Count images are uint16; the largest count any preset produces is about 20.
+MAX_COUNT = int(np.iinfo(np.uint16).max)
 
 
 class FeatureError(ValueError):
@@ -57,10 +59,11 @@ def _count_images(
     geometry: DetectorGeometry,
     bins_major: bool,
 ) -> np.ndarray:
-    """Float click counts per shot, selected channel (row) and time bin.
+    """uint16 click counts per shot, selected channel (row) and time bin.
 
     An event at time t lands in bin ``floor(t / bin_width)`` of its own shot's
     window, or in the final bin when that floor is past it (t at window end).
+    A count above ``MAX_COUNT`` raises :class:`FeatureError`.
     """
     if not samples:
         raise FeatureError("no samples to featurize")
@@ -68,31 +71,40 @@ def _count_images(
     rows, bins = len(channel_ids), spec.num_bins
     row_of = np.full(geometry.num_channels, -1, dtype=np.int64)
     row_of[list(channel_ids)] = np.arange(rows)
+    cells = rows * bins
     if bins_major:
-        counts, row_stride, col_stride = np.zeros((len(samples), bins, rows)), 1, rows
+        shape, row_stride, col_stride = (len(samples), bins, rows), 1, rows
     else:
-        counts, row_stride, col_stride = np.zeros((len(samples), rows * bins)), bins, 1
+        shape, row_stride, col_stride = (len(samples), cells), bins, 1
+    counts = np.zeros(shape, dtype=np.uint16)
     for start in range(0, len(samples), BLOCK_SHOTS):
         block = samples[start : start + BLOCK_SHOTS]
         shot, channels, times, window_us = stack_events(block)
         col = np.minimum((times // (window_us / bins)[shot]).astype(np.int64), bins - 1)
         row = row_of[channels]
-        flat = (shot + start) * (rows * bins) + row * row_stride + col * col_stride
-        np.add.at(counts.reshape(-1), flat[row >= 0], 1.0)
+        cell = shot * cells + row * row_stride + col * col_stride
+        block_counts = np.bincount(cell[row >= 0], minlength=len(block) * cells)
+        if block_counts.max() > MAX_COUNT:
+            k = start + int(np.argmax(block_counts)) // cells
+            raise FeatureError(
+                f"shot {k}: {block_counts.max()} events in one channel and bin, "
+                f"above the {MAX_COUNT} a count image holds"
+            )
+        counts.reshape(-1)[start * cells : start * cells + block_counts.size] = block_counts
     return counts
 
 
 def featurize_dataset(
     samples: Sequence[ReadoutSample], spec: FeatureSpec, geometry: DetectorGeometry
 ) -> np.ndarray:
-    """Row-major count images (channel 0's bins first), shape (n, channels * bins)."""
+    """Row-major uint16 count images (channel 0's bins first), shape (n, channels * bins)."""
     return _count_images(samples, spec, geometry, bins_major=False)
 
 
 def sequence_dataset(
     samples: Sequence[ReadoutSample], spec: FeatureSpec, geometry: DetectorGeometry
 ) -> np.ndarray:
-    """Per-bin sequences (step t is image column t), shape (n, bins, channels)."""
+    """Per-bin uint16 sequences (step t is image column t), shape (n, bins, channels)."""
     return _count_images(samples, spec, geometry, bins_major=True)
 
 

@@ -29,6 +29,12 @@ import numpy as np
 from .evaluate import index_to_label, labels_to_bits, state_labels
 
 TIME_RESOLUTION_US = 0.1
+# Arrival times are held as uint16 ticks of TIME_RESOLUTION_US.  Tick k reads
+# back as k / TICKS_PER_US, which is exactly the float np.round(k * 0.1, 1)
+# for every uint16 k, so files keep their bytes; k * 0.1 is not (3 * 0.1).
+TICKS_PER_US = 10.0
+MAX_TICKS = int(np.iinfo(np.uint16).max)
+MAX_WINDOW_US = MAX_TICKS / TICKS_PER_US
 MAX_IONS = 12
 
 DEFAULT_WINDOW_US = 150.0
@@ -86,7 +92,8 @@ class EmissionModel:
     detector_dark_rate : float
         Detector dark-count rate per channel.
     window_us : float
-        Duration of the detection window in microseconds.
+        Duration of the detection window in microseconds, at most
+        ``MAX_WINDOW_US`` (6553.5), the range of a uint16 tick.
     """
 
     bright_rate: float = DEFAULT_BRIGHT_RATE
@@ -109,6 +116,11 @@ class EmissionModel:
                 raise SimulationError(f"{name} must be finite and >= 0, got {value!r}")
         if not math.isfinite(self.window_us) or self.window_us <= 0.0:
             raise SimulationError(f"window_us must be positive, got {self.window_us!r}")
+        if self.window_us > MAX_WINDOW_US:
+            raise SimulationError(
+                f"window_us must be at most {MAX_WINDOW_US} ({MAX_TICKS} ticks of "
+                f"{TIME_RESOLUTION_US} us), got {self.window_us!r}"
+            )
 
     @property
     def background_rate(self) -> float:
@@ -265,20 +277,28 @@ class ReadoutSample:
         return int(self.channels.shape[0])
 
 
+def _times(ticks: np.ndarray) -> np.ndarray:
+    """Arrival times in microseconds of ``ticks``, as a new read-only array."""
+    times = ticks / TICKS_PER_US
+    times.flags.writeable = False
+    return times
+
+
 @dataclass(eq=False)
 class Dataset:
     """A labelled collection of readout shots, label-major ordered, held as columns.
 
     Shot ``i``'s events are ``channels[offsets[i]:offsets[i + 1]]`` (int16)
-    and the same slice of ``times`` (float64, quantised), sorted by time and
-    then channel.  ``window_us[i]`` is the shot's window and ``states[i]`` its
-    prepared register state (int64, ion 0 the most significant bit).  The
-    arrays are made read-only.
+    and the same slice of ``ticks`` (uint16 arrival times in units of
+    ``TIME_RESOLUTION_US``), sorted by time and then channel.
+    ``window_us[i]`` is the shot's window and ``states[i]`` its prepared
+    register state (int64, ion 0 the most significant bit).  The arrays are
+    made read-only.
     """
 
     offsets: np.ndarray
     channels: np.ndarray
-    times: np.ndarray
+    ticks: np.ndarray
     window_us: np.ndarray
     states: np.ndarray
     geometry: DetectorGeometry
@@ -288,8 +308,13 @@ class Dataset:
     mode: str = "fresh"
 
     def __post_init__(self) -> None:
-        for column in (self.offsets, self.channels, self.times, self.window_us, self.states):
+        for column in (self.offsets, self.channels, self.ticks, self.window_us, self.states):
             column.flags.writeable = False
+
+    @property
+    def times(self) -> np.ndarray:
+        """Every event's arrival time in microseconds, built on each access, never kept."""
+        return _times(self.ticks)
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -310,9 +335,10 @@ class Dataset:
 class Samples(Sequence):
     """Read-only sequence view of some of a dataset's shots.
 
-    Indexing builds a :class:`ReadoutSample` whose arrays are views into the
-    dataset's columns; nothing is cached, so holding the view costs no
-    per-shot memory.  A slice is another view.
+    Indexing builds a :class:`ReadoutSample` whose channels are a view into
+    the dataset's column and whose times are computed from its ticks;
+    nothing is cached, so holding the view costs no per-shot memory.  A
+    slice is another view.
     """
 
     __slots__ = ("_dataset", "_shots")
@@ -339,7 +365,7 @@ class Samples(Sequence):
             index_to_label(int(ds.states[i]), ds.geometry.num_ions),
             float(ds.window_us[i]),
             ds.channels[lo:hi],
-            ds.times[lo:hi],
+            _times(ds.ticks[lo:hi]),
         )
 
     def events(self) -> tuple[np.ndarray, ...]:
@@ -350,7 +376,7 @@ class Samples(Sequence):
         lengths = ds.offsets[index + 1] - starts
         shot = np.repeat(np.arange(index.size), lengths)
         event = np.arange(shot.size) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        return shot, ds.channels[event], ds.times[event], ds.window_us[index]
+        return shot, ds.channels[event], _times(ds.ticks[event]), ds.window_us[index]
 
 
 def stack_events(samples: Sequence[ReadoutSample]) -> tuple[np.ndarray, ...]:
@@ -506,9 +532,10 @@ def _pooled_events(
         chan_parts.append(channels)
         time_parts.append(times)
     channels = np.concatenate(chan_parts)
-    times = np.concatenate(time_parts)
-    order = np.lexsort((np.arange(channels.size), channels, times))
-    return channels[order], times[order]
+    # route_events has put the times on the grid, so rounding recovers the ticks
+    ticks = np.rint(np.concatenate(time_parts) * TICKS_PER_US).astype(np.uint16)
+    order = np.lexsort((np.arange(channels.size), channels, ticks))
+    return channels[order], ticks[order]
 
 
 def _fresh_block(
@@ -521,7 +548,7 @@ def _fresh_block(
     """``shots`` shots of one register state, drawn as whole vectors.
 
     The law of :func:`simulate_ion` for every ion followed by
-    :func:`route_events`.  Returns (events per shot, channels, times), the
+    :func:`route_events`.  Returns (events per shot, channels, ticks), the
     events sorted by shot, then time, then channel.
     """
     window = model.window_us
@@ -557,9 +584,9 @@ def _fresh_block(
         recorded[list(geometry.ion_channel)] = True
         keep = recorded[channels]
         shot, channels, times = shot[keep], channels[keep], times[keep]
-    times = np.round(np.floor(times / TIME_RESOLUTION_US) * TIME_RESOLUTION_US, 1)
-    order = np.lexsort((channels, times, shot))
-    return np.bincount(shot, minlength=shots), channels[order], times[order]
+    ticks = np.floor(times / TIME_RESOLUTION_US).astype(np.uint16)
+    order = np.lexsort((channels, ticks, shot))
+    return np.bincount(shot, minlength=shots), channels[order], ticks[order]
 
 
 def generate_dataset(
@@ -599,8 +626,8 @@ def generate_dataset(
             ]
         else:
             parts = [
-                (np.array([channels.size]), channels, times)
-                for channels, times in (
+                (np.array([channels.size]), channels, ticks)
+                for channels, ticks in (
                     _pooled_events(
                         bits.tolist(), label_index, k, model, geometry, seed, samples_per_label
                     )
@@ -608,13 +635,13 @@ def generate_dataset(
                 )
             ]
         per_label.append([np.concatenate(column) for column in zip(*parts)])
-    lengths, channels, times = (np.concatenate(column) for column in zip(*per_label))
+    lengths, channels, ticks = (np.concatenate(column) for column in zip(*per_label))
     offsets = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     return Dataset(
         offsets,
         channels,
-        times,
+        ticks,
         np.full(lengths.size, model.window_us),
         np.repeat(np.arange(num_labels, dtype=np.int64), samples_per_label),
         geometry,
@@ -849,7 +876,9 @@ def save_dataset(dataset: Dataset, path: str) -> None:
             lo, hi = bounds[i], bounds[i + 1]
             events = [
                 list(event)
-                for event in zip(dataset.channels[lo:hi].tolist(), dataset.times[lo:hi].tolist())
+                for event in zip(
+                    dataset.channels[lo:hi].tolist(), _times(dataset.ticks[lo:hi]).tolist()
+                )
             ]
             record = {"label": label, "window_us": window_us, "events": events}
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
@@ -887,8 +916,8 @@ def load_dataset(path: str) -> Dataset:
     emission model and geometry.  Each shot
     needs a label of one 0/1 per ion, a finite ``window_us`` above 0, and
     events ``[channel, time]`` with integer channels of the geometry and
-    finite numeric times in ``[0, window_us]``, sorted by time and then
-    channel.
+    finite numeric times in ``[0, window_us]`` on the ``TIME_RESOLUTION_US``
+    grid, at most ``MAX_TICKS`` ticks, sorted by time and then channel.
     """
     with open(path) as fh:
         header = _read_header(path, fh.readline())
@@ -931,10 +960,19 @@ def load_dataset(path: str) -> Dataset:
             f"a channel in [0, {geometry.num_channels}) and a finite time in "
             f"[0, {window_us[shot[i]]}]"
         )
+    ticks = np.rint(times * TICKS_PER_US)
+    off_grid = (ticks > MAX_TICKS) | (ticks / TICKS_PER_US != times)
+    if off_grid.any():
+        i = int(np.argmax(off_grid))
+        raise SimulationError(
+            f"{path}:{line_numbers[shot[i]]}: event [{channels[i]}, {times[i]}] is not "
+            f"a whole number of {TIME_RESOLUTION_US} us ticks up to {MAX_TICKS}"
+        )
+    ticks = ticks.astype(np.uint16)
     # the simulator's order: by time, equal times by channel
     same_shot = shot[1:] == shot[:-1]
-    earlier = (times[1:] < times[:-1]) | (
-        (times[1:] == times[:-1]) & (channels[1:] < channels[:-1])
+    earlier = (ticks[1:] < ticks[:-1]) | (
+        (ticks[1:] == ticks[:-1]) & (channels[1:] < channels[:-1])
     )
     unordered = same_shot & earlier
     if unordered.any():
@@ -945,4 +983,4 @@ def load_dataset(path: str) -> Dataset:
             f"sorted by time, then channel"
         )
     states = np.asarray(states, dtype=np.int64)
-    return Dataset(offsets, channels, times, window_us, states, **header)
+    return Dataset(offsets, channels, ticks, window_us, states, **header)

@@ -1,5 +1,6 @@
 """Command line pipeline: config handling, artifacts, failure isolation."""
 import csv
+import dataclasses
 import faulthandler
 import json
 import os
@@ -110,6 +111,21 @@ class TestBuilders:
         assert strategy_seed(5, "NN") != strategy_seed(6, "NN")
 
 
+class TestSimulatorCheck:
+    def test_flags_a_dataset_drawn_from_another_model(self):
+        ds = sim.generate_dataset(sim.EmissionModel(), sim.alternating_geometry(3), 500, seed=3)
+        own = cli.simulator_check(ds)
+        assert own["flagged"] == [] and own["max_abs_z"] < 5.0
+        # 9 photons per bright window drawn, 10.5 expected
+        other = sim.EmissionModel(bright_rate=0.07)
+        check = cli.simulator_check(dataclasses.replace(ds, model=other))
+        flagged = {(entry["label"], entry["channel"]): entry for entry in check["flagged"]}
+        assert check["max_abs_z"] > 5.0
+        assert flagged[("111", 0)]["z"] < -5.0
+        assert flagged[("111", 0)]["expected"] > flagged[("111", 0)]["mean"]
+        assert all(label != "000" for label, _ in flagged)
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
@@ -142,6 +158,8 @@ class TestRunCommand:
         assert "NN" in summary["improvements_over_FT"]
         for entry in summary["strategies"].values():
             assert 0.0 <= entry["average"] <= 1.0
+        check = summary["diagnostics"]["simulator"]
+        assert check["flagged"] == [] and 0.0 <= check["max_abs_z"] <= check["sigmas"]
 
     def test_training_diagnostics_at_the_epoch_cap(self, tiny_run):
         _, out = tiny_run

@@ -140,7 +140,7 @@ class TestManyShots:
                 channel_ids = spec.channel_ids(geometry3)
                 flats = features.featurize_dataset(samples, spec, geometry3)
                 seqs = features.sequence_dataset(samples, spec, geometry3)
-                assert flats.dtype == seqs.dtype == float
+                assert flats.dtype == seqs.dtype == np.uint16
                 assert flats.flags.c_contiguous and seqs.flags.c_contiguous
                 assert flats.shape == (len(samples), len(channel_ids) * num_bins)
                 assert seqs.shape == (len(samples), num_bins, len(channel_ids))
@@ -153,6 +153,19 @@ class TestManyShots:
                             expected[channel_ids.index(ch), b] += 1
                     np.testing.assert_array_equal(flats[k], expected.reshape(-1))
                     np.testing.assert_array_equal(seqs[k], expected.T)
+
+
+class TestCountRange:
+    def test_a_count_above_uint16_names_its_shot(self):
+        geometry = sim.single_ion_geometry()
+        full = make_sample("1", np.zeros(features.MAX_COUNT), np.zeros(features.MAX_COUNT))
+        over = make_sample("1", np.zeros(features.MAX_COUNT + 1), np.zeros(features.MAX_COUNT + 1))
+        spec = features.FeatureSpec(num_bins=3)
+        counts = features.featurize_dataset([full, full], spec, geometry)
+        np.testing.assert_array_equal(counts, [[features.MAX_COUNT, 0, 0]] * 2)
+        for to_images in (features.featurize_dataset, features.sequence_dataset):
+            with pytest.raises(features.FeatureError, match="shot 1: 65536 events"):
+                to_images([full, over], spec, geometry)
 
 
 class TestScaler:

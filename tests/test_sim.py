@@ -426,12 +426,11 @@ class TestBlockSampler:
         ds = sim.generate_dataset(
             sim.EmissionModel(), sim.alternating_geometry(3), 2000, seed=39
         )
-        assert ds.channels.dtype == np.int16 and ds.times.dtype == np.float64
-        ticks = ds.times / sim.TIME_RESOLUTION_US
-        np.testing.assert_allclose(ticks, np.round(ticks), rtol=0, atol=1e-9)
+        assert ds.channels.dtype == np.int16 and ds.ticks.dtype == np.uint16
+        np.testing.assert_array_equal(ds.times, ds.ticks / sim.TICKS_PER_US)
         np.testing.assert_array_equal(ds.times, np.round(ds.times, 1))
         shot = np.repeat(np.arange(len(ds)), np.diff(ds.offsets))
-        order = np.lexsort((ds.channels, ds.times, shot))
+        order = np.lexsort((ds.channels, ds.ticks, shot))
         np.testing.assert_array_equal(order, np.arange(order.size))
         assert np.all((ds.times >= 0.0) & (ds.times < ds.model.window_us))
 
@@ -441,7 +440,7 @@ class TestBlockSampler:
         serial = sim.generate_dataset(model, geometry, per_label, seed=40)
         repeat = sim.generate_dataset(model, geometry, per_label, seed=40)
         assert len(serial) == 2 * per_label
-        for column in ("offsets", "channels", "times", "window_us", "states"):
+        for column in ("offsets", "channels", "ticks", "window_us", "states"):
             np.testing.assert_array_equal(getattr(serial, column), getattr(repeat, column))
         # each block draws from its own stream
         counts = label_counts(serial, "1")
@@ -466,9 +465,9 @@ class TestSamplesView:
             assert sample.label == dataset.labels[k] and type(sample.label) is str
             assert sample.window_us == 150.0 and type(sample.window_us) is float
             np.testing.assert_array_equal(sample.channels, dataset.channels[lo:hi])
-            np.testing.assert_array_equal(sample.times, dataset.times[lo:hi])
+            np.testing.assert_array_equal(sample.times, dataset.ticks[lo:hi] / sim.TICKS_PER_US)
             assert sample.num_events == hi - lo
-            assert np.shares_memory(sample.times, dataset.times) or hi == lo
+            assert np.shares_memory(sample.channels, dataset.channels) or hi == lo
         with pytest.raises(IndexError):
             view[320]
         with pytest.raises(IndexError):
@@ -511,6 +510,55 @@ class TestSamplesView:
                 features.sequence_dataset(view, spec, dataset.geometry),
                 features.sequence_dataset(list(view), spec, dataset.geometry),
             )
+
+
+class TestColumnFootprint:
+    """An event costs 4 bytes, an int16 channel and a uint16 tick."""
+
+    @staticmethod
+    def assert_four_bytes_per_event(ds):
+        arrays = {k: v for k, v in vars(ds).items() if isinstance(v, np.ndarray)}
+        assert set(arrays) == {"offsets", "channels", "ticks", "window_us", "states"}
+        assert ds.channels.dtype == np.int16 and ds.ticks.dtype == np.uint16
+        per_shot = arrays["offsets"].nbytes + 16 * len(ds)
+        assert sum(a.nbytes for a in arrays.values()) == 4 * ds.channels.size + per_shot
+
+    @pytest.mark.parametrize("mode", ["fresh", "pool"])
+    def test_generated_and_loaded_datasets(self, tmp_path, mode):
+        ds = sim.generate_dataset(
+            sim.EmissionModel(), sim.adjacent_geometry(3), 20, seed=5, mode=mode
+        )
+        self.assert_four_bytes_per_event(ds)
+        path = tmp_path / "ds.jsonl"
+        sim.save_dataset(ds, path)
+        self.assert_four_bytes_per_event(sim.load_dataset(path))
+
+    def test_times_are_built_on_access_and_never_kept(self, tmp_path):
+        ds = sim.generate_dataset(sim.EmissionModel(), sim.alternating_geometry(2), 30, seed=6)
+        for sample in ds.samples:
+            assert not sample.times.flags.writeable
+        sim.save_dataset(ds, tmp_path / "ds.jsonl")
+        assert ds.times is not ds.times and not ds.times.flags.writeable
+        assert "times" not in vars(ds)
+
+    def test_every_tick_reads_back_as_the_quantised_time(self):
+        # the float the quantiser wrote before times were held as ticks
+        ticks = np.arange(sim.MAX_TICKS + 1)
+        np.testing.assert_array_equal(
+            ticks / sim.TICKS_PER_US, np.round(ticks * sim.TIME_RESOLUTION_US, 1)
+        )
+
+    @pytest.mark.parametrize("mode", ["fresh", "pool"])
+    def test_the_longest_window_fits_the_ticks(self, mode):
+        model = sim.EmissionModel(
+            pump_bright_to_dark_rate=0.0, pump_dark_to_bright_rate=0.0, window_us=sim.MAX_WINDOW_US
+        )
+        ds = sim.generate_dataset(model, sim.single_ion_geometry(), 4, seed=7, mode=mode)
+        # a wrapped tick would break the order or fall near 0
+        shot = np.repeat(np.arange(len(ds)), np.diff(ds.offsets))
+        steps = np.diff(ds.ticks.astype(int))[shot[1:] == shot[:-1]]
+        assert steps.size > 1000 and np.all(steps >= 0)
+        assert 0.99 * sim.MAX_TICKS < ds.ticks.max() and ds.times.max() <= sim.MAX_WINDOW_US
 
 
 class TestCountDistribution:
@@ -643,7 +691,7 @@ class TestSerialisation:
         back = sim.load_dataset(first)
         sim.save_dataset(back, second)
         assert first.read_bytes() == second.read_bytes()
-        for column in ("offsets", "channels", "times", "window_us", "states"):
+        for column in ("offsets", "channels", "ticks", "window_us", "states"):
             np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
             assert getattr(back, column).dtype == getattr(ds, column).dtype
 
@@ -698,6 +746,14 @@ class TestLoadValidation:
     def test_time_must_lie_in_window(self, tmp_path, lines, time):
         shot = {"label": "101", "window_us": 150.0, "events": [[0, 1.0], [2, time]]}
         assert f"event [2, {time}]" in self.load_with_shot(tmp_path, lines, shot)
+
+    @pytest.mark.parametrize(
+        "window, time", [(150.0, 12.34), (150.0, 0.05), (7000.0, 6553.6), (7000.0, 6999.0)]
+    )
+    def test_time_must_be_a_tick_in_range(self, tmp_path, lines, window, time):
+        shot = {"label": "101", "window_us": window, "events": [[0, 1.0], [2, time]]}
+        message = self.load_with_shot(tmp_path, lines, shot)
+        assert f"event [2, {time}]" in message and "ticks" in message
 
     @pytest.mark.parametrize("channel", [1.7, 1.0, True, "1", None])
     def test_channel_must_be_an_integer(self, tmp_path, lines, channel):
@@ -844,3 +900,8 @@ class TestGeometryValidation:
     def test_negative_rates_rejected(self):
         with pytest.raises(sim.SimulationError):
             sim.EmissionModel(bright_rate=-0.1)
+
+    def test_window_must_fit_the_ticks(self):
+        assert sim.EmissionModel(window_us=6553.5).window_us == sim.MAX_WINDOW_US
+        with pytest.raises(sim.SimulationError, match="6553.5"):
+            sim.EmissionModel(window_us=6553.6)
