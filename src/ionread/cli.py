@@ -333,6 +333,7 @@ def save_model(model, path: str | Path, metadata: dict | None = None) -> None:
 def load_model(path: str | Path):
     """Read a model file back; its ``format`` key selects the model class.
 
+    The record's ``version`` must be 1, the only version any model writes.
     Every array's shape and every threshold's type is checked against the
     record's declared sizes, so a bad record fails here, not at first use.
     """
@@ -346,6 +347,9 @@ def load_model(path: str | Path):
     cls = _MODEL_CLASSES.get(data.get("format"))
     if cls is None:
         raise ModelFileError(f"{path}: unknown model format {data.get('format')!r}")
+    version = data.get("version")
+    if type(version) is not int or version != 1:
+        raise ModelFileError(f"{path}: unsupported {cls.FORMAT} version {version!r}")
     try:
         return cls.from_dict(data)
     except KeyError as exc:
@@ -413,11 +417,7 @@ def simulator_check(dataset: sim.Dataset) -> dict:
     """
     geometry = dataset.geometry
     expected = sim.expected_channel_means(dataset.model, geometry, dataset.mode)
-    recorded = (
-        list(range(geometry.num_channels))
-        if geometry.intermediate_channels_present
-        else list(geometry.ion_channel)
-    )
+    recorded = list(geometry.recorded_channels)
     n, width, num_labels = len(dataset), geometry.num_channels, expected.shape[0]
     shot = np.repeat(np.arange(n), np.diff(dataset.offsets))
     counts = np.bincount(shot * width + dataset.channels, minlength=n * width)

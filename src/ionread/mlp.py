@@ -17,6 +17,11 @@ from .evaluate import confusion, fidelity, labels_to_states, split, state_labels
 
 PROBABILITY_FLOOR = 1e-12
 HIDDEN_WIDTH_RANGE = (8, 40)
+# ADADELTA's decay rate and conditioning constant, Zeiler's values
+# (arXiv:1212.5701), and the stratified share of rows held out for validation
+ADADELTA_RHO = 0.95
+ADADELTA_EPSILON = 1e-6
+VALIDATION_FRACTION = 0.1
 
 
 class NetworkError(ValueError):
@@ -43,21 +48,12 @@ def relu(x: np.ndarray) -> np.ndarray:
 class TrainConfig:
     batch_size: int = 128
     epochs: int = 50
-    rho: float = 0.95
-    epsilon: float = 1e-6
-    validation_fraction: float = 0.1
     patience: int = 5
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.epochs < 1 or self.patience < 1:
             raise NetworkError("batch_size, epochs and patience must be >= 1")
-        if not 0.0 < self.rho < 1.0:
-            raise NetworkError(f"rho must be in (0, 1), got {self.rho}")
-        if self.epsilon <= 0.0:
-            raise NetworkError(f"epsilon must be > 0, got {self.epsilon}")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise NetworkError("validation_fraction must be inside (0, 1)")
 
 
 class MlpModel:
@@ -219,15 +215,16 @@ def adadelta_step(
     grads: np.ndarray,
     grad_sq: np.ndarray,
     delta_sq: np.ndarray,
-    rho: float = 0.95,
-    epsilon: float = 1e-6,
 ) -> None:
     """One in-place ADADELTA update on flat vectors; the moments start at zero.
 
     g2 <- rho g2 + (1-rho) g**2
     dx = -sqrt(d2 + eps) / sqrt(g2 + eps) * g
     d2 <- rho d2 + (1-rho) dx**2
+
+    with rho = ``ADADELTA_RHO`` and eps = ``ADADELTA_EPSILON``.
     """
+    rho, epsilon = ADADELTA_RHO, ADADELTA_EPSILON
     grad_sq *= rho
     grad_sq += (1.0 - rho) * grads * grads
     step = -np.sqrt(delta_sq + epsilon) / np.sqrt(grad_sq + epsilon) * grads
@@ -253,7 +250,7 @@ def fit(
     Shared by every network: ``backward`` and ``predict`` are the network's
     own functions, and ``backward`` returns the batch loss and its gradient
     laid out like ``model.flat``, the one vector every step updates.  A
-    stratified ``validation_fraction`` of the rows is held out; after each
+    stratified ``VALIDATION_FRACTION`` of the rows is held out; after each
     epoch the register fidelity on that held-out part is recorded and the
     parameters with the best validation fidelity so far are kept.  An
     epoch's ``train_loss`` is the mean of its batch losses, each taken
@@ -263,7 +260,7 @@ def fit(
     """
     labels = np.asarray(labels)
     states, _ = labels_to_states(labels)
-    train_idx, val_idx = split(labels, 1.0 - config.validation_fraction, config.seed)
+    train_idx, val_idx = split(labels, 1.0 - VALIDATION_FRACTION, config.seed)
     x_train, x_val = x[train_idx], x[val_idx]
     y_train, val_labels = states[train_idx], labels[val_idx]
 
@@ -281,7 +278,7 @@ def fit(
             batch = order[start : start + config.batch_size]
             xb, yb = x_train[batch], y_train[batch]
             batch_loss, grads = backward(model, xb, yb)
-            adadelta_step(params, grads, grad_sq, delta_sq, config.rho, config.epsilon)
+            adadelta_step(params, grads, grad_sq, delta_sq)
             if not math.isfinite(batch_loss) or not np.isfinite(params).all():
                 raise TrainingError(
                     f"non-finite loss or parameters at epoch {epoch}, "

@@ -190,6 +190,13 @@ class DetectorGeometry:
     def crosstalk_matrix(self) -> np.ndarray:
         return np.asarray(self.crosstalk, dtype=float)
 
+    @property
+    def recorded_channels(self) -> tuple[int, ...]:
+        """The channels whose events are kept: all of them, or the ions' own."""
+        if self.intermediate_channels_present:
+            return tuple(range(self.num_channels))
+        return self.ion_channel
+
     def to_dict(self) -> dict:
         return {
             "num_ions": self.num_ions,
@@ -218,11 +225,6 @@ def _spread_rows(
     Mass that would fall outside the channel array is kept on the emitting
     ion's own channel so every row still sums to one.
     """
-    spread = tuple(float(s) for s in spread)
-    if len(spread) % 2 != 1:
-        raise SimulationError("point-spread row must have odd length")
-    if any(s < 0 for s in spread) or abs(sum(spread) - 1.0) > _ROW_SUM_TOL:
-        raise SimulationError("point-spread row must be non-negative and sum to 1")
     half = len(spread) // 2
     rows = []
     for i in range(num_ions):
@@ -240,22 +242,26 @@ def single_ion_geometry() -> DetectorGeometry:
     return DetectorGeometry(1, 1, (0,), ((1.0,),), intermediate_channels_present=False)
 
 
-def alternating_geometry(
-    num_ions: int, spread: Sequence[float] = ALTERNATING_SPREAD
-) -> DetectorGeometry:
-    """Ions on every other channel with recorded intermediate channels."""
+def alternating_geometry(num_ions: int) -> DetectorGeometry:
+    """Ions on every other channel with recorded intermediate channels.
+
+    Crosstalk follows ``ALTERNATING_SPREAD``; build a
+    :class:`DetectorGeometry` directly for any other.
+    """
     num_channels = 2 * num_ions - 1
     ion_channel = tuple(2 * i for i in range(num_ions))
-    crosstalk = _spread_rows(num_ions, num_channels, ion_channel, spread)
+    crosstalk = _spread_rows(num_ions, num_channels, ion_channel, ALTERNATING_SPREAD)
     return DetectorGeometry(num_ions, num_channels, ion_channel, crosstalk, True)
 
 
-def adjacent_geometry(
-    num_ions: int, spread: Sequence[float] = ADJACENT_SPREAD
-) -> DetectorGeometry:
-    """Ions on adjacent channels; no intermediate channels exist."""
+def adjacent_geometry(num_ions: int) -> DetectorGeometry:
+    """Ions on adjacent channels; no intermediate channels exist.
+
+    Crosstalk follows ``ADJACENT_SPREAD``; build a :class:`DetectorGeometry`
+    directly for any other.
+    """
     ion_channel = tuple(range(num_ions))
-    crosstalk = _spread_rows(num_ions, num_ions, ion_channel, spread)
+    crosstalk = _spread_rows(num_ions, num_ions, ion_channel, ADJACENT_SPREAD)
     return DetectorGeometry(num_ions, num_ions, ion_channel, crosstalk, False)
 
 
@@ -264,17 +270,23 @@ class ReadoutSample:
     """One detection shot: the prepared label plus all recorded events.
 
     Events are stored as parallel arrays sorted by arrival time, ties broken
-    by channel index.  Arrival times are quantised to ``TIME_RESOLUTION_US``.
+    by channel index: int16 ``channels`` and uint16 ``ticks``, the arrival
+    times in units of ``TIME_RESOLUTION_US``.
     """
 
     label: str
     window_us: float
     channels: np.ndarray
-    times: np.ndarray
+    ticks: np.ndarray
 
     @property
     def num_events(self) -> int:
         return int(self.channels.shape[0])
+
+    @property
+    def times(self) -> np.ndarray:
+        """Arrival times in microseconds, built on each access, never kept."""
+        return _times(self.ticks)
 
 
 def _times(ticks: np.ndarray) -> np.ndarray:
@@ -335,10 +347,9 @@ class Dataset:
 class Samples(Sequence):
     """Read-only sequence view of some of a dataset's shots.
 
-    Indexing builds a :class:`ReadoutSample` whose channels are a view into
-    the dataset's column and whose times are computed from its ticks;
-    nothing is cached, so holding the view costs no per-shot memory.  A
-    slice is another view.
+    Indexing builds a :class:`ReadoutSample` whose channels and ticks are
+    views into the dataset's columns; nothing is cached, so holding the view
+    costs no per-shot memory.  A slice is another view.
     """
 
     __slots__ = ("_dataset", "_shots")
@@ -365,7 +376,7 @@ class Samples(Sequence):
             index_to_label(int(ds.states[i]), ds.geometry.num_ions),
             float(ds.window_us[i]),
             ds.channels[lo:hi],
-            _times(ds.ticks[lo:hi]),
+            ds.ticks[lo:hi],
         )
 
     def events(self) -> tuple[np.ndarray, ...]:
@@ -392,7 +403,7 @@ def stack_events(samples: Sequence[ReadoutSample]) -> tuple[np.ndarray, ...]:
         return samples.events()
     lengths = [s.channels.shape[0] for s in samples]
     channels = np.concatenate([s.channels for s in samples])
-    times = np.concatenate([s.times for s in samples])
+    times = _times(np.concatenate([s.ticks for s in samples]))
     windows = np.array([s.window_us for s in samples], dtype=float)
     return np.repeat(np.arange(len(samples)), lengths), channels, times, windows
 
@@ -680,24 +691,21 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def count_distribution(
-    state: int, model: EmissionModel, max_count: int | None = None
-) -> np.ndarray:
+def count_distribution(state: int, model: EmissionModel) -> np.ndarray:
     """Exact count pmf on a single isolated ion's channel.
 
     Marginalises the pumping flip time with Gauss-Legendre quadrature:
     conditioned on a flip at ``tau``, the count is Poisson with mean equal to
-    the bright exposure plus the background mean.
+    the bright exposure plus the background mean.  The pmf covers counts up
+    to ``mu + 12 sqrt(mu + 1) + 20``, ``mu`` being the bright ion's mean.
     """
     if state not in (0, 1):
         raise SimulationError(f"ion state must be 0 or 1, got {state!r}")
     lam = model.bright_rate
     window = model.window_us
     bg = model.background_rate * window
-    if max_count is None:
-        mu_max = lam * window + bg
-        max_count = int(mu_max + 12.0 * math.sqrt(mu_max + 1.0) + 20.0)
-    ks = np.arange(max_count + 1)
+    mu_max = lam * window + bg
+    ks = np.arange(int(mu_max + 12.0 * math.sqrt(mu_max + 1.0) + 20.0) + 1)
     rate = (
         model.pump_bright_to_dark_rate if state == 1 else model.pump_dark_to_bright_rate
     )
@@ -740,9 +748,7 @@ def expected_channel_means(
     bits = labels_to_bits(state_labels(geometry.num_ions))
     exposures = np.where(bits == 1, bright, dark)
     means = model.bright_rate * exposures @ geometry.crosstalk_matrix + background
-    if not geometry.intermediate_channels_present:
-        means = means[:, list(geometry.ion_channel)]
-    return means
+    return means[:, list(geometry.recorded_channels)]
 
 
 class SingleIonFidelity(NamedTuple):
@@ -770,62 +776,60 @@ def single_ion_fidelity(model: EmissionModel) -> SingleIonFidelity:
     return SingleIonFidelity(theta, fid_bright, fid_dark, 0.5 * (fid_bright + fid_dark))
 
 
-def calibrate_to_fidelity(
-    target: float,
-    model: EmissionModel | None = None,
-    free_params: Sequence[str] = (
-        "pump_bright_to_dark_rate",
-        "pump_dark_to_bright_rate",
-    ),
-    multiplier_range: tuple[float, float] = (0.0, 64.0),
-    tolerance: float = 1e-4,
-    max_iterations: int = 200,
-) -> EmissionModel:
-    """Scale the free pump rates so single-ion readout hits a target fidelity.
+# Calibration bisects one pump-rate multiplier inside this range until the
+# fidelity lies within the tolerance of its target, in at most this many steps.
+CALIBRATION_MULTIPLIERS = (0.0, 64.0)
+CALIBRATION_TOLERANCE = 1e-4
+CALIBRATION_MAX_ITERATIONS = 200
 
-    Deterministic bisection on a single scalar multiplier applied to the
-    ``free_params`` rates; fidelity is evaluated with the exact count
+
+def calibrate_to_fidelity(target: float, model: EmissionModel | None = None) -> EmissionModel:
+    """Scale both pump rates so single-ion readout hits a target fidelity.
+
+    Deterministic bisection on a single scalar multiplier of
+    ``model``'s pump rates, inside ``CALIBRATION_MULTIPLIERS``, to within
+    ``CALIBRATION_TOLERANCE``; fidelity is evaluated with the exact count
     distributions, so the search itself involves no sampling.  Raises
-    :class:`CalibrationError` when the target cannot be bracketed or the
-    iteration cap is reached first.
+    :class:`CalibrationError` when the target cannot be bracketed or
+    ``CALIBRATION_MAX_ITERATIONS`` steps pass first.
     """
     if model is None:
         model = EmissionModel()
     if not 0.0 < target <= 1.0:
         raise CalibrationError(f"target fidelity must be in (0, 1], got {target}")
-    allowed = {"pump_bright_to_dark_rate", "pump_dark_to_bright_rate"}
-    if not free_params or not set(free_params) <= allowed:
-        raise CalibrationError(f"free_params must be a non-empty subset of {allowed}")
-
-    base = {name: getattr(model, name) for name in free_params}
 
     def scaled(mult: float) -> EmissionModel:
-        return replace(model, **{name: value * mult for name, value in base.items()})
+        return replace(
+            model,
+            pump_bright_to_dark_rate=model.pump_bright_to_dark_rate * mult,
+            pump_dark_to_bright_rate=model.pump_dark_to_bright_rate * mult,
+        )
 
-    lo, hi = multiplier_range
+    lo, hi = CALIBRATION_MULTIPLIERS
     fid_lo = single_ion_fidelity(scaled(lo)).average
-    if abs(fid_lo - target) <= tolerance:
+    if abs(fid_lo - target) <= CALIBRATION_TOLERANCE:
         return scaled(lo)
     if fid_lo < target:
         raise CalibrationError(
             f"target {target} above reachable fidelity {fid_lo:.6f} at multiplier {lo}"
         )
     fid_hi = single_ion_fidelity(scaled(hi)).average
-    if fid_hi > target + tolerance:
+    if fid_hi > target + CALIBRATION_TOLERANCE:
         raise CalibrationError(
             f"target {target} not bracketed: fidelity {fid_hi:.6f} at multiplier {hi}"
         )
-    for _ in range(max_iterations):
+    for _ in range(CALIBRATION_MAX_ITERATIONS):
         mid = 0.5 * (lo + hi)
         fid_mid = single_ion_fidelity(scaled(mid)).average
-        if abs(fid_mid - target) <= tolerance:
+        if abs(fid_mid - target) <= CALIBRATION_TOLERANCE:
             return scaled(mid)
         if fid_mid > target:
             lo = mid
         else:
             hi = mid
     raise CalibrationError(
-        f"no convergence to target {target} within {max_iterations} bisection steps"
+        f"no convergence to target {target} within {CALIBRATION_MAX_ITERATIONS} "
+        f"bisection steps"
     )
 
 
@@ -915,7 +919,7 @@ def load_dataset(path: str) -> Dataset:
     integer ``samples_per_label`` >= 1, a generation mode, and a valid
     emission model and geometry.  Each shot
     needs a label of one 0/1 per ion, a finite ``window_us`` above 0, and
-    events ``[channel, time]`` with integer channels of the geometry and
+    events ``[channel, time]`` with integer channels the geometry records and
     finite numeric times in ``[0, window_us]`` on the ``TIME_RESOLUTION_US``
     grid, at most ``MAX_TICKS`` ticks, sorted by time and then channel.
     """
@@ -951,14 +955,15 @@ def load_dataset(path: str) -> Dataset:
     times = np.concatenate(time_parts)
     window_us = np.asarray(windows, dtype=float)
     shot = np.repeat(np.arange(len(lengths)), lengths)
-    bad = (channels < 0) | (channels >= geometry.num_channels)
+    recorded = list(geometry.recorded_channels)
+    bad = ~np.isin(channels, recorded)
     bad |= ~((times >= 0.0) & (times <= window_us[shot]))
     if bad.any():
         i = int(np.argmax(bad))
         raise SimulationError(
             f"{path}:{line_numbers[shot[i]]}: event [{channels[i]}, {times[i]}] needs "
-            f"a channel in [0, {geometry.num_channels}) and a finite time in "
-            f"[0, {window_us[shot[i]]}]"
+            f"a channel the geometry records, one of {recorded}, and a finite time "
+            f"in [0, {window_us[shot[i]]}]"
         )
     ticks = np.rint(times * TICKS_PER_US)
     off_grid = (ticks > MAX_TICKS) | (ticks / TICKS_PER_US != times)

@@ -15,6 +15,11 @@ import numpy as np
 
 from .evaluate import bits_to_labels, bits_to_states, labels_to_bits, state_labels
 
+# Shots a neighbour context needs before it gets a threshold of its own.
+MIN_CONTEXT_SAMPLES = 100
+# Synchronous update rounds the adaptive classifier runs at most.
+MAX_ITERATIONS = 10
+
 
 class ThresholdError(ValueError):
     pass
@@ -132,7 +137,7 @@ class AdaptiveThresholdModel:
     fixed: FixedThresholdModel
     context_thresholds: tuple[dict, ...]
     starved_contexts: tuple[tuple[int, str], ...] = ()
-    max_iterations: int = 10
+    max_iterations: int = MAX_ITERATIONS
 
     FORMAT = "ionread.threshold_adaptive"
 
@@ -181,17 +186,13 @@ class AdaptiveThresholdModel:
         )
 
 
-def fit_adaptive(
-    counts,
-    labels: Sequence[str],
-    min_context_samples: int = 100,
-    max_iterations: int = 10,
-) -> AdaptiveThresholdModel:
+def fit_adaptive(counts, labels: Sequence[str]) -> AdaptiveThresholdModel:
     """Fit neighbour-conditioned thresholds from labelled per-ion totals.
 
     Conditioning uses the true neighbour bits of the training labels.  A
-    context with fewer than ``min_context_samples`` shots, or missing one of
-    the two classes, inherits the unconditioned threshold.
+    context with fewer than ``MIN_CONTEXT_SAMPLES`` shots, or missing one of
+    the two classes, inherits the unconditioned threshold.  The model runs
+    at most ``MAX_ITERATIONS`` update rounds.
     """
     mat = _as_count_matrix(counts)
     bits = labels_to_bits(labels)
@@ -206,10 +207,7 @@ def fit_adaptive(
             mask = codes == code
             column = mat[mask, i]
             column_bits = bits[mask, i]
-            if (
-                mask.sum() < max(min_context_samples, 1)
-                or column_bits.min() == column_bits.max()
-            ):
+            if mask.sum() < MIN_CONTEXT_SAMPLES or column_bits.min() == column_bits.max():
                 table[key] = fixed.thresholds[i]
                 starved.append((i, key))
             else:
@@ -219,7 +217,6 @@ def fit_adaptive(
         fixed=fixed,
         context_thresholds=tuple(tables),
         starved_contexts=tuple(starved),
-        max_iterations=max_iterations,
     )
 
 

@@ -467,6 +467,31 @@ class TestModelFiles:
         path.write_text(json.dumps(record))
         return path
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            threshold.FixedThresholdModel((3, 4)),
+            threshold.AdaptiveThresholdModel(
+                fixed=threshold.FixedThresholdModel((1, 2)),
+                context_thresholds=({"0": 1, "1": 3}, {"0": 2, "1": 2}),
+            ),
+            mlp.MlpModel([2, 8, 8, 4]),
+            lstm.LstmModel(2, 4, 2),
+        ],
+        ids=lambda model: model.FORMAT,
+    )
+    def test_version_must_be_one(self, tmp_path, model):
+        record = model.to_dict()
+        assert type(load_model(self.write(tmp_path, record))) is type(model)
+        for version in (99, 0, 1.0, "1", True, None):
+            record["version"] = version
+            path = self.write(tmp_path, record)
+            with pytest.raises(ModelFileError) as excinfo:
+                load_model(path)
+            assert str(excinfo.value) == (
+                f"{path}: unsupported {model.FORMAT} version {version!r}"
+            )
+
     def test_mlp_weight_shape_contradicts_layer_sizes(self, tmp_path):
         record = mlp.MlpModel([3, 8, 8, 4]).to_dict()
         record["weights"][0] = np.zeros((5, 8)).tolist()
@@ -481,7 +506,7 @@ class TestModelFiles:
 
     def test_fixed_thresholds_must_be_integer_list(self, tmp_path):
         for thresholds in (5, [1, 2.5], ["3"], []):
-            record = {"format": "ionread.threshold_fixed", "thresholds": thresholds}
+            record = {"format": "ionread.threshold_fixed", "version": 1, "thresholds": thresholds}
             with pytest.raises(ModelFileError, match="thresholds"):
                 load_model(self.write(tmp_path, record))
 

@@ -10,7 +10,7 @@ def make_sample(label, channels, times, window=150.0):
         label=label,
         window_us=window,
         channels=np.asarray(channels, dtype=np.int16),
-        times=np.asarray(times, dtype=float),
+        ticks=np.rint(np.asarray(times, dtype=float) * sim.TICKS_PER_US).astype(np.uint16),
     )
 
 

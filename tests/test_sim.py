@@ -473,6 +473,15 @@ class TestSamplesView:
         with pytest.raises(IndexError):
             view[-321]
 
+    def test_counting_events_derives_no_times(self, dataset, monkeypatch):
+        def no_times(ticks):
+            raise AssertionError("times derived for an event count")
+
+        monkeypatch.setattr(sim, "_times", no_times)
+        total = sum(sample.num_events for sample in dataset.samples)
+        assert total == dataset.channels.size
+        assert all(s.ticks.dtype == np.uint16 for s in dataset.samples[:3])
+
     def test_nothing_is_cached_and_nothing_is_writable(self, dataset):
         view = dataset.samples
         assert view[5] is not view[5]
@@ -659,9 +668,11 @@ class TestCalibration:
         with pytest.raises(sim.CalibrationError):
             sim.calibrate_to_fidelity(0.9999)  # background alone forbids this
 
-    def test_iteration_cap_reported(self):
-        with pytest.raises(sim.CalibrationError):
-            sim.calibrate_to_fidelity(0.98, tolerance=1e-15, max_iterations=3)
+    def test_iteration_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(sim, "CALIBRATION_TOLERANCE", 1e-15)
+        monkeypatch.setattr(sim, "CALIBRATION_MAX_ITERATIONS", 3)
+        with pytest.raises(sim.CalibrationError, match="within 3 bisection steps"):
+            sim.calibrate_to_fidelity(0.98)
 
 
 class TestSerialisation:
@@ -746,6 +757,17 @@ class TestLoadValidation:
     def test_time_must_lie_in_window(self, tmp_path, lines, time):
         shot = {"label": "101", "window_us": 150.0, "events": [[0, 1.0], [2, time]]}
         assert f"event [2, {time}]" in self.load_with_shot(tmp_path, lines, shot)
+
+    def test_channel_must_be_recorded(self, tmp_path):
+        # channel 1 exists but carries no ion, and this geometry drops its events
+        geometry = sim.DetectorGeometry(
+            2, 3, (0, 2), ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5)), intermediate_channels_present=False
+        )
+        path = tmp_path / "ds.jsonl"
+        sim.save_dataset(sim.generate_dataset(sim.EmissionModel(), geometry, 2, seed=4), path)
+        shot = {"label": "01", "window_us": 150.0, "events": [[1, 3.0]]}
+        message = self.load_with_shot(tmp_path, path.read_text().splitlines(), shot)
+        assert "event [1, 3.0]" in message and "[0, 2]" in message
 
     @pytest.mark.parametrize(
         "window, time", [(150.0, 12.34), (150.0, 0.05), (7000.0, 6553.6), (7000.0, 6999.0)]

@@ -87,7 +87,7 @@ class TestFitAdaptive:
         labels = [l for l in sim.all_labels(3) for _ in range(50)]
         bits = np.array([[int(c) for c in l] for l in labels])
         counts = rng.poisson(bits * 9.0 + 0.01).astype(np.int64)
-        model = threshold.fit_adaptive(counts, labels, min_context_samples=10)
+        model = threshold.fit_adaptive(counts, labels)
         assert len(model.context_thresholds[0]) == 2   # edge: one neighbour
         assert len(model.context_thresholds[1]) == 4   # middle: two neighbours
         assert len(model.context_thresholds[2]) == 2
@@ -130,7 +130,7 @@ class TestFitAdaptive:
         labels = (["00"] * 200 + ["10"] * 200 + ["01"] * 3 + ["11"] * 3)
         bits = np.array([[int(c) for c in l] for l in labels])
         counts = rng.poisson(bits * 9.0 + 0.01).astype(np.int64)
-        model = threshold.fit_adaptive(counts, labels, min_context_samples=100)
+        model = threshold.fit_adaptive(counts, labels)
         assert model.starved_contexts
         for ion, ctx in model.starved_contexts:
             assert model.context_thresholds[ion][ctx] == model.fixed.thresholds[ion]
