@@ -166,6 +166,9 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError(f"unknown generation mode {config.mode!r}")
     if config.n_jobs < 1:
         raise ConfigError(f"n_jobs must be >= 1, got {config.n_jobs}")
+    for key in ("seed_data", "seed_train"):
+        if getattr(config, key) < 0:
+            raise ConfigError(f"{key} must be >= 0, got {getattr(config, key)}")
     if not 0.0 < config.train_fraction < 1.0:
         raise ConfigError("train_fraction must be inside (0, 1)")
     if config.samples_per_label < 2:

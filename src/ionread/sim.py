@@ -14,6 +14,13 @@ Two imperfections are modelled on top of that ideal picture:
 
 Each channel additionally registers uniform background counts from laser
 scatter and detector dark counts.
+
+:func:`generate_dataset` draws labelled register shots in one of two modes.
+Fresh mode samples whole blocks of shots of one state as vectors
+(``_fresh_block``); pool mode superimposes independent single-ion
+recordings (``_pool_recording``), one per ion, as readout assembled from
+single-ion data would.  Both apply the law above and write arrival times as
+uint16 ticks of ``TIME_RESOLUTION_US``.
 """
 from __future__ import annotations
 
@@ -413,85 +420,6 @@ def all_labels(num_ions: int) -> list[str]:
     return state_labels(num_ions).tolist()
 
 
-def simulate_ion(state: int, model: EmissionModel, rng: np.random.Generator) -> np.ndarray:
-    """Simulate one ion's signal-photon arrival times over the window.
-
-    The ion starts in ``state`` (1 bright, 0 dark) and may flip exactly once
-    at an exponentially distributed time.  While bright it emits photons as a
-    homogeneous Poisson process at ``model.bright_rate``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Sorted arrival times in microseconds, un-quantised.
-    """
-    if state not in (0, 1):
-        raise SimulationError(f"ion state must be 0 or 1, got {state!r}")
-    window = model.window_us
-    if state == 1:
-        flip_rate = model.pump_bright_to_dark_rate
-        flip = rng.exponential(1.0 / flip_rate) if flip_rate > 0.0 else math.inf
-        start, stop = 0.0, min(flip, window)
-    else:
-        flip_rate = model.pump_dark_to_bright_rate
-        flip = rng.exponential(1.0 / flip_rate) if flip_rate > 0.0 else math.inf
-        if flip >= window:
-            return np.empty(0, dtype=float)
-        start, stop = flip, window
-    n = rng.poisson(model.bright_rate * (stop - start))
-    times = rng.uniform(start, stop, size=n)
-    times.sort()
-    return times
-
-
-def route_events(
-    ion_times: Sequence[np.ndarray],
-    geometry: DetectorGeometry,
-    model: EmissionModel,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Route per-ion signal photons onto channels and add background counts.
-
-    Each signal photon is assigned a channel by a multinomial draw from its
-    emitter's crosstalk row, so photons are conserved before any
-    intermediate-channel dropping.  Each channel then receives uniform
-    background counts at the combined scatter plus dark-count rate.
-
-    Returns
-    -------
-    (channels, times)
-        Parallel arrays quantised to ``TIME_RESOLUTION_US`` and sorted by
-        (time, channel, insertion order).
-    """
-    if len(ion_times) != geometry.num_ions:
-        raise SimulationError("one arrival array per ion required")
-    chan_parts: list[np.ndarray] = []
-    time_parts: list[np.ndarray] = []
-    rows = geometry.crosstalk_matrix
-    for i, times in enumerate(ion_times):
-        times = np.asarray(times, dtype=float)
-        if times.size:
-            channels = rng.choice(geometry.num_channels, size=times.size, p=rows[i])
-            chan_parts.append(channels.astype(np.int16))
-            time_parts.append(times)
-    bg_mean = model.background_rate * model.window_us
-    for m in range(geometry.num_channels):
-        n_bg = rng.poisson(bg_mean)
-        if n_bg:
-            chan_parts.append(np.full(n_bg, m, dtype=np.int16))
-            time_parts.append(rng.uniform(0.0, model.window_us, size=n_bg))
-    if not chan_parts:
-        return np.empty(0, dtype=np.int16), np.empty(0, dtype=float)
-    channels = np.concatenate(chan_parts)
-    times = np.concatenate(time_parts)
-    if not geometry.intermediate_channels_present:
-        keep = np.isin(channels, np.asarray(geometry.ion_channel, dtype=np.int16))
-        channels, times = channels[keep], times[keep]
-    times = np.round(np.floor(times / TIME_RESOLUTION_US) * TIME_RESOLUTION_US, 1)
-    order = np.lexsort((np.arange(channels.size), channels, times))
-    return channels[order], times[order]
-
-
 def _pool_entry_index(label_index: int, sample_index: int, ion: int, bit: int,
                       num_ions: int, samples_per_label: int) -> int:
     # Sequential cursor into the per-(ion, bit) pool, computable without
@@ -506,19 +434,51 @@ def _pool_entry_index(label_index: int, sample_index: int, ion: int, bit: int,
 def _pool_recording(
     ion: int,
     bit: int,
-    entry_index: int,
+    entry: int,
     model: EmissionModel,
     geometry: DetectorGeometry,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Pool entry ``entry`` of ``ion`` prepared in ``bit``: one single-ion recording.
+
+    The ion flips at most once, at an exponential time, and emits Poisson
+    photons while bright; each photon lands on a channel drawn from the ion's
+    crosstalk row, and every channel adds its uniform background.  One RNG
+    stream per recording.  Returns int16 channels and uint16 ticks sorted by
+    tick, then channel.
+    """
     rng = np.random.default_rng(
-        np.random.SeedSequence((seed, _POOL_STREAM_TAG, ion, bit, entry_index))
+        np.random.SeedSequence((seed, _POOL_STREAM_TAG, ion, bit, entry))
     )
-    ion_times = [
-        simulate_ion(bit, model, rng) if j == ion else np.empty(0)
-        for j in range(geometry.num_ions)
-    ]
-    return route_events(ion_times, geometry, model, rng)
+    row = geometry.crosstalk_matrix[ion]
+    window = model.window_us
+    rate = model.pump_bright_to_dark_rate if bit else model.pump_dark_to_bright_rate
+    flip = rng.exponential(1.0 / rate) if rate > 0.0 else math.inf
+    start, stop = (0.0, min(flip, window)) if bit else (flip, window)
+    chan_parts: list[np.ndarray] = []
+    time_parts: list[np.ndarray] = []
+    # a dark ion that never flips inside the window emits nothing
+    if start < window:
+        n = rng.poisson(model.bright_rate * (stop - start))
+        times = np.sort(rng.uniform(start, stop, size=n))
+        if n:
+            chan_parts.append(rng.choice(geometry.num_channels, size=n, p=row).astype(np.int16))
+            time_parts.append(times)
+    bg_mean = model.background_rate * window
+    for m in range(geometry.num_channels):
+        n_bg = rng.poisson(bg_mean)
+        if n_bg:
+            chan_parts.append(np.full(n_bg, m, dtype=np.int16))
+            time_parts.append(rng.uniform(0.0, window, size=n_bg))
+    if not chan_parts:
+        return np.empty(0, dtype=np.int16), np.empty(0, dtype=np.uint16)
+    channels = np.concatenate(chan_parts)
+    ticks = np.floor(np.concatenate(time_parts) / TIME_RESOLUTION_US).astype(np.uint16)
+    if not geometry.intermediate_channels_present:
+        keep = np.isin(channels, np.asarray(geometry.ion_channel, dtype=np.int16))
+        channels, ticks = channels[keep], ticks[keep]
+    order = np.lexsort((np.arange(channels.size), channels, ticks))
+    return channels[order], ticks[order]
 
 
 def _pooled_events(
@@ -533,18 +493,13 @@ def _pooled_events(
     # Superimpose independent single-ion recordings, one per register site,
     # mirroring readout assembled from single-ion data.  Background enters
     # once per recording, i.e. num_ions times in total.
-    chan_parts: list[np.ndarray] = []
-    time_parts: list[np.ndarray] = []
+    recordings = []
     for ion, bit in enumerate(bits):
         entry = _pool_entry_index(
             label_index, sample_index, ion, bit, geometry.num_ions, samples_per_label
         )
-        channels, times = _pool_recording(ion, bit, entry, model, geometry, seed)
-        chan_parts.append(channels)
-        time_parts.append(times)
-    channels = np.concatenate(chan_parts)
-    # route_events has put the times on the grid, so rounding recovers the ticks
-    ticks = np.rint(np.concatenate(time_parts) * TICKS_PER_US).astype(np.uint16)
+        recordings.append(_pool_recording(ion, bit, entry, model, geometry, seed))
+    channels, ticks = (np.concatenate(column) for column in zip(*recordings))
     order = np.lexsort((np.arange(channels.size), channels, ticks))
     return channels[order], ticks[order]
 
@@ -558,9 +513,10 @@ def _fresh_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``shots`` shots of one register state, drawn as whole vectors.
 
-    The law of :func:`simulate_ion` for every ion followed by
-    :func:`route_events`.  Returns (events per shot, channels, ticks), the
-    events sorted by shot, then time, then channel.
+    Every ion follows the one-ion law of :func:`_pool_recording`, but each
+    channel's background is drawn once per shot rather than once per ion.
+    Returns (events per shot, channels, ticks), the events sorted by shot,
+    then time, then channel.
     """
     window = model.window_us
     bright = bits.astype(bool)[:, None]
@@ -609,13 +565,14 @@ def generate_dataset(
 ) -> Dataset:
     """Generate a balanced labelled dataset over all basis states.
 
-    ``mode="fresh"`` simulates every register shot independently, in
-    blocks of ``BLOCK_SHOTS`` shots with one RNG stream per
-    ``(seed, label index, block index)``.  ``mode="pool"`` assembles each
-    shot by superimposing independent single-ion recordings drawn without
-    replacement from per-(ion, state) pools, one RNG stream per recording.
-    Either way the output is bit-identical across runs.  Labels are
-    simulated one after another, in this process.
+    ``mode="fresh"`` simulates every register shot independently with
+    :func:`_fresh_block`, in blocks of ``BLOCK_SHOTS`` shots with one RNG
+    stream per ``(seed, label index, block index)``.  ``mode="pool"``
+    assembles each shot by superimposing one :func:`_pool_recording` per
+    ion, drawn without replacement from per-(ion, state) pools, one RNG
+    stream per recording, so background enters once per ion.  Either way
+    the output is bit-identical across runs.  Labels are simulated one
+    after another, in this process.
     """
     if samples_per_label < 1:
         raise SimulationError("samples_per_label must be >= 1")
@@ -894,18 +851,27 @@ def _read_header(path: str, line: str) -> dict:
         header = json.loads(line)
         if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
             raise SimulationError(f"not a {_FORMAT_NAME} file")
-        if header.get("version") != _FORMAT_VERSION:
-            raise SimulationError(f"unsupported version {header.get('version')}")
+        version = header.get("version")
+        if type(version) is not int or version != _FORMAT_VERSION:
+            raise SimulationError(f"unsupported version {version!r}")
         geometry = DetectorGeometry.from_dict(header["geometry"])
-        if type(geometry.num_ions) is not int or type(geometry.num_channels) is not int:
-            raise SimulationError("geometry num_ions and num_channels must be integers")
+        model = EmissionModel.from_dict(header["model"])
+        # the constructors accept any number, and JSON true, 1.0 or "0.5" too
+        counts = (geometry.num_ions, geometry.num_channels, *geometry.ion_channel)
+        if any(type(value) is not int for value in counts):
+            raise SimulationError("geometry num_ions, num_channels, ion_channel must be integers")
+        if type(geometry.intermediate_channels_present) is not bool:
+            raise SimulationError("geometry intermediate_channels_present must be true or false")
+        rates = (*(p for row in geometry.crosstalk for p in row), *model.to_dict().values())
+        if any(type(value) not in (int, float) for value in rates):
+            raise SimulationError("geometry crosstalk and model rates must be numbers")
         if header["mode"] not in ("fresh", "pool"):
             raise SimulationError(f"unknown generation mode {header['mode']!r}")
         for key, least in (("seed", 0), ("samples_per_label", 1)):
             if type(header[key]) is not int or header[key] < least:
                 raise SimulationError(f"{key} must be an integer >= {least}, got {header[key]!r}")
         fields = {key: header[key] for key in ("seed", "samples_per_label", "mode")}
-        return dict(fields, geometry=geometry, model=EmissionModel.from_dict(header["model"]))
+        return dict(fields, geometry=geometry, model=model)
     except KeyError as exc:
         raise SimulationError(f"{path}:1: header lacks key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -287,17 +287,15 @@ def test_numerical_property_suite(tmp_path):
         and bool(np.all(converged))
     )
 
-    # photon counts from a flip-free bright ion are Poisson
+    # the generated counts of a flip-free bright ion are Poisson
     quiet = sim.EmissionModel(
         pump_bright_to_dark_rate=0.0,
         pump_dark_to_bright_rate=0.0,
         background_scatter_rate=0.0,
         detector_dark_rate=0.0,
     )
-    rng = np.random.default_rng(13)
-    shot_counts = np.array(
-        [sim.simulate_ion(1, quiet, rng).size for _ in range(100000)]
-    )
+    quiet_ds = sim.generate_dataset(quiet, sim.single_ion_geometry(), 100000, seed=13)
+    shot_counts = np.diff(quiet_ds.offsets)[quiet_ds.labels == "1"]
     mean = quiet.bright_rate * quiet.window_us
     edges = np.arange(2, 18)
     observed = np.array(

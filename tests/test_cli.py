@@ -86,6 +86,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="n_jobs"):
             build_config({"n_jobs": n_jobs})
 
+    @pytest.mark.parametrize("key", ["seed_data", "seed_train"])
+    def test_seeds_must_be_non_negative(self, key):
+        with pytest.raises(ConfigError, match=f"{key} must be >= 0, got -5"):
+            build_config({key: "-5"})
+        assert getattr(build_config({key: "0"}), key) == 0
+
     def test_strategy_names_collapse_to_table_order(self):
         config = build_config({"strategies": "RNN,FT,RNN,NN"})
         assert config.strategy_names() == ["FT", "NN", "RNN"]
@@ -530,6 +536,14 @@ class TestErrorReporting:
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "FileNotFoundError"
+
+    def test_negative_seed_flag_is_a_config_error(self, capsys, tmp_path):
+        code = main(["generate", "--seed-data", "-1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ConfigError"
+        assert "seed_data" in payload["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_surfaces_as_json(self, capsys, tmp_path):
         config = write_config(tmp_path / "bad.cfg", "bogus_key = 1\n")

@@ -1,4 +1,5 @@
 """Simulator checks against closed-form and quadrature oracles."""
+import hashlib
 import json
 import multiprocessing
 import os
@@ -34,186 +35,6 @@ def flip_count_pmf_oracle(k, state, bright_rate, flip_rate, window, background):
         return no_flip
     tail, _ = integrate.quad(integrand, 0.0, window, limit=200)
     return tail + np.exp(-flip_rate * window) * no_flip
-
-
-class TestSimulateIon:
-    def test_bright_counts_poisson_mean_nine(self):
-        model = sim.EmissionModel(
-            pump_bright_to_dark_rate=0.0, pump_dark_to_bright_rate=0.0
-        )
-        rng = np.random.default_rng(11)
-        counts = np.array(
-            [sim.simulate_ion(1, model, rng).size for _ in range(20000)]
-        )
-        se = 3.0 / np.sqrt(counts.size)
-        assert abs(counts.mean() - 9.0) < 3.0 * se
-        # variance equals the mean for a Poisson count
-        assert abs(counts.var() - 9.0) < 5.0 * se * np.sqrt(2 * 9.0)
-
-    def test_dark_without_pumping_never_emits(self):
-        model = sim.EmissionModel(pump_dark_to_bright_rate=0.0)
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            assert sim.simulate_ion(0, model, rng).size == 0
-
-    def test_arrivals_sorted_inside_window(self):
-        model = sim.EmissionModel()
-        rng = np.random.default_rng(5)
-        for _ in range(500):
-            times = sim.simulate_ion(1, model, rng)
-            assert np.all(np.diff(times) >= 0.0)
-            if times.size:
-                assert 0.0 <= times[0] and times[-1] < model.window_us
-
-    def test_bright_flip_low_count_tail_matches_quadrature_oracle(self):
-        # A visible bright->dark flip rate produces excess mass at low counts
-        # relative to the pure Poisson distribution.
-        model = sim.EmissionModel(
-            pump_bright_to_dark_rate=2e-3,
-            pump_dark_to_bright_rate=0.0,
-            background_scatter_rate=0.0,
-            detector_dark_rate=0.0,
-        )
-        rng = np.random.default_rng(42)
-        n = 40000
-        counts = np.array([sim.simulate_ion(1, model, rng).size for _ in range(n)])
-        tail_mass_oracle = sum(
-            flip_count_pmf_oracle(k, 1, 0.06, 2e-3, 150.0, 0.0) for k in range(5)
-        )
-        tail_mass_poisson = poisson.cdf(4, 9.0)
-        assert tail_mass_oracle > 2.0 * tail_mass_poisson
-        observed = np.mean(counts <= 4)
-        se = np.sqrt(tail_mass_oracle * (1 - tail_mass_oracle) / n)
-        assert abs(observed - tail_mass_oracle) < 4.0 * se
-
-    def test_dark_flip_high_count_tail_matches_quadrature_oracle(self):
-        model = sim.EmissionModel(
-            pump_bright_to_dark_rate=0.0,
-            pump_dark_to_bright_rate=1e-3,
-            background_scatter_rate=0.0,
-            detector_dark_rate=0.0,
-        )
-        rng = np.random.default_rng(43)
-        n = 40000
-        counts = np.array([sim.simulate_ion(0, model, rng).size for _ in range(n)])
-        mass_oracle = 1.0 - sum(
-            flip_count_pmf_oracle(k, 0, 0.06, 1e-3, 150.0, 0.0) for k in range(2)
-        )
-        observed = np.mean(counts >= 2)
-        se = np.sqrt(mass_oracle * (1 - mass_oracle) / n)
-        assert abs(observed - mass_oracle) < 4.0 * se
-
-    def test_dark_first_arrival_later_than_bright(self):
-        # Conditioned on seeing any signal photon, a dark-prepared ion fires
-        # later than a bright-prepared one: its photons start at the flip.
-        model = sim.EmissionModel(
-            pump_bright_to_dark_rate=1e-3, pump_dark_to_bright_rate=1e-2
-        )
-        rng = np.random.default_rng(7)
-        first_bright = []
-        first_dark = []
-        for _ in range(4000):
-            tb = sim.simulate_ion(1, model, rng)
-            if tb.size:
-                first_bright.append(tb[0])
-            td = sim.simulate_ion(0, model, rng)
-            if td.size:
-                first_dark.append(td[0])
-        assert len(first_dark) > 100
-        assert np.mean(first_dark) > np.mean(first_bright)
-
-    def test_invalid_state_rejected(self):
-        with pytest.raises(sim.SimulationError):
-            sim.simulate_ion(2, sim.EmissionModel(), np.random.default_rng(0))
-
-
-class TestRouteEvents:
-    def test_identity_routing_keeps_all_photons(self):
-        geometry = sim.single_ion_geometry()
-        model = sim.EmissionModel(background_scatter_rate=0.0, detector_dark_rate=0.0)
-        rng = np.random.default_rng(1)
-        times_in = np.sort(rng.uniform(0, 150.0, 37))
-        channels, times = sim.route_events([times_in], geometry, model, rng)
-        assert channels.size == 37
-        assert np.all(channels == 0)
-        assert np.all(np.diff(times) >= 0.0)
-
-    def test_photon_conservation_with_crosstalk(self):
-        geometry = sim.alternating_geometry(3)
-        model = sim.EmissionModel(background_scatter_rate=0.0, detector_dark_rate=0.0)
-        rng = np.random.default_rng(2)
-        ion_times = [np.sort(rng.uniform(0, 150.0, n)) for n in (12, 5, 9)]
-        channels, _ = sim.route_events(ion_times, geometry, model, rng)
-        assert channels.size == 12 + 5 + 9
-
-    def test_crosstalk_thinning_matches_binomial_expectation(self):
-        # 5% leak onto one neighbour channel: the neighbour sees a thinned
-        # Poisson stream with mean 0.05 * 9 = 0.45.
-        geometry = sim.DetectorGeometry(
-            num_ions=1,
-            num_channels=2,
-            ion_channel=(0,),
-            crosstalk=((0.95, 0.05),),
-            intermediate_channels_present=True,
-        )
-        model = sim.EmissionModel(
-            pump_bright_to_dark_rate=0.0,
-            pump_dark_to_bright_rate=0.0,
-            background_scatter_rate=0.0,
-            detector_dark_rate=0.0,
-        )
-        rng = np.random.default_rng(8)
-        n = 20000
-        neighbour = np.empty(n)
-        own = np.empty(n)
-        for i in range(n):
-            times = sim.simulate_ion(1, model, rng)
-            channels, _ = sim.route_events([times], geometry, model, rng)
-            neighbour[i] = np.sum(channels == 1)
-            own[i] = np.sum(channels == 0)
-        assert abs(neighbour.mean() - 0.45) < 4.0 * np.sqrt(0.45 / n)
-        assert abs(own.mean() - 8.55) < 4.0 * np.sqrt(8.55 / n)
-
-    def test_background_rate_one_false_count_per_300_shots(self):
-        geometry = sim.alternating_geometry(2)  # three channels
-        model = sim.EmissionModel()
-        rng = np.random.default_rng(9)
-        n = 100000
-        per_channel_mean = model.background_rate * model.window_us
-        assert abs(per_channel_mean - 1.0 / 303.0) < 2e-5
-        empty = [np.empty(0), np.empty(0)]
-        totals = np.empty(n)
-        for i in range(n):
-            channels, _ = sim.route_events(empty, geometry, model, rng)
-            totals[i] = channels.size
-        expected = 3 * per_channel_mean
-        assert abs(totals.mean() - expected) < 4.0 * np.sqrt(expected / n)
-
-    def test_intermediate_channels_dropped_when_absent(self):
-        geometry = sim.DetectorGeometry(
-            num_ions=2,
-            num_channels=3,
-            ion_channel=(0, 2),
-            crosstalk=((0.5, 0.5, 0.0), (0.0, 0.5, 0.5)),
-            intermediate_channels_present=False,
-        )
-        model = sim.EmissionModel(background_scatter_rate=0.0, detector_dark_rate=0.0)
-        rng = np.random.default_rng(10)
-        ion_times = [np.sort(rng.uniform(0, 150.0, 200)), np.sort(rng.uniform(0, 150.0, 200))]
-        channels, _ = sim.route_events(ion_times, geometry, model, rng)
-        assert channels.size < 400
-        assert not np.any(channels == 1)
-
-    def test_times_quantised_and_ties_ordered_by_channel(self):
-        geometry = sim.alternating_geometry(2)
-        model = sim.EmissionModel()
-        rng = np.random.default_rng(12)
-        ion_times = [np.sort(rng.uniform(0, 150.0, 300)), np.sort(rng.uniform(0, 150.0, 300))]
-        channels, times = sim.route_events(ion_times, geometry, model, rng)
-        scaled = times / sim.TIME_RESOLUTION_US
-        assert np.allclose(scaled, np.round(scaled), atol=1e-9)
-        same_time = np.diff(times) == 0.0
-        assert np.all(np.diff(channels)[same_time] >= 0)
 
 
 class TestGenerateDataset:
@@ -307,6 +128,34 @@ class TestGenerateDataset:
             sim.alternating_geometry(13)
 
 
+class TestGenerationContract:
+    """The bytes ``save_dataset`` writes for fixed seeds, pinned across commits.
+
+    Any change to a random draw, its order, the quantisation or the file
+    format moves a pin; such a change updates the pins and says so.
+    """
+
+    @pytest.mark.parametrize(
+        "mode, geometry, digest",
+        [
+            ("fresh", sim.alternating_geometry(3),
+             "7435a0c396641833a5fa45f529ae48baec6fe968cbf8abca1fe368c13aec5041"),
+            ("fresh", sim.adjacent_geometry(3),
+             "7a4507aaa68a0eb145931e464e8122aa48e562cab23ad557f08851af01dfb3fd"),
+            ("pool", sim.alternating_geometry(3),
+             "5c4e7e520e7c5318640ab8b55f9cfb436758cee45d574cae4d1ddd56cd3c0b60"),
+            ("pool", sim.adjacent_geometry(3),
+             "ec7483d9f1d8eecc71b00026cdecbc0ae1ff1444d69787a947fa6f7a0f327fdd"),
+        ],
+        ids=["fresh-alternating", "fresh-adjacent", "pool-alternating", "pool-adjacent"],
+    )
+    def test_saved_bytes_match_the_pin(self, tmp_path, mode, geometry, digest):
+        ds = sim.generate_dataset(sim.EmissionModel(), geometry, 30, seed=14, mode=mode)
+        path = tmp_path / "ds.jsonl"
+        sim.save_dataset(ds, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 QUIET = dict(
     pump_bright_to_dark_rate=0.0,
     pump_dark_to_bright_rate=0.0,
@@ -329,7 +178,16 @@ def label_counts(dataset, label):
 
 
 class TestBlockSampler:
-    """The law of the fresh block sampler, checked on generated datasets."""
+    """The sampler law, checked on datasets that ``generate_dataset`` makes."""
+
+    mode = "fresh"
+    # the pool cases draw 1 / shrink of the fresh shots; the bounds scale
+    shrink = 1
+
+    def generate(self, model, geometry, per_label, seed):
+        return sim.generate_dataset(
+            model, geometry, per_label // self.shrink, seed=seed, mode=self.mode
+        )
 
     @pytest.mark.parametrize(
         "geometry, per_label",
@@ -337,19 +195,19 @@ class TestBlockSampler:
     )
     def test_channel_means_match_analytic_law(self, geometry, per_label):
         model = sim.calibrate_to_fidelity(0.995)
-        ds = sim.generate_dataset(model, geometry, per_label, seed=31)
-        expected = sim.expected_channel_means(model, geometry, "fresh")
+        ds = self.generate(model, geometry, per_label, seed=31)
+        expected = sim.expected_channel_means(model, geometry, self.mode)
         counts = channel_counts(ds)
         if not geometry.intermediate_channels_present:
             counts = counts[:, list(geometry.ion_channel)]
-        counts = counts.reshape(2**geometry.num_ions, per_label, -1)
-        sigma = np.sqrt(np.maximum(counts.var(axis=1, ddof=1), expected) / per_label)
+        counts = counts.reshape(2**geometry.num_ions, ds.samples_per_label, -1)
+        sigma = np.sqrt(np.maximum(counts.var(axis=1, ddof=1), expected) / ds.samples_per_label)
         assert np.all(np.abs(counts.mean(axis=1) - expected) < 5.0 * sigma)
 
     @pytest.mark.parametrize("state", [0, 1])
     def test_single_ion_counts_follow_the_exact_pmf(self, state):
         model = sim.calibrate_to_fidelity(0.995)
-        ds = sim.generate_dataset(model, sim.single_ion_geometry(), 50000, seed=32)
+        ds = self.generate(model, sim.single_ion_geometry(), 50000, seed=32)
         counts = label_counts(ds, str(state))
         pmf = sim.count_distribution(state, model)
         # pool the sparse tail so every expected cell holds at least 5 shots
@@ -364,16 +222,18 @@ class TestBlockSampler:
     def test_bright_flip_low_count_tail_matches_quadrature_oracle(self):
         model = sim.EmissionModel(**dict(QUIET, pump_bright_to_dark_rate=2e-3))
         counts = label_counts(
-            sim.generate_dataset(model, sim.single_ion_geometry(), 40000, seed=33), "1"
+            self.generate(model, sim.single_ion_geometry(), 40000, seed=33), "1"
         )
         oracle = sum(flip_count_pmf_oracle(k, 1, 0.06, 2e-3, 150.0, 0.0) for k in range(5))
+        # the flip shows: far more low counts than a Poisson count of mean 9
+        assert oracle > 2.0 * poisson.cdf(4, 9.0)
         se = np.sqrt(oracle * (1 - oracle) / counts.size)
         assert abs(np.mean(counts <= 4) - oracle) < 4.0 * se
 
     def test_dark_flip_high_count_tail_matches_quadrature_oracle(self):
         model = sim.EmissionModel(**dict(QUIET, pump_dark_to_bright_rate=1e-3))
         counts = label_counts(
-            sim.generate_dataset(model, sim.single_ion_geometry(), 40000, seed=34), "0"
+            self.generate(model, sim.single_ion_geometry(), 40000, seed=34), "0"
         )
         oracle = 1.0 - sum(
             flip_count_pmf_oracle(k, 0, 0.06, 1e-3, 150.0, 0.0) for k in range(2)
@@ -381,11 +241,28 @@ class TestBlockSampler:
         se = np.sqrt(oracle * (1 - oracle) / counts.size)
         assert abs(np.mean(counts >= 2) - oracle) < 4.0 * se
 
+    def test_dark_without_pumping_or_background_records_nothing(self):
+        ds = self.generate(sim.EmissionModel(**QUIET), sim.single_ion_geometry(), 10000, seed=42)
+        assert ds.channels.size > 0
+        assert not label_counts(ds, "0").any()
+
+    def test_dark_first_arrival_later_than_bright(self):
+        # a dark-prepared ion's photons start at its flip, so of the shots
+        # with any event the dark ones begin later
+        model = sim.EmissionModel(pump_bright_to_dark_rate=1e-3, pump_dark_to_bright_rate=1e-2)
+        ds = self.generate(model, sim.single_ion_geometry(), 4000, seed=43)
+        seen = np.diff(ds.offsets) > 0
+        first = ds.ticks[ds.offsets[:-1][seen]]
+        first_dark = first[ds.labels[seen] == "0"]
+        first_bright = first[ds.labels[seen] == "1"]
+        assert first_dark.size > ds.samples_per_label // 2
+        assert first_dark.mean() > first_bright.mean()
+
     def test_crosstalk_thins_a_poisson_stream_binomially(self):
         # 5% leak onto one neighbour channel: two independent Poisson streams
         # with means 0.05 * 9 and 0.95 * 9
         geometry = sim.DetectorGeometry(1, 2, (0,), ((0.95, 0.05),), True)
-        ds = sim.generate_dataset(sim.EmissionModel(**QUIET), geometry, 20000, seed=35)
+        ds = self.generate(sim.EmissionModel(**QUIET), geometry, 20000, seed=35)
         counts = channel_counts(ds)[ds.labels == "1"]
         n = counts.shape[0]
         for channel, mean in ((1, 0.45), (0, 8.55)):
@@ -396,9 +273,12 @@ class TestBlockSampler:
     def test_background_one_false_count_per_300_shots(self):
         geometry = sim.alternating_geometry(2)  # three channels
         model = sim.EmissionModel(pump_dark_to_bright_rate=0.0)
-        ds = sim.generate_dataset(model, geometry, 100000, seed=36)
+        assert abs(model.background_rate * model.window_us - 1.0 / 303.0) < 2e-5
+        ds = self.generate(model, geometry, 100000, seed=36)
         totals = label_counts(ds, "00")
-        expected = 3 * model.background_rate * model.window_us
+        # a pool shot holds one recording, and so one background pass, per ion
+        passes = geometry.num_ions if self.mode == "pool" else 1
+        expected = passes * 3 * model.background_rate * model.window_us
         assert abs(totals.mean() - expected) < 4.0 * np.sqrt(expected / totals.size)
 
     def test_channels_without_mass_receive_nothing(self):
@@ -407,7 +287,7 @@ class TestBlockSampler:
         geometry = sim.DetectorGeometry(
             2, 4, (1, 2), ((0.0, 0.7, 0.3, 0.0), (0.0, 0.0, 1.0, 0.0)), True
         )
-        ds = sim.generate_dataset(sim.EmissionModel(**QUIET), geometry, 3000, seed=37)
+        ds = self.generate(sim.EmissionModel(**QUIET), geometry, 3000, seed=37)
         seen = np.bincount(ds.channels, minlength=4)
         assert seen[0] == 0 and seen[3] == 0
         assert seen[1] > 0 and seen[2] > 0
@@ -418,14 +298,12 @@ class TestBlockSampler:
         geometry = sim.DetectorGeometry(
             2, 3, (0, 2), ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5)), False
         )
-        ds = sim.generate_dataset(sim.EmissionModel(), geometry, 500, seed=38)
+        ds = self.generate(sim.EmissionModel(), geometry, 500, seed=38)
         assert ds.channels.size > 0
         assert not np.any(ds.channels == 1)
 
     def test_events_quantised_and_ordered_by_time_then_channel(self):
-        ds = sim.generate_dataset(
-            sim.EmissionModel(), sim.alternating_geometry(3), 2000, seed=39
-        )
+        ds = self.generate(sim.EmissionModel(), sim.alternating_geometry(3), 2000, seed=39)
         assert ds.channels.dtype == np.int16 and ds.ticks.dtype == np.uint16
         np.testing.assert_array_equal(ds.times, ds.ticks / sim.TICKS_PER_US)
         np.testing.assert_array_equal(ds.times, np.round(ds.times, 1))
@@ -446,6 +324,20 @@ class TestBlockSampler:
         counts = label_counts(serial, "1")
         blocks = counts[: 2 * sim.BLOCK_SHOTS].reshape(2, sim.BLOCK_SHOTS)
         assert not np.array_equal(blocks[0], blocks[1])
+
+
+class TestPoolSampler(TestBlockSampler):
+    """The same law through pool mode, which superimposes single-ion recordings.
+
+    On a one-ion geometry a pool shot is exactly one recording.  A recording
+    draws its own random stream, about 100 us, so these cases draw 1/64 of
+    the fresh shots and their bounds widen to match.
+    """
+
+    mode = "pool"
+    shrink = 64
+    # blocks are a fresh-mode notion
+    test_blocks_and_remainder_repeat_exactly = None
 
 
 class TestSamplesView:
@@ -838,6 +730,11 @@ class TestLoadValidation:
         assert "malformed shot" in self.load_with_shot(tmp_path, lines, text)
 
 
+# each ion of the 3-ion ``lines`` fixture routed onto its own channel, as
+# JSON booleans: 5-channel rows that sum to 1
+HOME_ROWS = [[c == 2 * i for c in range(5)] for i in range(3)]
+
+
 class TestHeaderValidation:
     def load_with_header(self, tmp_path, lines, header):
         path = tmp_path / "edited.jsonl"
@@ -876,12 +773,24 @@ class TestHeaderValidation:
             ("geometry", "num_ions", 3.0),
             ("geometry", "num_channels", 5.0),
             ("geometry", "crosstalk", [[1.0]]),
+            # JSON types the constructors would take: 1.0, true, "0.5"
+            ("geometry", "ion_channel", [0.0, 2.0, 4.0]),
+            ("geometry", "intermediate_channels_present", "no"),
+            ("geometry", "crosstalk", HOME_ROWS),
+            ("geometry", "crosstalk", [[str(float(p)) for p in row] for row in HOME_ROWS]),
+            ("model", "detector_dark_rate", True),
         ],
     )
     def test_bad_model_or_geometry(self, tmp_path, lines, section, key, value):
         header = json.loads(lines[0])
         header[section][key] = value
         self.load_with_header(tmp_path, lines, header)
+
+    @pytest.mark.parametrize("version", [True, 1.0, 2])
+    def test_version_must_be_the_integer_one(self, tmp_path, lines, version):
+        header = json.loads(lines[0])
+        header["version"] = version
+        assert "unsupported version" in self.load_with_header(tmp_path, lines, header)
 
     def test_mode_must_be_known(self, tmp_path, lines):
         header = json.loads(lines[0])
