@@ -340,6 +340,64 @@ class TestPoolSampler(TestBlockSampler):
     test_blocks_and_remainder_repeat_exactly = None
 
 
+def pool_recordings(bit, model, geometry, count, seed, ion=0):
+    """``count`` single-ion pool recordings of ``ion`` prepared in ``bit``."""
+    return [sim._pool_recording(ion, bit, e, model, geometry, seed) for e in range(count)]
+
+
+class TestSimulateIon:
+    """The one-ion emission step of a pool recording, ``sim._pool_recording``."""
+
+    def test_bright_counts_poisson_mean_nine(self):
+        model = sim.EmissionModel(**QUIET)
+        recordings = pool_recordings(1, model, sim.single_ion_geometry(), 20000, seed=11)
+        counts = np.array([channels.size for channels, _ in recordings])
+        se = 3.0 / np.sqrt(counts.size)
+        assert abs(counts.mean() - 9.0) < 3.0 * se
+        # variance equals the mean for a Poisson count
+        assert abs(counts.var() - 9.0) < 5.0 * se * np.sqrt(2 * 9.0)
+
+    def test_arrivals_sorted_inside_window(self):
+        model = sim.EmissionModel()
+        for _, ticks in pool_recordings(1, model, sim.single_ion_geometry(), 500, seed=5):
+            assert ticks.dtype == np.uint16
+            assert np.all(np.diff(ticks.astype(np.int64)) >= 0)
+            if ticks.size:
+                assert ticks[-1] * sim.TIME_RESOLUTION_US < model.window_us
+
+
+class TestRouteEvents:
+    """The routing of one ion's photons to channels inside a pool recording."""
+
+    def test_identity_routing_keeps_all_photons(self):
+        # with no pumping the first draw of a recording's stream is its
+        # photon count; identity routing must keep every one of them
+        model = sim.EmissionModel(**QUIET)
+        for entry in range(200):
+            channels, ticks = sim._pool_recording(
+                0, 1, entry, model, sim.single_ion_geometry(), 1
+            )
+            rng = np.random.default_rng(
+                np.random.SeedSequence((1, sim._POOL_STREAM_TAG, 0, 1, entry))
+            )
+            assert channels.size == ticks.size == rng.poisson(9.0)
+            assert np.all(channels == 0)
+
+    def test_times_quantised_and_ties_ordered_by_channel(self):
+        # a bright rate of 4 per us puts 600 photons on 1500 ticks, so ticks
+        # repeat and their channel order shows
+        geometry = sim.alternating_geometry(2)
+        model = sim.EmissionModel(bright_rate=4.0)
+        channels, ticks = sim._pool_recording(0, 1, 0, model, geometry, 12)
+        assert channels.dtype == np.int16 and ticks.dtype == np.uint16
+        assert np.all(ticks < model.window_us * sim.TICKS_PER_US)
+        steps = np.diff(ticks.astype(np.int64))
+        assert np.all(steps >= 0)
+        same_tick = steps == 0
+        assert same_tick.any() and len(set(channels.tolist())) > 1
+        assert np.all(np.diff(channels)[same_tick] >= 0)
+
+
 class TestSamplesView:
     @pytest.fixture
     def dataset(self):
