@@ -114,6 +114,8 @@ def column_maxima(features: np.ndarray) -> np.ndarray:
     Columns that are identically zero get divisor 1 so unseen non-zero values
     pass through unscaled rather than exploding.
     """
-    maxima = np.asarray(features, dtype=float).max(axis=0)
+    # the maximum is taken in the input's dtype and only this row converted;
+    # conversion keeps order, so the scales equal those of a float copy
+    maxima = np.asarray(features).max(axis=0).astype(float)
     maxima[maxima == 0.0] = 1.0
     return maxima

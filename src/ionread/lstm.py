@@ -28,8 +28,9 @@ from .mlp import (
 )
 
 DEFAULT_HIDDEN_SIZE = 32
-# inference streams this many sequences at a time, bounding its working set
-INFERENCE_BLOCK_ROWS = 2048
+# inference streams this many sequences at a time, bounding its working set;
+# the block size does not change the probabilities
+INFERENCE_BLOCK_ROWS = 512
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -195,14 +196,21 @@ def readout(model: LstmModel, h: np.ndarray) -> np.ndarray:
     return softmax(h @ model.w_readout + model.b_readout)
 
 
-def _validate_sequences(model: LstmModel, sequences) -> np.ndarray:
-    x = np.asarray(sequences, dtype=float)
+def _sequence_array(model: LstmModel, sequences) -> np.ndarray:
+    """``sequences`` as a (batch, bins, inputs) array, still in its own dtype."""
+    x = np.asarray(sequences)
     if x.ndim == 2:
         x = x[np.newaxis]
     if x.ndim != 3 or x.shape[2] != model.input_size:
         raise NetworkError(
             f"expected sequences shaped (batch, bins, {model.input_size}), got {x.shape}"
         )
+    return x
+
+
+def _finite_counts(x: np.ndarray) -> np.ndarray:
+    """``x`` as float64, which is exact for uint16 counts, checked finite."""
+    x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NetworkError("non-finite count values")
     return x
@@ -213,12 +221,12 @@ def forward(model: LstmModel, sequences) -> np.ndarray:
 
     An empty sequence (zero bins) yields the readout-bias prior.
     """
-    x = _validate_sequences(model, sequences)
+    x = _sequence_array(model, sequences)
     probs = np.empty((x.shape[0], model.output_size))
-    # no backward pass follows, so keep only the current state of one block of
-    # rows, not every bin's activations for the whole batch
+    # no backward pass follows, so convert and keep only the current state of
+    # one block of rows, not the whole input or every bin's activations
     for start in range(0, x.shape[0], INFERENCE_BLOCK_ROWS):
-        block = x[start : start + INFERENCE_BLOCK_ROWS]
+        block = _finite_counts(x[start : start + INFERENCE_BLOCK_ROWS])
         h = _unroll(model, block, keep=False)[-1]
         probs[start : start + block.shape[0]] = readout(model, h.T)
     return probs
@@ -230,7 +238,7 @@ def backward(model: LstmModel, sequences, class_indices) -> tuple[float, np.ndar
     The loss is the cross-entropy of :func:`forward`'s probabilities, read
     off the same forward pass the gradient needs.
     """
-    x = _validate_sequences(model, sequences)
+    x = _finite_counts(_sequence_array(model, sequences))
     y = np.asarray(class_indices, dtype=np.int64)
     batch, bins, _ = x.shape
     xh, act, c, h_last = _unroll(model, x, keep=True)
@@ -294,9 +302,13 @@ def train(
     hidden_size: int = DEFAULT_HIDDEN_SIZE,
     config: TrainConfig | None = None,
 ) -> tuple[LstmModel, list[dict]]:
-    """Same epoch protocol as the feed-forward core, see :func:`mlp.fit`."""
+    """Same epoch protocol as the feed-forward core, see :func:`mlp.fit`.
+
+    ``sequences`` keep their dtype (uint16 counts, say) and are converted to
+    float one batch or inference block at a time.
+    """
     config = config or TrainConfig()
-    x = np.asarray(sequences, dtype=float)
+    x = np.asarray(sequences)
     labels = np.asarray(labels)
     if x.ndim != 3:
         raise NetworkError(f"sequences must be (batch, bins, channels), got {x.shape}")

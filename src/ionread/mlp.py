@@ -252,7 +252,9 @@ def fit(
     laid out like ``model.flat``, the one vector every step updates.  A
     stratified ``VALIDATION_FRACTION`` of the rows is held out; after each
     epoch the register fidelity on that held-out part is recorded and the
-    parameters with the best validation fidelity so far are kept.  An
+    parameters with the best validation fidelity so far are kept.  Batches
+    and the validation rows are gathered from ``x`` in its own dtype, so
+    ``backward`` and ``predict`` convert only the rows they are given.  An
     epoch's ``train_loss`` is the mean of its batch losses, each taken
     before that batch's step.  Training stops early once ``patience`` epochs
     pass without improvement, and aborts with diagnostics once the loss or a
@@ -261,8 +263,7 @@ def fit(
     labels = np.asarray(labels)
     states, _ = labels_to_states(labels)
     train_idx, val_idx = split(labels, 1.0 - VALIDATION_FRACTION, config.seed)
-    x_train, x_val = x[train_idx], x[val_idx]
-    y_train, val_labels = states[train_idx], labels[val_idx]
+    x_val, val_labels = x[val_idx], labels[val_idx]
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
     params = model.flat
@@ -272,12 +273,11 @@ def fit(
     best_epoch = -1
     history: list[dict] = []
     for epoch in range(config.epochs):
-        order = rng.permutation(x_train.shape[0])
+        order = train_idx[rng.permutation(train_idx.size)]
         epoch_loss = 0.0
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
-            xb, yb = x_train[batch], y_train[batch]
-            batch_loss, grads = backward(model, xb, yb)
+            batch_loss, grads = backward(model, x[batch], states[batch])
             adadelta_step(params, grads, grad_sq, delta_sq)
             if not math.isfinite(batch_loss) or not np.isfinite(params).all():
                 raise TrainingError(
@@ -308,10 +308,11 @@ def train(
 ) -> tuple[MlpModel, list[dict]]:
     """Train on labelled feature rows; returns the best-validation model.
 
-    The epoch protocol is :func:`fit`'s.
+    The epoch protocol is :func:`fit`'s.  ``features`` keep their dtype
+    (uint16 counts, say) and are converted to float one batch at a time.
     """
     config = config or TrainConfig()
-    features = np.asarray(features, dtype=float)
+    features = np.asarray(features)
     labels = np.asarray(labels)
     if features.shape[0] != len(labels):
         raise NetworkError(

@@ -171,6 +171,16 @@ class DetectorGeometry:
     intermediate_channels_present: bool = True
 
     def __post_init__(self) -> None:
+        # a float or bool here would count or index channels wrongly further on
+        for name, values in (
+            ("num_ions", [self.num_ions]),
+            ("num_channels", [self.num_channels]),
+            ("ion_channel", self.ion_channel),
+        ):
+            if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in values):
+                raise SimulationError(
+                    f"geometry {name} must be of integer type, got {getattr(self, name)!r}"
+                )
         if not 1 <= self.num_ions <= MAX_IONS:
             raise SimulationError(f"num_ions must be in [1, {MAX_IONS}], got {self.num_ions}")
         if self.num_channels < self.num_ions:
@@ -856,10 +866,8 @@ def _read_header(path: str, line: str) -> dict:
             raise SimulationError(f"unsupported version {version!r}")
         geometry = DetectorGeometry.from_dict(header["geometry"])
         model = EmissionModel.from_dict(header["model"])
-        # the constructors accept any number, and JSON true, 1.0 or "0.5" too
-        counts = (geometry.num_ions, geometry.num_channels, *geometry.ion_channel)
-        if any(type(value) is not int for value in counts):
-            raise SimulationError("geometry num_ions, num_channels, ion_channel must be integers")
+        # the constructors accept JSON true for the flag, and true or "0.5"
+        # for a rate
         if type(geometry.intermediate_channels_present) is not bool:
             raise SimulationError("geometry intermediate_channels_present must be true or false")
         rates = (*(p for row in geometry.crosstalk for p in row), *model.to_dict().values())

@@ -175,3 +175,12 @@ class TestScaler:
         np.testing.assert_array_equal(maxima, [4.0, 1.0, 8.0])
         test = np.array([[4.0, 3.0, 4.0]])
         np.testing.assert_allclose(test / maxima, [[1.0, 3.0, 0.5]])
+
+    def test_uint16_counts_give_the_float_copy_scales(self):
+        counts = np.random.default_rng(3).poisson(4.0, size=(500, 6)).astype(np.uint16)
+        counts[:, 2] = 0
+        counts[7, 4] = np.iinfo(np.uint16).max
+        maxima = features.column_maxima(counts)
+        assert maxima.dtype == np.float64
+        np.testing.assert_array_equal(maxima, features.column_maxima(counts.astype(float)))
+        assert maxima[2] == 1.0 and maxima[4] == 65535.0

@@ -1,5 +1,6 @@
 """Recurrent core: gate arithmetic, BPTT gradients, streaming, training."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -206,6 +207,58 @@ class TestStreaming:
     def test_empty_batch_keeps_output_width(self):
         model = LstmModel(3, 4, 8, seed=21)
         assert forward(model, np.zeros((0, 5, 3))).shape == (0, 8)
+
+
+def traced_peak(run):
+    """Peak bytes that ``run()`` allocates on top of what is already held."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCountInput:
+    """uint16 counts are converted one batch or one block at a time."""
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        # 20 000 shots of 15 bins on 5 channels, the 3q preset's RNN input
+        return np.random.default_rng(40).poisson(0.6, size=(20_000, 15, 5)).astype(np.uint16)
+
+    def test_uint16_trains_like_its_float_copy(self):
+        x, labels = early_late_sequences(40, seed=22)
+        config = TrainConfig(epochs=3, seed=8)
+        model_a, hist_a = train(x.astype(np.uint16), labels, hidden_size=4, config=config)
+        model_b, hist_b = train(x, labels, hidden_size=4, config=config)
+        np.testing.assert_array_equal(model_a.flat, model_b.flat)
+        assert hist_a == hist_b
+
+    def test_inference_holds_less_than_a_float_copy(self, counts):
+        model = LstmModel(5, 32, 8, seed=41)
+        assert traced_peak(lambda: forward(model, counts)) < counts.size * 8
+
+    def test_training_epoch_holds_less_than_a_float_copy(self, counts):
+        labels = [format(i % 8, "03b") for i in range(len(counts))]
+        config = TrainConfig(epochs=1, seed=3)
+        peak = traced_peak(lambda: train(counts, labels, config=config))
+        assert peak < counts.size * 8
+
+    def test_nan_in_the_last_block_raises(self):
+        model = LstmModel(3, 4, 2, seed=0)
+        x = np.zeros((2 * lstm.INFERENCE_BLOCK_ROWS + 5, 4, 3))
+        x[-1, -1, -1] = np.nan
+        with pytest.raises(NetworkError, match="non-finite"):
+            forward(model, x)
+
+    def test_block_size_keeps_probabilities_bit_identical(self, counts, monkeypatch):
+        model = LstmModel(5, 32, 8, seed=42)
+        x = counts[:16_800]
+        assert lstm.INFERENCE_BLOCK_ROWS == 512
+        blocked = forward(model, x)
+        monkeypatch.setattr(lstm, "INFERENCE_BLOCK_ROWS", 2048)
+        np.testing.assert_array_equal(forward(model, x), blocked)
 
 
 class TestGradients:

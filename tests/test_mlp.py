@@ -320,6 +320,16 @@ class TestTraining:
             for wa, wc in zip(model_a.parameters, model_c.parameters)
         )
 
+    def test_uint16_counts_train_like_their_float_copy(self):
+        rng = np.random.default_rng(32)
+        counts = rng.poisson(3.0, size=(300, 4)).astype(np.uint16)
+        y = ["1" if row[0] + row[1] > row[2] + row[3] else "0" for row in counts]
+        config = TrainConfig(epochs=4, seed=14)
+        model_a, hist_a = train(counts, y, hidden=(8, 8), config=config)
+        model_b, hist_b = train(counts.astype(float), y, hidden=(8, 8), config=config)
+        np.testing.assert_array_equal(model_a.flat, model_b.flat)
+        assert hist_a == hist_b
+
     def test_matches_count_threshold_on_separable_counts(self):
         # single-feature photon counts: the network has to rediscover the cut
         model_params = sim.EmissionModel()

@@ -886,6 +886,28 @@ class TestGeometryValidation:
         with pytest.raises(sim.SimulationError):
             sim.DetectorGeometry(2, 3, (1, 1), ((1, 0, 0), (0, 0, 1)))
 
+    @pytest.mark.parametrize(
+        "field, geometry_args",
+        [
+            ("ion_channel", (2, 3, (0.0, 2.0), ((1.0, 0, 0), (0, 0, 1.0)), False)),
+            ("ion_channel", (2, 3, (False, 2), ((1, 0, 0), (0, 0, 1)))),
+            ("num_ions", (True, 2, (0,), ((1, 0),))),
+            ("num_channels", (1, 2.0, (0,), ((1, 0),))),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["fresh", "pool"])
+    def test_counts_and_ion_channels_must_be_integers(self, field, geometry_args, mode):
+        with pytest.raises(sim.SimulationError, match=f"geometry {field} must be of integer type"):
+            sim.generate_dataset(
+                sim.EmissionModel(), sim.DetectorGeometry(*geometry_args), 5, seed=0, mode=mode
+            )
+
+    def test_numpy_integers_accepted(self):
+        geometry = sim.DetectorGeometry(
+            np.int64(2), np.int32(3), (np.int64(0), np.uint8(2)), ((1, 0, 0), (0, 0, 1))
+        )
+        assert geometry.recorded_channels == (0, 1, 2)
+
     def test_negative_rates_rejected(self):
         with pytest.raises(sim.SimulationError):
             sim.EmissionModel(bright_rate=-0.1)
