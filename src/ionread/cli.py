@@ -80,7 +80,6 @@ class ExperimentConfig:
     epochs: int = 50
     batch_size: int = 128
     patience: int = 5
-    normalization: str = "none"
     strategies: str = "FT,NN,TNN,RNN"
 
     def strategy_names(self) -> list[str]:
@@ -173,8 +172,6 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("train_fraction must be inside (0, 1)")
     if config.samples_per_label < 2:
         raise ConfigError("samples_per_label must be >= 2 to allow a split")
-    if config.normalization not in ("none", "max"):
-        raise ConfigError(f"unknown normalization {config.normalization!r}")
     config.strategy_names()
 
 
@@ -240,7 +237,6 @@ class StrategyResult:
     report: evaluate.FidelityReport
     model: object
     history: list[dict] | None
-    scale: np.ndarray | None
     feature_spec: features.FeatureSpec
     seconds: float
     diagnostics: dict  # extra summary keys: AT convergence, network training
@@ -262,7 +258,6 @@ def run_strategy(
         include = geometry.intermediate_channels_present
     fspec = features.FeatureSpec(num_bins=spec.num_bins, include_intermediate=include)
     history = None
-    scale = None
     diagnostics = {}
     if spec.kind in ("fixed", "adaptive"):
         counts = features.featurize_dataset(dataset.samples, fspec, geometry)
@@ -290,10 +285,6 @@ def run_strategy(
         else:
             network = lstm
             x = features.sequence_dataset(dataset.samples, fspec, geometry)
-        if config.normalization == "max":
-            # one divisor per input column; sequences share it across bins
-            scale = features.column_maxima(x[train_idx].reshape(-1, x.shape[-1]))
-            x = x / scale
         model, history = network.train(
             x[train_idx], train_labels, spec.hidden, config=train_config
         )
@@ -309,9 +300,7 @@ def run_strategy(
         evaluate.confusion(predicted, test_labels), strategy=spec.name
     )
     seconds = time.perf_counter() - started
-    return StrategyResult(
-        spec.name, report, model, history, scale, fspec, seconds, diagnostics
-    )
+    return StrategyResult(spec.name, report, model, history, fspec, seconds, diagnostics)
 
 
 _MODEL_CLASSES = {
@@ -371,8 +360,6 @@ def _save_strategy(result: StrategyResult, out_dir: Path) -> dict:
         "num_bins": result.feature_spec.num_bins,
         "include_intermediate": result.feature_spec.include_intermediate,
     }
-    if result.scale is not None:
-        metadata["scale"] = np.asarray(result.scale).ravel().tolist()
     save_model(result.model, model_path, metadata)
     entry = evaluate.report_to_dict(result.report)
     entry["model_file"] = str(model_path.relative_to(out_dir))
@@ -412,23 +399,24 @@ CHECK_SIGMAS = 5.0
 def simulator_check(dataset: sim.Dataset) -> dict:
     """Events per (label, recorded channel) against ``sim.expected_channel_means``.
 
-    One ``bincount`` over the event columns gives every shot's count per
-    channel.  A pair whose mean count lies more than ``CHECK_SIGMAS``
-    standard errors from the analytic mean is flagged.  The standard error
-    takes the larger of the sample and the Poisson variance, because
-    pumping spreads the counts wider than Poisson.
+    Each shot's count per recorded channel is its 1-bin count image.  A pair
+    whose mean count lies more than ``CHECK_SIGMAS`` standard errors from the
+    analytic mean is flagged.  The standard error takes the larger of the
+    sample and the Poisson variance, because pumping spreads the counts
+    wider than Poisson.
     """
     geometry = dataset.geometry
     expected = sim.expected_channel_means(dataset.model, geometry, dataset.mode)
     recorded = list(geometry.recorded_channels)
-    n, width, num_labels = len(dataset), geometry.num_channels, expected.shape[0]
-    shot = np.repeat(np.arange(n), np.diff(dataset.offsets))
-    counts = np.bincount(shot * width + dataset.channels, minlength=n * width)
-    # then each shot's counts summed per (label, channel)
+    # all channels in order when intermediate ones are recorded, else the ions'
+    spec = features.FeatureSpec(1, geometry.intermediate_channels_present)
+    counts = features.featurize_dataset(dataset.samples, spec, geometry).astype(float)
+    width, num_labels = counts.shape[1], expected.shape[0]
+    # each shot's counts summed per (label, channel)
     key = (dataset.states[:, None] * width + np.arange(width)).ravel()
     sums, squares = (
-        np.bincount(key, weights=w, minlength=num_labels * width).reshape(-1, width)[:, recorded]
-        for w in (counts, counts.astype(float) ** 2)
+        np.bincount(key, weights=w.ravel(), minlength=num_labels * width).reshape(-1, width)
+        for w in (counts, counts**2)
     )
     shots = np.bincount(dataset.states, minlength=num_labels)[:, None]
     mean = sums / shots
@@ -632,8 +620,8 @@ def run_probe(config: ExperimentConfig, out_dir: Path) -> dict:
     """Where in the window a lone photon pulls the recurrent model bright.
 
     Trains the recurrent strategy exactly as ``run`` would, then feeds it
-    one photon (in model input units) per (arrival bin, ion channel) and
-    records the marginal bright probability of the ion that owns the channel.
+    one photon per (arrival bin, ion channel) and records the marginal
+    bright probability of the ion that owns the channel.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     result, dataset, _ = _trained_rnn(config)
@@ -646,8 +634,7 @@ def run_probe(config: ExperimentConfig, out_dir: Path) -> dict:
     curves = []
     for ion in range(geometry.num_ions):
         column = channel_ids.index(geometry.ion_channel[ion])
-        photon = 1.0 if result.scale is None else 1.0 / float(result.scale[column])
-        curves.append(lstm.probe(model, bins, column, ion, photon_value=photon))
+        curves.append(lstm.probe(model, bins, column, ion))
     curves = np.asarray(curves)
     mean_curve = curves.mean(axis=0)
     path = out_dir / "probe.csv"
@@ -683,8 +670,6 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> dict:
     model: lstm.LstmModel = result.model
     spec = result.feature_spec
     sequences = features.sequence_dataset(dataset.samples, spec, dataset.geometry)[test_idx]
-    if result.scale is not None:
-        sequences = sequences / result.scale
     test_labels = np.asarray(dataset.labels)[test_idx]
     bins = spec.num_bins
     bin_width = config.window_us / bins

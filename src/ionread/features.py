@@ -107,15 +107,3 @@ def sequence_dataset(
     """Per-bin uint16 sequences (step t is image column t), shape (n, bins, channels)."""
     return _count_images(samples, spec, geometry, bins_major=True)
 
-
-def column_maxima(features: np.ndarray) -> np.ndarray:
-    """Per-column maxima of a training matrix, the divisors of max scaling.
-
-    Columns that are identically zero get divisor 1 so unseen non-zero values
-    pass through unscaled rather than exploding.
-    """
-    # the maximum is taken in the input's dtype and only this row converted;
-    # conversion keeps order, so the scales equal those of a float copy
-    maxima = np.asarray(features).max(axis=0).astype(float)
-    maxima[maxima == 0.0] = 1.0
-    return maxima

@@ -327,24 +327,16 @@ def bright_marginal(probs: np.ndarray, ion: int, num_ions: int) -> np.ndarray:
     return np.atleast_2d(probs)[:, bright].sum(axis=1)
 
 
-def probe(
-    model: LstmModel,
-    num_bins: int,
-    feature_column: int,
-    ion: int,
-    photon_value: float = 1.0,
-) -> np.ndarray:
+def probe(model: LstmModel, num_bins: int, feature_column: int, ion: int) -> np.ndarray:
     """Bright-state probability assigned to one photon, by arrival bin.
 
     Feeds the network ``num_bins`` otherwise empty sequences that differ
     only in which bin carries a single count on ``feature_column`` and
-    returns the marginal P(ion bright) against arrival time.  Training sees
-    scaled counts, so pass the scaled value of one photon.
+    returns the marginal P(ion bright) against arrival time.
     """
     if not 0 <= feature_column < model.input_size:
         raise NetworkError(f"feature column {feature_column} out of range")
     x = np.zeros((num_bins, num_bins, model.input_size))
-    for t in range(num_bins):
-        x[t, t, feature_column] = photon_value
+    x[np.arange(num_bins), np.arange(num_bins), feature_column] = 1.0
     return bright_marginal(forward(model, x), ion, model.num_ions)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -82,6 +82,25 @@ class CalibrationError(RuntimeError):
     """Raised when rate calibration cannot bracket or reach its target."""
 
 
+def _store_plain(instance) -> None:
+    """Replace numpy scalars in a frozen dataclass's fields by Python numbers.
+
+    Arrays, lists and tuples, nested ones included, become tuples, so a
+    header written from the fields is plain JSON; Python numbers are kept as
+    they are.
+    """
+
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if isinstance(value, (tuple, list)):
+            return tuple(plain(v) for v in value)
+        return value.item() if isinstance(value, np.generic) else value
+
+    for field in fields(instance):
+        object.__setattr__(instance, field.name, plain(getattr(instance, field.name)))
+
+
 @dataclass(frozen=True)
 class EmissionModel:
     """Per-ion photon emission and error-process rates, all in events/us.
@@ -111,6 +130,7 @@ class EmissionModel:
     window_us: float = DEFAULT_WINDOW_US
 
     def __post_init__(self) -> None:
+        _store_plain(self)
         for name in (
             "bright_rate",
             "pump_bright_to_dark_rate",
@@ -171,13 +191,14 @@ class DetectorGeometry:
     intermediate_channels_present: bool = True
 
     def __post_init__(self) -> None:
+        _store_plain(self)
         # a float or bool here would count or index channels wrongly further on
         for name, values in (
             ("num_ions", [self.num_ions]),
             ("num_channels", [self.num_channels]),
             ("ion_channel", self.ion_channel),
         ):
-            if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in values):
+            if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
                 raise SimulationError(
                     f"geometry {name} must be of integer type, got {getattr(self, name)!r}"
                 )

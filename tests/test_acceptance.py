@@ -163,8 +163,6 @@ def test_recurrent_parity_and_time_trends(three_qubit_experiment):
     spec = rnn.feature_spec
     geometry = dataset.geometry
     sequences = features.sequence_dataset(dataset.samples, spec, geometry)[test_idx]
-    if rnn.scale is not None:
-        sequences = sequences / rnn.scale
     test_labels = [dataset.labels[i] for i in test_idx]
     h, c = lstm.initial_state(model, sequences.shape[0])
     curve = []
@@ -185,8 +183,7 @@ def test_recurrent_parity_and_time_trends(three_qubit_experiment):
     probes = []
     for ion in range(geometry.num_ions):
         column = channel_ids.index(geometry.ion_channel[ion])
-        photon = 1.0 if rnn.scale is None else 1.0 / float(rnn.scale[column])
-        probes.append(lstm.probe(model, spec.num_bins, column, ion, photon_value=photon))
+        probes.append(lstm.probe(model, spec.num_bins, column, ion))
     mean_probe = np.mean(probes, axis=0)
     rho = stats.spearmanr(np.arange(mean_probe.size), mean_probe).statistic
 

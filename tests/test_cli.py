@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +52,15 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             build_config({"number_of_ions": "3"})
+        with pytest.raises(ConfigError, match="unknown config key 'normalization'"):
+            build_config({"normalization": "max"})
+
+    def test_readme_config_block_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("### Config file", 1)[1].split("```", 2)[1]
+        # one key per unindented line; indented lines continue a description
+        keys = [line.split()[0] for line in block.splitlines() if line[:1].isalpha()]
+        assert keys == [field.name for field in dataclasses.fields(ExperimentConfig)]
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="num_ions"):
@@ -199,6 +209,13 @@ class TestRunCommand:
             # patience 1 stops at the first epoch that does not improve
             assert entry["best_epoch"] == entry["epochs_run"] - 2
 
+    def test_threshold_file_says_which_features_it_read(self, tiny_run):
+        _, out = tiny_run
+        ft = json.loads((out / "models" / "FT.json").read_text())
+        assert ft["metadata"] == {
+            "strategy": "FT", "num_bins": 1, "include_intermediate": False
+        }
+
     def test_dataset_round_trips(self, tiny_run):
         _, out = tiny_run
         dataset = sim.load_dataset(str(out / "dataset.jsonl"))
@@ -343,59 +360,6 @@ class TestProbeAndSweep:
         assert rows[0] == ["detection_time_us", "fidelity", "stderr"]
         assert len(rows) == 1 + 16
         assert rows[1][0] == "0.0" and rows[-1][0] == "150.0"
-
-
-@pytest.fixture(scope="module")
-def scaled_run(tmp_path_factory):
-    cfg = tmp_path_factory.mktemp("cfg")
-    config = write_config(
-        cfg / "scaled.cfg",
-        "num_ions = 3\ngeometry = alternating\nsamples_per_label = 30\n"
-        "epochs = 2\nnormalization = max\nstrategies = FT,NN+,RNN\n"
-        "seed_data = 6\nseed_train = 7\n",
-    )
-    out = tmp_path_factory.mktemp("scaled")
-    codes = [
-        main([command, "--config", config, "--out", str(out / command)])
-        for command in ("run", "probe", "sweep-time")
-    ]
-    return codes, out
-
-
-class TestMaxNormalization:
-    def test_every_command_succeeds(self, scaled_run):
-        codes, _ = scaled_run
-        assert codes == [0, 0, 0]
-
-    def test_scale_recorded_with_model_input_width(self, scaled_run):
-        _, out = scaled_run
-        models = out / "run" / "models"
-        nn_plus = json.loads((models / "NN_plus.json").read_text())
-        rnn = json.loads((models / "RNN.json").read_text())
-        assert len(nn_plus["metadata"]["scale"]) == nn_plus["layer_sizes"][0]
-        assert len(rnn["metadata"]["scale"]) == rnn["input_size"]
-
-    def test_rnn_scale_is_training_channel_maximum(self, scaled_run):
-        _, out = scaled_run
-        run = out / "run"
-        summary = json.loads((run / "summary.json").read_text())
-        config = ExperimentConfig(**summary["config"])
-        dataset = sim.load_dataset(str(run / "dataset.jsonl"))
-        train_idx, _ = evaluate.split(
-            dataset.labels, config.train_fraction, config.seed_data
-        )
-        spec = features.FeatureSpec(num_bins=15, include_intermediate=True)
-        sequences = features.sequence_dataset(dataset.samples, spec, dataset.geometry)
-        expected = sequences[train_idx].max(axis=(0, 1))
-        rnn = json.loads((run / "models" / "RNN.json").read_text())
-        np.testing.assert_array_equal(rnn["metadata"]["scale"], expected)
-
-    def test_threshold_file_says_which_features_it_read(self, scaled_run):
-        _, out = scaled_run
-        ft = json.loads((out / "run" / "models" / "FT.json").read_text())
-        assert ft["metadata"] == {
-            "strategy": "FT", "num_bins": 1, "include_intermediate": False
-        }
 
 
 MIDDLE_ION_CONTEXTS = [[1, key] for key in ("00", "01", "10", "11")]

@@ -167,20 +167,3 @@ class TestCountRange:
             with pytest.raises(features.FeatureError, match="shot 1: 65536 events"):
                 to_images([full, over], spec, geometry)
 
-
-class TestScaler:
-    def test_max_scaling_with_zero_feature_fallback(self):
-        train = np.array([[2.0, 0.0, 8.0], [4.0, 0.0, 2.0]])
-        maxima = features.column_maxima(train)
-        np.testing.assert_array_equal(maxima, [4.0, 1.0, 8.0])
-        test = np.array([[4.0, 3.0, 4.0]])
-        np.testing.assert_allclose(test / maxima, [[1.0, 3.0, 0.5]])
-
-    def test_uint16_counts_give_the_float_copy_scales(self):
-        counts = np.random.default_rng(3).poisson(4.0, size=(500, 6)).astype(np.uint16)
-        counts[:, 2] = 0
-        counts[7, 4] = np.iinfo(np.uint16).max
-        maxima = features.column_maxima(counts)
-        assert maxima.dtype == np.float64
-        np.testing.assert_array_equal(maxima, features.column_maxima(counts.astype(float)))
-        assert maxima[2] == 1.0 and maxima[4] == 65535.0

@@ -410,7 +410,7 @@ class TestMarginals:
 
     def test_probe_shape_and_bounds(self):
         model = LstmModel(3, 4, 4, seed=15)
-        curve = probe(model, num_bins=5, feature_column=1, ion=0, photon_value=0.2)
+        curve = probe(model, num_bins=5, feature_column=1, ion=0)
         assert curve.shape == (5,)
         assert np.all((curve >= 0.0) & (curve <= 1.0))
         with pytest.raises(NetworkError):

@@ -656,6 +656,32 @@ class TestSerialisation:
             np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
             assert getattr(back, column).dtype == getattr(ds, column).dtype
 
+    def test_numpy_scalar_inputs_save_and_load(self, tmp_path):
+        half = np.float32(0.5)
+        # one crosstalk row of numpy scalars, one float32 array
+        rows = ((half, half, 0), np.array([0, 0, 1], dtype=np.float32))
+        geometry = sim.DetectorGeometry(
+            np.int64(2), np.int64(3), (np.int64(0), np.int64(2)), rows
+        )
+        model = sim.EmissionModel(bright_rate=np.float32(0.06))
+        ds = sim.generate_dataset(model, geometry, 10, seed=23)
+        path = tmp_path / "numpy.jsonl"
+        sim.save_dataset(ds, path)
+        back = sim.load_dataset(path)
+        assert back.geometry == geometry and back.model == model
+        assert type(geometry.num_ions) is int and type(geometry.ion_channel[1]) is int
+        assert type(geometry.crosstalk[0][0]) is float and type(geometry.crosstalk[1][2]) is float
+        assert model.bright_rate == float(np.float32(0.06))
+        # the same file as from the Python numbers the numpy scalars hold
+        plain = sim.generate_dataset(
+            sim.EmissionModel(bright_rate=float(np.float32(0.06))),
+            sim.DetectorGeometry(2, 3, (0, 2), ((0.5, 0.5, 0), (0.0, 0.0, 1.0))),
+            10,
+            seed=23,
+        )
+        sim.save_dataset(plain, tmp_path / "plain.jsonl")
+        assert path.read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+
     def test_header_is_json_with_format_marker(self, tmp_path):
         ds = sim.generate_dataset(sim.EmissionModel(), sim.single_ion_geometry(), 2, seed=0)
         path = tmp_path / "ds.jsonl"
