@@ -122,7 +122,7 @@ def initial_state(model: LstmModel, batch: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _cell(
-    model: LstmModel,
+    w_gates: np.ndarray,
     xh: np.ndarray,
     act: np.ndarray,
     c: np.ndarray,
@@ -131,13 +131,14 @@ def _cell(
 ) -> None:
     """One time bin of the LSTM, gate-major: one column per sequence.
 
-    ``xh`` is ``[x_t; h_t; 1]``.  Writes the activations BPTT needs into
-    ``act``, as ``[input, forget, output, candidate, tanh(c_next)]`` blocks of
+    ``xh`` is ``[x_t; h_t; 1]`` and ``w_gates`` the model's gate rows in the
+    compute dtype.  Writes the activations BPTT needs into ``act``, as
+    ``[input, forget, output, candidate, tanh(c_next)]`` blocks of
     ``hidden_size`` rows, and the next state into ``c_next`` and ``h_next``.
     """
-    hs = model.hidden_size
+    hs = c.shape[0]
     z = act[: 4 * hs]
-    np.matmul(model.w_gates.T, xh, out=z)
+    np.matmul(w_gates.T, xh, out=z)
     sigmoid(z[: 3 * hs], out=z[: 3 * hs])
     np.tanh(z[3 * hs :], out=z[3 * hs :])
     gate_in, forget, gate_out, candidate, tanh_c = act.reshape(5, hs, xh.shape[1])
@@ -148,27 +149,28 @@ def _cell(
     np.multiply(gate_out, tanh_c, out=h_next)
 
 
-def _unroll(model: LstmModel, x: np.ndarray, keep: bool):
+def _unroll(w_gates: np.ndarray, x: np.ndarray, keep: bool):
     """Run the cell over every bin of ``x`` (batch, bins, inputs), from zero state.
 
+    ``x`` and ``w_gates`` share the compute dtype, which every slab takes.
     Returns the slabs ``xh`` (``[x_t; h_t; 1]`` per step), ``act`` and ``c``
     (cell state per step) and the final hidden state, all gate-major.  With
     ``keep`` every step has its own slot, as BPTT needs; without it two slots
     alternate and only the current state is held.
     """
     batch, bins, n_in = x.shape
-    hs = model.hidden_size
+    hs = w_gates.shape[1] // 4
     slots = bins + 1 if keep else 2
-    xh = np.empty((slots, n_in + hs + 1, batch))
+    xh = np.empty((slots, n_in + hs + 1, batch), x.dtype)
     xh[:, -1] = 1.0
     xh[0, n_in:-1] = 0.0
-    act = np.empty((bins if keep else 1, 5 * hs, batch))
-    c = np.empty((slots, hs, batch))
+    act = np.empty((bins if keep else 1, 5 * hs, batch), x.dtype)
+    c = np.empty((slots, hs, batch), x.dtype)
     c[0] = 0.0
     for t in range(bins):
         now, after = t % slots, (t + 1) % slots
         xh[now, :n_in] = x[:, t].T
-        _cell(model, xh[now], act[t % len(act)], c[now], c[after], xh[after, n_in:-1])
+        _cell(w_gates, xh[now], act[t % len(act)], c[now], c[after], xh[after, n_in:-1])
     return xh, act, c, xh[bins % slots, n_in:-1]
 
 
@@ -178,17 +180,21 @@ def step(
     """Advance one time bin; use with ``initial_state`` to stream counts.
 
     ``x_t``, ``h`` and ``c`` hold one row per sequence, as do the returned
-    next ``(h, c)``.
+    next ``(h, c)``.  Each step runs in ``x_t``'s compute dtype (see
+    :func:`_finite_counts`), the dtype :func:`forward` runs the same counts in.
     """
+    x_t = _finite_counts(x_t)
+    dtype = x_t.dtype
     hs = model.hidden_size
     batch = x_t.shape[0]
-    xh = np.empty((model.input_size + hs + 1, batch))
+    xh = np.empty((model.input_size + hs + 1, batch), dtype)
     xh[: model.input_size] = x_t.T
     xh[model.input_size : -1] = h.T
     xh[-1] = 1.0
-    act = np.empty((5 * hs, batch))
-    c_next, h_next = np.empty((2, hs, batch))
-    _cell(model, xh, act, np.ascontiguousarray(c.T), c_next, h_next)
+    act = np.empty((5 * hs, batch), dtype)
+    c_next, h_next = np.empty((2, hs, batch), dtype)
+    w_gates = np.asarray(model.w_gates, dtype)
+    _cell(w_gates, xh, act, np.ascontiguousarray(c.T, dtype), c_next, h_next)
     return h_next.T.copy(), c_next.T.copy()
 
 
@@ -209,8 +215,17 @@ def _sequence_array(model: LstmModel, sequences) -> np.ndarray:
 
 
 def _finite_counts(x: np.ndarray) -> np.ndarray:
-    """``x`` as float64, which is exact for uint16 counts, checked finite."""
-    x = np.asarray(x, dtype=float)
+    """``x`` in the LSTM's compute dtype, checked finite.
+
+    The compute dtype is ``np.result_type(x.dtype, np.float32)``.  Integer
+    counts, which every feature this package makes is, run in float32,
+    where uint16 counts are exact; float64 input keeps the float64 path that
+    the tests hold as the reference.  The MLPs still read counts as float64,
+    and the parameters, their gradients, the readout softmax and the model
+    files stay float64 for both networks.
+    """
+    x = np.asarray(x)
+    x = x.astype(np.result_type(x.dtype, np.float32), copy=False)
     if not np.all(np.isfinite(x)):
         raise NetworkError("non-finite count values")
     return x
@@ -227,7 +242,7 @@ def forward(model: LstmModel, sequences) -> np.ndarray:
     # one block of rows, not the whole input or every bin's activations
     for start in range(0, x.shape[0], INFERENCE_BLOCK_ROWS):
         block = _finite_counts(x[start : start + INFERENCE_BLOCK_ROWS])
-        h = _unroll(model, block, keep=False)[-1]
+        h = _unroll(np.asarray(model.w_gates, block.dtype), block, keep=False)[-1]
         probs[start : start + block.shape[0]] = readout(model, h.T)
     return probs
 
@@ -240,8 +255,9 @@ def backward(model: LstmModel, sequences, class_indices) -> tuple[float, np.ndar
     """
     x = _finite_counts(_sequence_array(model, sequences))
     y = np.asarray(class_indices, dtype=np.int64)
-    batch, bins, _ = x.shape
-    xh, act, c, h_last = _unroll(model, x, keep=True)
+    batch, bins, n_in = x.shape
+    w_gates = np.asarray(model.w_gates, x.dtype)
+    xh, act, c, h_last = _unroll(w_gates, x, keep=True)
     probs = readout(model, h_last.T)
     batch_loss = cross_entropy(probs, y)
 
@@ -254,15 +270,17 @@ def backward(model: LstmModel, sequences, class_indices) -> tuple[float, np.ndar
     np.matmul(h_last, delta, out=grad_w_readout)
     delta.sum(axis=0, out=grad_b_readout)
     grad_gates = _gate_rows(model, grad)
-    step_grad = np.empty_like(grad_gates)
+    # each bin's gate gradient in the compute dtype, summed in float64
+    step_grad = np.empty(grad_gates.shape, x.dtype)
 
     hs = model.hidden_size
-    d_h = model.w_readout @ delta.T
-    d_c = np.zeros((hs, batch))
-    d_z = np.empty((4 * hs, batch))
+    w_hidden = w_gates[n_in:-1]
+    d_h = (model.w_readout @ delta.T).astype(x.dtype, copy=False)
+    d_c = np.zeros((hs, batch), x.dtype)
+    d_z = np.empty((4 * hs, batch), x.dtype)
     d_sig = d_z[: 3 * hs]
     d_in, d_forget, d_out, d_cand = d_z.reshape(4, hs, batch)
-    scratch = np.empty((hs, batch))
+    scratch = np.empty((hs, batch), x.dtype)
     for t in range(bins - 1, -1, -1):
         gate_in, forget, gate_out, candidate, tanh_c = act[t].reshape(5, hs, batch)
         # d_c += d_h * gate_out * (1 - tanh_c**2)
@@ -287,7 +305,7 @@ def backward(model: LstmModel, sequences, class_indices) -> tuple[float, np.ndar
         d_cand *= d_c
         np.matmul(xh[t], d_z.T, out=step_grad)
         grad_gates += step_grad
-        np.matmul(model.w_hidden, d_z, out=d_h)
+        np.matmul(w_hidden, d_z, out=d_h)
         d_c *= forget
     return batch_loss, grad
 
@@ -304,8 +322,10 @@ def train(
 ) -> tuple[LstmModel, list[dict]]:
     """Same epoch protocol as the feed-forward core, see :func:`mlp.fit`.
 
-    ``sequences`` keep their dtype (uint16 counts, say) and are converted to
-    float one batch or inference block at a time.
+    ``sequences`` keep their dtype (uint16 counts, say) and are converted
+    one batch or inference block at a time to the compute dtype of
+    :func:`_finite_counts`: counts run in float32, float64 input in float64.
+    The parameters, the ADADELTA state and the returned model stay float64.
     """
     config = config or TrainConfig()
     x = np.asarray(sequences)
@@ -332,11 +352,12 @@ def probe(model: LstmModel, num_bins: int, feature_column: int, ion: int) -> np.
 
     Feeds the network ``num_bins`` otherwise empty sequences that differ
     only in which bin carries a single count on ``feature_column`` and
-    returns the marginal P(ion bright) against arrival time.
+    returns the marginal P(ion bright) against arrival time.  The sequences
+    are uint16 counts, so they run at the precision training read.
     """
     if not 0 <= feature_column < model.input_size:
         raise NetworkError(f"feature column {feature_column} out of range")
-    x = np.zeros((num_bins, num_bins, model.input_size))
-    x[np.arange(num_bins), np.arange(num_bins), feature_column] = 1.0
+    x = np.zeros((num_bins, num_bins, model.input_size), dtype=np.uint16)
+    x[np.arange(num_bins), np.arange(num_bins), feature_column] = 1
     return bright_marginal(forward(model, x), ion, model.num_ions)
 

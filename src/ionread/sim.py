@@ -917,11 +917,14 @@ def load_dataset(path: str) -> Dataset:
     events ``[channel, time]`` with integer channels the geometry records and
     finite numeric times in ``[0, window_us]`` on the ``TIME_RESOLUTION_US``
     grid, at most ``MAX_TICKS`` ticks, sorted by time and then channel.
+    The file holds ``samples_per_label`` shots of every label, label-major,
+    as the simulator writes them.
     """
     with open(path) as fh:
         header = _read_header(path, fh.readline())
         geometry = header["geometry"]
-        state_of = {label: k for k, label in enumerate(all_labels(geometry.num_ions))}
+        labels = all_labels(geometry.num_ions)
+        state_of = {label: k for k, label in enumerate(labels)}
         lengths, windows, states, line_numbers = [], [], [], []
         channel_parts = [np.empty(0, dtype=np.int16)]
         time_parts = [np.empty(0, dtype=float)]
@@ -982,5 +985,20 @@ def load_dataset(path: str) -> Dataset:
             f"follows [{channels[i - 1]}, {times[i - 1]}]; events must be "
             f"sorted by time, then channel"
         )
+    # the simulator's shots: samples_per_label of each label, label-major
     states = np.asarray(states, dtype=np.int64)
+    per_label = header["samples_per_label"]
+    expected = len(labels) * per_label
+    if states.size != expected:
+        raise SimulationError(
+            f"{path}: {states.size} shots, where {len(labels)} labels of "
+            f"{per_label} shots each make {expected}"
+        )
+    misplaced = states != np.arange(expected) // per_label
+    if misplaced.any():
+        i = int(np.argmax(misplaced))
+        raise SimulationError(
+            f"{path}:{line_numbers[i]}: shot {i} is labelled {labels[states[i]]}, where "
+            f"label-major order puts {labels[i // per_label]}"
+        )
     return Dataset(offsets, channels, ticks, window_us, states, **header)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ionread import cli, lstm
+from ionread import cli, features, lstm
 from ionread.evaluate import EvaluationError
 from ionread.mlp import cross_entropy
 from ionread.lstm import (
@@ -228,10 +228,11 @@ class TestCountInput:
         return np.random.default_rng(40).poisson(0.6, size=(20_000, 15, 5)).astype(np.uint16)
 
     def test_uint16_trains_like_its_float_copy(self):
+        # counts run in float32, where uint16 values are exact
         x, labels = early_late_sequences(40, seed=22)
         config = TrainConfig(epochs=3, seed=8)
         model_a, hist_a = train(x.astype(np.uint16), labels, hidden_size=4, config=config)
-        model_b, hist_b = train(x, labels, hidden_size=4, config=config)
+        model_b, hist_b = train(x.astype(np.float32), labels, hidden_size=4, config=config)
         np.testing.assert_array_equal(model_a.flat, model_b.flat)
         assert hist_a == hist_b
 
@@ -259,6 +260,79 @@ class TestCountInput:
         blocked = forward(model, x)
         monkeypatch.setattr(lstm, "INFERENCE_BLOCK_ROWS", 2048)
         np.testing.assert_array_equal(forward(model, x), blocked)
+
+
+def trained_looking(model, seed):
+    """``model`` with N(0, 0.5) parameters in place of its initial ones."""
+    rng = np.random.default_rng(seed)
+    for p in model.parameters:
+        p[...] = rng.normal(scale=0.5, size=p.shape)
+    return model
+
+
+class TestSinglePrecision:
+    """Counts run in float32; the float64 path on the same counts is the oracle."""
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        # more rows than one inference block, 15 bins on 5 channels
+        rows = lstm.INFERENCE_BLOCK_ROWS + 300
+        return np.random.default_rng(50).poisson(1.5, size=(rows, 15, 5)).astype(np.uint16)
+
+    def test_compute_dtype_follows_the_input(self):
+        assert lstm._finite_counts(np.zeros(3, dtype=np.uint16)).dtype == np.float32
+        assert lstm._finite_counts(np.zeros(3, dtype=np.float32)).dtype == np.float32
+        assert lstm._finite_counts(np.zeros(3)).dtype == np.float64
+        model = LstmModel(5, 4, 8, seed=0)
+        h, c = step(model, np.ones((2, 5), dtype=np.uint16), *initial_state(model, 2))
+        assert h.dtype == c.dtype == np.float32
+
+    @pytest.mark.parametrize("hidden", [1, 32])
+    def test_gradient_matches_the_float64_path(self, counts, hidden):
+        model = trained_looking(LstmModel(5, hidden, 8, seed=51), seed=52)
+        x = counts[:64]
+        y = np.random.default_rng(53).integers(0, 8, size=64)
+        loss32, grad32 = backward(model, x, y)
+        loss64, grad64 = backward(model, x.astype(float), y)
+        assert grad32.dtype == np.float64
+        assert abs(loss32 - loss64) <= 1e-5 * loss64
+        ends = np.cumsum([p.size for p in model.parameters])
+        for got, want in zip(np.split(grad32, ends[:-1]), np.split(grad64, ends[:-1])):
+            assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+
+    def test_probabilities_match_the_float64_path(self, counts):
+        model = trained_looking(LstmModel(5, 32, 8, seed=54), seed=55)
+        probs = forward(model, counts)
+        assert probs.dtype == np.float64
+        np.testing.assert_allclose(probs, forward(model, counts.astype(float)), rtol=0, atol=1e-6)
+
+    # TestStreaming's shapes, and the 3q RNN's widths over more than one block
+    @pytest.mark.parametrize("rows, inputs, hidden", [(4, 2, 5), (5000, 3, 6), (812, 5, 32)])
+    def test_step_matches_full_forward(self, rows, inputs, hidden):
+        model = trained_looking(LstmModel(inputs, hidden, 8, seed=56), seed=57)
+        x = np.random.default_rng(rows).poisson(1.0, size=(rows, 8, inputs))
+        x = x.astype(np.uint16)
+        h, c = initial_state(model, rows)
+        for t in range(x.shape[1]):
+            h, c = step(model, x[:, t], h, c)
+        np.testing.assert_array_equal(readout(model, h), forward(model, x))
+
+    def test_max_count_raises_no_floating_point_warning(self):
+        # float32 exp overflows past 88.7, float64 only past 709.8
+        x, labels = early_late_sequences(20, seed=58)
+        x = (x > 0).astype(np.uint16) * features.MAX_COUNT
+        y = np.asarray(labels).astype(np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, history = train(x, labels, hidden_size=5, config=TrainConfig(epochs=2))
+            probs = forward(model, x)
+            batch_loss, grad = backward(model, x, y)
+            h, c = initial_state(model, len(x))
+            for t in range(x.shape[1]):
+                h, c = step(model, x[:, t], h, c)
+        assert len(history) == 2 and x.max() == features.MAX_COUNT
+        assert np.all(np.isfinite(probs)) and math.isfinite(batch_loss)
+        assert np.all(np.isfinite(grad)) and np.all(np.isfinite(h)) and np.all(np.isfinite(c))
 
 
 class TestGradients:

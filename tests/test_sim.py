@@ -777,11 +777,31 @@ class TestLoadValidation:
 
     def test_equal_events_and_shot_boundaries_are_in_order(self, tmp_path, lines):
         # equal (time, channel) pairs are allowed, and a shot may start
-        # earlier than the previous shot ended
+        # earlier than the previous shot ended; the edited shot keeps its label
         path = tmp_path / "ordered.jsonl"
-        shot = {"label": "101", "window_us": 150.0, "events": [[0, 0.0], [0, 0.0]]}
+        events = [[0, 0.0], [0, 0.0], [2, 149.9]]
+        shot = {"label": "000", "window_us": 150.0, "events": events}
         path.write_text("\n".join(lines[:2] + [json.dumps(shot)] + lines[3:]) + "\n")
         assert len(sim.load_dataset(path)) == len(lines) - 1
+
+    def test_every_label_needs_its_samples_per_label(self, tmp_path, lines):
+        # 16 shots under a header of 2 per label for 3 ions, cut three short
+        path = tmp_path / "truncated.jsonl"
+        path.write_text("\n".join(lines[:-3]) + "\n")
+        with pytest.raises(sim.SimulationError) as excinfo:
+            sim.load_dataset(path)
+        assert str(excinfo.value) == (
+            f"{path}: 13 shots, where 8 labels of 2 shots each make 16"
+        )
+
+    def test_shots_must_be_label_major(self, tmp_path, lines):
+        path = tmp_path / "reversed.jsonl"
+        path.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+        with pytest.raises(sim.SimulationError) as excinfo:
+            sim.load_dataset(path)
+        assert str(excinfo.value) == (
+            f"{path}:2: shot 0 is labelled 111, where label-major order puts 000"
+        )
 
     @pytest.mark.parametrize(
         "event, complaint",
