@@ -84,6 +84,8 @@ class ExperimentConfig:
 
     def strategy_names(self) -> list[str]:
         names = [s.strip() for s in self.strategies.split(",") if s.strip()]
+        if not names:
+            raise ConfigError(f"strategies names no strategy: {self.strategies!r}")
         for name in names:
             if name not in STRATEGIES:
                 raise ConfigError(
@@ -163,15 +165,19 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError(f"num_ions must be in [1, {sim.MAX_IONS}]")
     if config.mode not in ("fresh", "pool"):
         raise ConfigError(f"unknown generation mode {config.mode!r}")
-    if config.n_jobs < 1:
-        raise ConfigError(f"n_jobs must be >= 1, got {config.n_jobs}")
-    for key in ("seed_data", "seed_train"):
-        if getattr(config, key) < 0:
-            raise ConfigError(f"{key} must be >= 0, got {getattr(config, key)}")
+    for key, least in (("n_jobs", 1), ("seed_data", 0), ("seed_train", 0),
+                       ("epochs", 1), ("batch_size", 1), ("patience", 1)):
+        if getattr(config, key) < least:
+            raise ConfigError(f"{key} must be >= {least}, got {getattr(config, key)}")
     if not 0.0 < config.train_fraction < 1.0:
         raise ConfigError("train_fraction must be inside (0, 1)")
-    if config.samples_per_label < 2:
-        raise ConfigError("samples_per_label must be >= 2 to allow a split")
+    # evaluate.split cuts each label's shots after this many training shots
+    n_train = round(config.train_fraction * config.samples_per_label)
+    if not 0 < n_train < config.samples_per_label:
+        raise ConfigError(
+            f"train_fraction {config.train_fraction} of samples_per_label "
+            f"{config.samples_per_label} leaves no train or no test shot"
+        )
     config.strategy_names()
 
 
@@ -662,8 +668,9 @@ def run_probe(config: ExperimentConfig, out_dir: Path) -> dict:
 def run_sweep(config: ExperimentConfig, out_dir: Path) -> dict:
     """Test fidelity of the recurrent readout truncated after each bin.
 
-    The model is trained once on full windows; scoring then streams the
-    test set and reads the classifier state out after 0, 1, ... bins.
+    The model is trained once on full windows; scoring then reads the test
+    set's readout after 0, 1, ... bins from one ``lstm.forward_by_bin``
+    pass, so the full-window row is ``run``'s RNN fidelity.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     result, dataset, test_idx = _trained_rnn(config)
@@ -671,14 +678,10 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> dict:
     spec = result.feature_spec
     sequences = features.sequence_dataset(dataset.samples, spec, dataset.geometry)[test_idx]
     test_labels = np.asarray(dataset.labels)[test_idx]
-    bins = spec.num_bins
-    bin_width = config.window_us / bins
+    bin_width = config.window_us / spec.num_bins
     rows = []
-    h, c = lstm.initial_state(model, sequences.shape[0])
-    for t in range(bins + 1):
-        if t > 0:
-            h, c = lstm.step(model, sequences[:, t - 1], h, c)
-        predicted = mlp.probabilities_to_labels(lstm.readout(model, h), model.num_ions)
+    for t, probs in enumerate(lstm.forward_by_bin(model, sequences)):
+        predicted = mlp.probabilities_to_labels(probs, model.num_ions)
         report = evaluate.fidelity(
             evaluate.confusion(predicted, test_labels), strategy="RNN"
         )

@@ -1,12 +1,12 @@
 """Recurrent register classifier over time-binned photon counts.
 
-A single LSTM layer consumes one count vector per time bin; the final
-hidden state feeds a dense softmax over all 2**N register states, so the
-network sees photon arrival structure that total counts erase.  Gates are
-packed [input, forget, output, candidate] along one axis and the forget
-block starts at one so early training does not wipe the cell state.
-Training reuses the ADADELTA rule and epoch protocol of the feed-forward
-core.
+A single LSTM layer consumes one count vector per time bin; the hidden
+state after the last bin, or after each bin for ``forward_by_bin``, feeds a
+dense softmax over all 2**N register states, so the network sees photon
+arrival structure that total counts erase.  Gates are packed [input,
+forget, output, candidate] along one axis and the forget block starts at
+one so early training does not wipe the cell state.  Training reuses the
+ADADELTA rule and epoch protocol of the feed-forward core.
 """
 from __future__ import annotations
 
@@ -116,11 +116,6 @@ class LstmModel:
         return model
 
 
-def initial_state(model: LstmModel, batch: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero hidden and cell state for a batch of fresh sequences."""
-    return np.zeros((batch, model.hidden_size)), np.zeros((batch, model.hidden_size))
-
-
 def _cell(
     w_gates: np.ndarray,
     xh: np.ndarray,
@@ -155,8 +150,8 @@ def _unroll(w_gates: np.ndarray, x: np.ndarray, keep: bool):
     ``x`` and ``w_gates`` share the compute dtype, which every slab takes.
     Returns the slabs ``xh`` (``[x_t; h_t; 1]`` per step), ``act`` and ``c``
     (cell state per step) and the final hidden state, all gate-major.  With
-    ``keep`` every step has its own slot, as BPTT needs; without it two slots
-    alternate and only the current state is held.
+    ``keep`` every step has its own slot, as BPTT and per-bin readouts need;
+    without it two slots alternate and only the current state is held.
     """
     batch, bins, n_in = x.shape
     hs = w_gates.shape[1] // 4
@@ -172,30 +167,6 @@ def _unroll(w_gates: np.ndarray, x: np.ndarray, keep: bool):
         xh[now, :n_in] = x[:, t].T
         _cell(w_gates, xh[now], act[t % len(act)], c[now], c[after], xh[after, n_in:-1])
     return xh, act, c, xh[bins % slots, n_in:-1]
-
-
-def step(
-    model: LstmModel, x_t: np.ndarray, h: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance one time bin; use with ``initial_state`` to stream counts.
-
-    ``x_t``, ``h`` and ``c`` hold one row per sequence, as do the returned
-    next ``(h, c)``.  Each step runs in ``x_t``'s compute dtype (see
-    :func:`_finite_counts`), the dtype :func:`forward` runs the same counts in.
-    """
-    x_t = _finite_counts(x_t)
-    dtype = x_t.dtype
-    hs = model.hidden_size
-    batch = x_t.shape[0]
-    xh = np.empty((model.input_size + hs + 1, batch), dtype)
-    xh[: model.input_size] = x_t.T
-    xh[model.input_size : -1] = h.T
-    xh[-1] = 1.0
-    act = np.empty((5 * hs, batch), dtype)
-    c_next, h_next = np.empty((2, hs, batch), dtype)
-    w_gates = np.asarray(model.w_gates, dtype)
-    _cell(w_gates, xh, act, np.ascontiguousarray(c.T, dtype), c_next, h_next)
-    return h_next.T.copy(), c_next.T.copy()
 
 
 def readout(model: LstmModel, h: np.ndarray) -> np.ndarray:
@@ -231,20 +202,41 @@ def _finite_counts(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _block_readouts(model: LstmModel, sequences, by_bin: bool) -> np.ndarray:
+    """Readouts after the last bin (1, batch, 2**N), or ``by_bin`` after each.
+
+    No backward pass follows, so one block of rows is converted at a time,
+    and without ``by_bin`` only its current state is held, not every bin's.
+    """
+    x = _sequence_array(model, sequences)
+    batch, bins, n_in = x.shape
+    read_after = range(bins + 1) if by_bin else [bins]
+    probs = np.empty((len(read_after), batch, model.output_size))
+    for start in range(0, batch, INFERENCE_BLOCK_ROWS):
+        block = _finite_counts(x[start : start + INFERENCE_BLOCK_ROWS])
+        rows = slice(start, start + block.shape[0])
+        xh = _unroll(np.asarray(model.w_gates, block.dtype), block, keep=by_bin)[0]
+        # the state after t bins sits in slot t of ``_unroll``'s cyclic slots
+        for i, t in enumerate(read_after):
+            probs[i, rows] = readout(model, xh[t % len(xh), n_in:-1].T)
+    return probs
+
+
 def forward(model: LstmModel, sequences) -> np.ndarray:
     """Class probabilities from full sequences, shape (batch, 2**N).
 
     An empty sequence (zero bins) yields the readout-bias prior.
     """
-    x = _sequence_array(model, sequences)
-    probs = np.empty((x.shape[0], model.output_size))
-    # no backward pass follows, so convert and keep only the current state of
-    # one block of rows, not the whole input or every bin's activations
-    for start in range(0, x.shape[0], INFERENCE_BLOCK_ROWS):
-        block = _finite_counts(x[start : start + INFERENCE_BLOCK_ROWS])
-        h = _unroll(np.asarray(model.w_gates, block.dtype), block, keep=False)[-1]
-        probs[start : start + block.shape[0]] = readout(model, h.T)
-    return probs
+    return _block_readouts(model, sequences, by_bin=False)[0]
+
+
+def forward_by_bin(model: LstmModel, sequences) -> np.ndarray:
+    """Class probabilities after 0, 1, ... bins, shape (bins + 1, batch, 2**N).
+
+    Entry ``t`` is bit for bit ``forward(model, sequences[:, :t])``, read
+    off one pass over the same blocks.
+    """
+    return _block_readouts(model, sequences, by_bin=True)
 
 
 def backward(model: LstmModel, sequences, class_indices) -> tuple[float, np.ndarray]:

@@ -164,14 +164,11 @@ def test_recurrent_parity_and_time_trends(three_qubit_experiment):
     geometry = dataset.geometry
     sequences = features.sequence_dataset(dataset.samples, spec, geometry)[test_idx]
     test_labels = [dataset.labels[i] for i in test_idx]
-    h, c = lstm.initial_state(model, sequences.shape[0])
     curve = []
-    for t in range(spec.num_bins + 1):
-        if t > 0:
-            h, c = lstm.step(model, sequences[:, t - 1], h, c)
+    for probs in lstm.forward_by_bin(model, sequences):
         predicted = [
             evaluate.index_to_label(int(i), model.num_ions)
-            for i in np.argmax(lstm.readout(model, h), axis=1)
+            for i in np.argmax(probs, axis=1)
         ]
         curve.append(evaluate.fidelity(evaluate.confusion(predicted, test_labels)))
     sweep_ok = all(

@@ -96,6 +96,33 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="n_jobs"):
             build_config({"n_jobs": n_jobs})
 
+    @pytest.mark.parametrize("key", ["epochs", "batch_size", "patience"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_training_sizes_must_be_positive(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be >= 1, got {value}"):
+            build_config({key: value})
+        assert getattr(build_config({key: "1"}), key) == 1
+
+    # evaluate.split cuts each label at round(train_fraction * samples_per_label)
+    @pytest.mark.parametrize("samples, fraction", [("3", "0.9"), ("2", "0.2"), ("40", "0.99")])
+    def test_train_fraction_must_leave_train_and_test_shots(self, samples, fraction):
+        with pytest.raises(ConfigError, match="train_fraction"):
+            build_config({"samples_per_label": samples, "train_fraction": fraction})
+
+    def test_train_fraction_accepted_where_split_cuts(self):
+        config = build_config({"samples_per_label": "3", "train_fraction": "0.5"})
+        labels = [label for label in ("0", "1") for _ in range(config.samples_per_label)]
+        train, test = evaluate.split(labels, config.train_fraction, config.seed_data)
+        assert len(train) == 4 and len(test) == 2
+
+    def test_empty_strategy_list_rejected(self, capsys, tmp_path):
+        with pytest.raises(ConfigError, match="strategies"):
+            build_config({"strategies": " , "})
+        code = main(["run", "--strategies", ",", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["seed_data", "seed_train"])
     def test_seeds_must_be_non_negative(self, key):
         with pytest.raises(ConfigError, match=f"{key} must be >= 0, got -5"):
@@ -360,6 +387,22 @@ class TestProbeAndSweep:
         assert rows[0] == ["detection_time_us", "fidelity", "stderr"]
         assert len(rows) == 1 + 16
         assert rows[1][0] == "0.0" and rows[-1][0] == "150.0"
+
+    def test_full_window_sweep_row_is_the_run_fidelity(self, tmp_path):
+        # 640 test rows, more than one inference block
+        config = write_config(
+            tmp_path / "3q.cfg", "preset = 3q\nsamples_per_label = 400\nepochs = 2\n"
+        )
+        assert main(["sweep-time", "--config", config, "--out", str(tmp_path / "sweep")]) == 0
+        assert main(["run", "--config", config, "--strategies", "RNN",
+                     "--out", str(tmp_path / "run")]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        rnn = summary["strategies"]["RNN"]
+        shots = sum(state["shots"] for state in rnn["per_state"].values())
+        assert shots > lstm.INFERENCE_BLOCK_ROWS
+        with open(tmp_path / "sweep" / "time_sweep.csv") as fh:
+            last = list(csv.reader(fh))[-1]
+        assert last == ["150.0", f"{rnn['average']:.6f}", f"{rnn['average_stderr']:.6f}"]
 
 
 MIDDLE_ION_CONTEXTS = [[1, key] for key in ("00", "01", "10", "11")]

@@ -1,4 +1,4 @@
-"""Recurrent core: gate arithmetic, BPTT gradients, streaming, training."""
+"""Recurrent core: gate arithmetic, BPTT gradients, per-bin readout, training."""
 import math
 import tracemalloc
 import warnings
@@ -16,12 +16,11 @@ from ionread.lstm import (
     backward,
     bright_marginal,
     forward,
-    initial_state,
+    forward_by_bin,
     predict,
     probe,
     readout,
     sigmoid,
-    step,
     train,
 )
 
@@ -143,19 +142,17 @@ class TestForward:
     def test_hidden_state_strictly_inside_unit_box(self):
         model = LstmModel(2, 6, 4, seed=3)
         x = np.random.default_rng(4).normal(scale=50.0, size=(8, 10, 2))
-        h, c = initial_state(model, 8)
-        for t in range(10):
-            h, c = step(model, x[:, t], h, c)
-        assert np.all(np.abs(h) < 1.0)
+        xh = lstm._unroll(model.w_gates, x, keep=True)[0]
+        # every bin's hidden state, rows 2 to 7 of its [x_t; h_t; 1] slot
+        assert np.all(np.abs(xh[:, 2:-1]) < 1.0)
 
     def test_cell_state_bounded_by_bin_count(self):
         model = LstmModel(2, 6, 4, seed=5)
         bins = 7
         x = np.random.default_rng(6).normal(scale=50.0, size=(8, bins, 2))
-        h, c = initial_state(model, 8)
-        for t in range(bins):
-            h, c = step(model, x[:, t], h, c)
-        assert np.all(np.abs(c) <= bins)
+        c = lstm._unroll(model.w_gates, x, keep=True)[2]
+        for t in range(bins + 1):
+            assert np.all(np.abs(c[t]) <= t)
 
     def test_empty_sequence_gives_readout_bias_prior(self):
         model = LstmModel(3, 4, 4, seed=7)
@@ -174,39 +171,36 @@ class TestForward:
 
 
 class TestStreaming:
-    def test_step_matches_full_forward(self):
-        model = LstmModel(2, 5, 4, seed=9)
-        x = np.random.default_rng(10).poisson(1.0, size=(4, 8, 2)).astype(float)
-        h, c = initial_state(model, 4)
-        for t in range(8):
-            h, c = step(model, x[:, t], h, c)
-        np.testing.assert_array_equal(readout(model, h), forward(model, x))
+    """The readout after each bin, as a shot's counts arrive."""
 
-    def test_concatenated_segments_stream_to_same_state(self):
-        model = LstmModel(2, 5, 4, seed=11)
-        rng = np.random.default_rng(12)
-        first = rng.poisson(1.0, size=(3, 4, 2)).astype(float)
-        second = rng.poisson(1.0, size=(3, 3, 2)).astype(float)
-        h, c = initial_state(model, 3)
-        for segment in (first, second):
-            for t in range(segment.shape[1]):
-                h, c = step(model, segment[:, t], h, c)
-        whole = np.concatenate([first, second], axis=1)
-        np.testing.assert_array_equal(readout(model, h), forward(model, whole))
+    # one row, a block edge on either side, and several blocks with a ragged
+    # last one; the first two widths are small, the last the 3q RNN's
+    @pytest.mark.parametrize("dtype", ["uint16", "float64"])
+    def test_each_bin_is_forward_over_that_prefix(self, dtype):
+        for rows in (1, 4, 511, 512, 513, 812, 1025, 5000):
+            for inputs, hidden, outputs in ((2, 5, 4), (3, 6, 4), (5, 32, 8)):
+                rng = np.random.default_rng(rows + hidden)
+                model = trained_looking(LstmModel(inputs, hidden, outputs), seed=rows)
+                x = rng.poisson(1.0, size=(rows, 8, inputs)).astype(dtype)
+                by_bin = forward_by_bin(model, x)
+                assert by_bin.shape == (9, rows, outputs) and by_bin.dtype == np.float64
+                for t in range(9):
+                    np.testing.assert_array_equal(by_bin[t], forward(model, x[:, :t]))
 
-    def test_row_blocks_match_one_step_loop_over_all_rows(self):
+    def test_row_blocks_match_one_step_loop_over_all_rows(self, monkeypatch):
         rows = 5000
         assert rows > lstm.INFERENCE_BLOCK_ROWS
         model = LstmModel(3, 6, 4, seed=19)
         x = np.random.default_rng(20).poisson(1.0, size=(rows, 5, 3)).astype(float)
-        h, c = initial_state(model, rows)
-        for t in range(5):
-            h, c = step(model, x[:, t], h, c)
-        np.testing.assert_array_equal(forward(model, x), readout(model, h))
+        blocked = forward_by_bin(model, x)
+        # one block: a single loop of time steps over all rows
+        monkeypatch.setattr(lstm, "INFERENCE_BLOCK_ROWS", rows)
+        np.testing.assert_array_equal(forward_by_bin(model, x), blocked)
 
     def test_empty_batch_keeps_output_width(self):
         model = LstmModel(3, 4, 8, seed=21)
         assert forward(model, np.zeros((0, 5, 3))).shape == (0, 8)
+        assert forward_by_bin(model, np.zeros((0, 5, 3))).shape == (6, 0, 8)
 
 
 def traced_peak(run):
@@ -279,13 +273,22 @@ class TestSinglePrecision:
         rows = lstm.INFERENCE_BLOCK_ROWS + 300
         return np.random.default_rng(50).poisson(1.5, size=(rows, 15, 5)).astype(np.uint16)
 
-    def test_compute_dtype_follows_the_input(self):
+    def test_compute_dtype_follows_the_input(self, monkeypatch):
         assert lstm._finite_counts(np.zeros(3, dtype=np.uint16)).dtype == np.float32
         assert lstm._finite_counts(np.zeros(3, dtype=np.float32)).dtype == np.float32
         assert lstm._finite_counts(np.zeros(3)).dtype == np.float64
+        unroll, dtypes = lstm._unroll, []
+
+        def recording(*args, **kwargs):
+            slabs = unroll(*args, **kwargs)
+            dtypes.extend(slab.dtype for slab in slabs)
+            return slabs
+
+        monkeypatch.setattr(lstm, "_unroll", recording)
         model = LstmModel(5, 4, 8, seed=0)
-        h, c = step(model, np.ones((2, 5), dtype=np.uint16), *initial_state(model, 2))
-        assert h.dtype == c.dtype == np.float32
+        probs = forward_by_bin(model, np.ones((2, 3, 5), dtype=np.uint16))
+        # the hidden and cell states run in float32, the readout in float64
+        assert dtypes == [np.float32] * 4 and probs.dtype == np.float64
 
     @pytest.mark.parametrize("hidden", [1, 32])
     def test_gradient_matches_the_float64_path(self, counts, hidden):
@@ -312,10 +315,9 @@ class TestSinglePrecision:
         model = trained_looking(LstmModel(inputs, hidden, 8, seed=56), seed=57)
         x = np.random.default_rng(rows).poisson(1.0, size=(rows, 8, inputs))
         x = x.astype(np.uint16)
-        h, c = initial_state(model, rows)
-        for t in range(x.shape[1]):
-            h, c = step(model, x[:, t], h, c)
-        np.testing.assert_array_equal(readout(model, h), forward(model, x))
+        # the readout after the last bin, streamed bin by bin, is the full forward
+        by_bin = forward_by_bin(model, x)
+        np.testing.assert_array_equal(by_bin[-1], forward(model, x))
 
     def test_max_count_raises_no_floating_point_warning(self):
         # float32 exp overflows past 88.7, float64 only past 709.8
@@ -327,12 +329,10 @@ class TestSinglePrecision:
             model, history = train(x, labels, hidden_size=5, config=TrainConfig(epochs=2))
             probs = forward(model, x)
             batch_loss, grad = backward(model, x, y)
-            h, c = initial_state(model, len(x))
-            for t in range(x.shape[1]):
-                h, c = step(model, x[:, t], h, c)
+            by_bin = forward_by_bin(model, x)
         assert len(history) == 2 and x.max() == features.MAX_COUNT
         assert np.all(np.isfinite(probs)) and math.isfinite(batch_loss)
-        assert np.all(np.isfinite(grad)) and np.all(np.isfinite(h)) and np.all(np.isfinite(c))
+        assert np.all(np.isfinite(grad)) and np.all(np.isfinite(by_bin))
 
 
 class TestGradients:
@@ -457,21 +457,20 @@ class TestLoopReference:
         for got, want in zip(np.split(grad, ends[:-1]), expected):
             assert np.linalg.norm(got - want.ravel()) <= 1e-12 * np.linalg.norm(want)
 
-    def test_forward_and_step_match_per_bin_loop(self):
+    def test_forward_and_by_bin_match_per_bin_loop(self):
         # more rows than one inference block, trained-looking weights
         rng = np.random.default_rng(42)
         model = LstmModel(5, 32, 8, seed=43)
         for p in model.parameters:
             p[...] = rng.normal(scale=0.5, size=p.shape)
         x = rng.poisson(1.5, size=(lstm.INFERENCE_BLOCK_ROWS + 300, 15, 5)) / 3.0
-        expected, _, _, _ = reference_forward(model, x)
+        expected, _, c_expected, cache = reference_forward(model, x)
         np.testing.assert_allclose(forward(model, x), expected, rtol=0, atol=1e-12)
-        _, h_expected, c_expected, _ = reference_forward(model, x[:50, :4])
-        h, c = initial_state(model, 50)
-        for t in range(4):
-            h, c = step(model, x[:50, t], h, c)
-        np.testing.assert_allclose(h, h_expected, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(c, c_expected, rtol=0, atol=1e-12)
+        # each bin's readout, from the hidden state that bin starts with
+        by_bin = [readout(model, h) for h, *_ in cache] + [expected]
+        np.testing.assert_allclose(forward_by_bin(model, x), by_bin, rtol=0, atol=1e-12)
+        c = lstm._unroll(model.w_gates, x[:50], keep=True)[2]
+        np.testing.assert_allclose(c[-1].T, c_expected[:50], rtol=0, atol=1e-12)
 
 
 class TestMarginals:
