@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -51,13 +52,12 @@ def labels_to_states(labels: Sequence[str]) -> tuple[np.ndarray, int]:
     return bits_to_states(bits), bits.shape[1]
 
 
-def index_to_label(index: int, num_ions: int) -> str:
-    return format(index, f"0{num_ions}b")
-
-
+@cache
 def state_labels(num_ions: int) -> np.ndarray:
-    """Every register label as a numpy ``U`` array, indexed by state."""
-    return np.array([index_to_label(i, num_ions) for i in range(2**num_ions)])
+    """Every register label as a read-only numpy ``U`` array, indexed by state."""
+    labels = np.array([format(i, f"0{num_ions}b") for i in range(2**num_ions)])
+    labels.flags.writeable = False
+    return labels
 
 
 def bits_to_labels(bits: np.ndarray) -> list[str]:
@@ -95,10 +95,6 @@ class FidelityReport:
     shots_per_state: np.ndarray
     average: float
     average_stderr: float
-
-    @property
-    def average_error(self) -> float:
-        return 1.0 - self.average
 
 
 def fidelity(matrix: ConfusionMatrix | np.ndarray, strategy: str = "") -> FidelityReport:
@@ -177,7 +173,7 @@ def split(
         shuffled = indices[rng.permutation(indices.size)]
         n_train = int(round(fraction * indices.size))
         if n_train == 0 or n_train == indices.size:
-            label = index_to_label(int(states[indices[0]]), num_ions)
+            label = str(state_labels(num_ions)[states[indices[0]]])
             raise EvaluationError(
                 f"label {label!r}: {indices.size} shots cannot be split at {fraction}"
             )
@@ -192,14 +188,11 @@ def write_fidelity_csv(reports: Sequence[FidelityReport], path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "state", "fidelity", "stderr", "shots"])
         for report in reports:
-            num_ions = int(np.log2(len(report.per_state)))
-            for i, (fid, se, n) in enumerate(
-                zip(report.per_state, report.per_state_stderr, report.shots_per_state)
+            labels = state_labels(int(np.log2(len(report.per_state)))).tolist()
+            for label, fid, se, n in zip(
+                labels, report.per_state, report.per_state_stderr, report.shots_per_state
             ):
-                writer.writerow(
-                    [report.strategy, index_to_label(i, num_ions), f"{fid:.6f}",
-                     f"{se:.6f}", int(n)]
-                )
+                writer.writerow([report.strategy, label, f"{fid:.6f}", f"{se:.6f}", int(n)])
             writer.writerow(
                 [report.strategy, "average", f"{report.average:.6f}",
                  f"{report.average_stderr:.6f}", int(report.shots_per_state.sum())]
@@ -207,19 +200,15 @@ def write_fidelity_csv(reports: Sequence[FidelityReport], path: str) -> None:
 
 
 def report_to_dict(report: FidelityReport) -> dict:
-    num_ions = int(np.log2(len(report.per_state)))
+    labels = state_labels(int(np.log2(len(report.per_state)))).tolist()
     return {
         "strategy": report.strategy,
         "average": report.average,
         "average_stderr": report.average_stderr,
         "per_state": {
-            index_to_label(i, num_ions): {
-                "fidelity": float(f),
-                "stderr": float(s),
-                "shots": int(n),
-            }
-            for i, (f, s, n) in enumerate(
-                zip(report.per_state, report.per_state_stderr, report.shots_per_state)
+            label: {"fidelity": float(f), "stderr": float(s), "shots": int(n)}
+            for label, f, s, n in zip(
+                labels, report.per_state, report.per_state_stderr, report.shots_per_state
             )
         },
     }

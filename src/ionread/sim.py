@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evaluate import index_to_label, labels_to_bits, state_labels
+from .evaluate import labels_to_bits, state_labels
 
 TIME_RESOLUTION_US = 0.1
 # Arrival times are held as uint16 ticks of TIME_RESOLUTION_US.  Tick k reads
@@ -153,10 +153,6 @@ class EmissionModel:
     def background_rate(self) -> float:
         """Total uniform background rate per channel."""
         return self.background_scatter_rate + self.detector_dark_rate
-
-    @property
-    def mean_bright_count(self) -> float:
-        return self.bright_rate * self.window_us
 
     def to_dict(self) -> dict:
         return {
@@ -338,19 +334,19 @@ def _times(ticks: np.ndarray) -> np.ndarray:
 class Dataset:
     """A labelled collection of readout shots, label-major ordered, held as columns.
 
-    Shot ``i``'s events are ``channels[offsets[i]:offsets[i + 1]]`` (int16)
-    and the same slice of ``ticks`` (uint16 arrival times in units of
-    ``TIME_RESOLUTION_US``), sorted by time and then channel.
-    ``window_us[i]`` is the shot's window and ``states[i]`` its prepared
-    register state (int64, ion 0 the most significant bit).  The arrays are
-    made read-only.
+    Three arrays are stored: shot ``i``'s events are
+    ``channels[offsets[i]:offsets[i + 1]]`` (int16) and the same slice of
+    ``ticks`` (uint16 arrival times in units of ``TIME_RESOLUTION_US``),
+    sorted by time and then channel, so an event costs 4 bytes and a shot
+    8 (its int64 offset).  The arrays are made read-only.  Nothing else is
+    kept per shot: every shot's window is ``model.window_us``, and shot
+    ``i`` was prepared in state ``i // samples_per_label``, since the shots
+    are ``samples_per_label`` of each label in turn.
     """
 
     offsets: np.ndarray
     channels: np.ndarray
     ticks: np.ndarray
-    window_us: np.ndarray
-    states: np.ndarray
     geometry: DetectorGeometry
     model: EmissionModel
     seed: int
@@ -358,7 +354,12 @@ class Dataset:
     mode: str = "fresh"
 
     def __post_init__(self) -> None:
-        for column in (self.offsets, self.channels, self.ticks, self.window_us, self.states):
+        shots = 2**self.geometry.num_ions * self.samples_per_label
+        if self.offsets.shape != (shots + 1,):
+            raise SimulationError(
+                f"{self.offsets.size} offsets, where {shots} label-major shots need {shots + 1}"
+            )
+        for column in (self.offsets, self.channels, self.ticks):
             column.flags.writeable = False
 
     @property
@@ -367,9 +368,19 @@ class Dataset:
         return _times(self.ticks)
 
     @cached_property
+    def states(self) -> np.ndarray:
+        """Per-shot prepared register state (int64, ion 0 the most significant
+        bit), read-only, derived once from the label-major layout."""
+        states = np.repeat(
+            np.arange(2**self.geometry.num_ions, dtype=np.int64), self.samples_per_label
+        )
+        states.flags.writeable = False
+        return states
+
+    @cached_property
     def labels(self) -> np.ndarray:
         """Per-shot labels as a read-only numpy ``U`` array, built once."""
-        labels = state_labels(self.geometry.num_ions)[self.states]
+        labels = np.repeat(state_labels(self.geometry.num_ions), self.samples_per_label)
         labels.flags.writeable = False
         return labels
 
@@ -379,7 +390,7 @@ class Dataset:
         return Samples(self, range(len(self)))
 
     def __len__(self) -> int:
-        return int(self.states.shape[0])
+        return self.offsets.size - 1
 
 
 class Samples(Sequence):
@@ -411,8 +422,8 @@ class Samples(Sequence):
         ds = self._dataset
         lo, hi = ds.offsets[i], ds.offsets[i + 1]
         return ReadoutSample(
-            index_to_label(int(ds.states[i]), ds.geometry.num_ions),
-            float(ds.window_us[i]),
+            str(state_labels(ds.geometry.num_ions)[i // ds.samples_per_label]),
+            float(ds.model.window_us),
             ds.channels[lo:hi],
             ds.ticks[lo:hi],
         )
@@ -425,7 +436,8 @@ class Samples(Sequence):
         lengths = ds.offsets[index + 1] - starts
         shot = np.repeat(np.arange(index.size), lengths)
         event = np.arange(shot.size) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        return shot, ds.channels[event], _times(ds.ticks[event]), ds.window_us[index]
+        windows = np.full(index.size, ds.model.window_us)
+        return shot, ds.channels[event], _times(ds.ticks[event]), windows
 
 
 def stack_events(samples: Sequence[ReadoutSample]) -> tuple[np.ndarray, ...]:
@@ -609,7 +621,6 @@ def generate_dataset(
         raise SimulationError("samples_per_label must be >= 1")
     if mode not in ("fresh", "pool"):
         raise SimulationError(f"unknown generation mode {mode!r}")
-    num_labels = 2**geometry.num_ions
     per_label = []
     for label_index, bits in enumerate(labels_to_bits(state_labels(geometry.num_ions))):
         if mode == "fresh":
@@ -637,18 +648,7 @@ def generate_dataset(
     lengths, channels, ticks = (np.concatenate(column) for column in zip(*per_label))
     offsets = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    return Dataset(
-        offsets,
-        channels,
-        ticks,
-        np.full(lengths.size, model.window_us),
-        np.repeat(np.arange(num_labels, dtype=np.int64), samples_per_label),
-        geometry,
-        model,
-        seed,
-        samples_per_label,
-        mode,
-    )
+    return Dataset(offsets, channels, ticks, geometry, model, seed, samples_per_label, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -828,12 +828,9 @@ _FORMAT_NAME = "ionread.dataset"
 _FORMAT_VERSION = 1
 
 
-def _shot_from_line(line: str) -> tuple[object, float, np.ndarray, np.ndarray]:
-    """(label, window_us, channels, times) of one shot line, types checked."""
+def _shot_from_line(line: str) -> tuple[object, object, np.ndarray, np.ndarray]:
+    """(label, window_us, channels, times) of one shot line, event types checked."""
     record = json.loads(line)
-    window_us = record["window_us"]
-    if type(window_us) not in (int, float) or not 0.0 < window_us < math.inf:
-        raise ValueError(f"window_us {window_us!r} is not a finite number above 0")
     channels, times = [], []
     # unpacking rejects events of any other length
     for channel, time in record["events"]:
@@ -845,7 +842,7 @@ def _shot_from_line(line: str) -> tuple[object, float, np.ndarray, np.ndarray]:
         times.append(time)
     channels = np.asarray(channels, dtype=np.int16)
     times = np.asarray(times, dtype=float)
-    return record["label"], window_us, channels, times
+    return record["label"], record["window_us"], channels, times
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
@@ -860,11 +857,12 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         "geometry": dataset.geometry.to_dict(),
     }
     bounds = dataset.offsets.tolist()
+    labels = all_labels(dataset.geometry.num_ions)
+    window_us = dataset.model.window_us
     with open(path, "w") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for i, (label, window_us) in enumerate(
-            zip(dataset.labels.tolist(), dataset.window_us.tolist())
-        ):
+        for i in range(len(dataset)):
+            label = labels[i // dataset.samples_per_label]
             lo, hi = bounds[i], bounds[i + 1]
             events = [
                 list(event)
@@ -912,20 +910,22 @@ def load_dataset(path: str) -> Dataset:
 
     The header must name the format, version, an integer seed >= 0, an
     integer ``samples_per_label`` >= 1, a generation mode, and a valid
-    emission model and geometry.  Each shot
-    needs a label of one 0/1 per ion, a finite ``window_us`` above 0, and
-    events ``[channel, time]`` with integer channels the geometry records and
+    emission model and geometry.  Each shot needs a label of one 0/1 per
+    ion, the header model's ``window_us`` (a number), and events
+    ``[channel, time]`` with integer channels the geometry records and
     finite numeric times in ``[0, window_us]`` on the ``TIME_RESOLUTION_US``
     grid, at most ``MAX_TICKS`` ticks, sorted by time and then channel.
     The file holds ``samples_per_label`` shots of every label, label-major,
-    as the simulator writes them.
+    as the simulator writes them.  So the returned :class:`Dataset` stores
+    only offsets, channels and ticks: 4 bytes per event and 8 per shot.
     """
     with open(path) as fh:
         header = _read_header(path, fh.readline())
         geometry = header["geometry"]
+        window = header["model"].window_us
         labels = all_labels(geometry.num_ions)
         state_of = {label: k for k, label in enumerate(labels)}
-        lengths, windows, states, line_numbers = [], [], [], []
+        lengths, states, line_numbers = [], [], []
         channel_parts = [np.empty(0, dtype=np.int16)]
         time_parts = [np.empty(0, dtype=float)]
         for line_number, line in enumerate(fh, start=2):
@@ -941,8 +941,12 @@ def load_dataset(path: str) -> Dataset:
                 raise SimulationError(
                     f"{path}:{line_number}: label {label!r} is not one 0/1 per ion"
                 )
+            if type(window_us) not in (int, float) or window_us != window:
+                raise SimulationError(
+                    f"{path}:{line_number}: window_us {window_us!r} is not the "
+                    f"header model's {window}"
+                )
             lengths.append(channels.size)
-            windows.append(window_us)
             states.append(state_of[label])
             channel_parts.append(channels)
             time_parts.append(times)
@@ -951,17 +955,16 @@ def load_dataset(path: str) -> Dataset:
     np.cumsum(lengths, out=offsets[1:])
     channels = np.concatenate(channel_parts)
     times = np.concatenate(time_parts)
-    window_us = np.asarray(windows, dtype=float)
     shot = np.repeat(np.arange(len(lengths)), lengths)
     recorded = list(geometry.recorded_channels)
     bad = ~np.isin(channels, recorded)
-    bad |= ~((times >= 0.0) & (times <= window_us[shot]))
+    bad |= ~((times >= 0.0) & (times <= window))
     if bad.any():
         i = int(np.argmax(bad))
         raise SimulationError(
             f"{path}:{line_numbers[shot[i]]}: event [{channels[i]}, {times[i]}] needs "
             f"a channel the geometry records, one of {recorded}, and a finite time "
-            f"in [0, {window_us[shot[i]]}]"
+            f"in [0, {window}]"
         )
     ticks = np.rint(times * TICKS_PER_US)
     off_grid = (ticks > MAX_TICKS) | (ticks / TICKS_PER_US != times)
@@ -1001,4 +1004,4 @@ def load_dataset(path: str) -> Dataset:
             f"{path}:{line_numbers[i]}: shot {i} is labelled {labels[states[i]]}, where "
             f"label-major order puts {labels[i // per_label]}"
         )
-    return Dataset(offsets, channels, ticks, window_us, states, **header)
+    return Dataset(offsets, channels, ticks, **header)

@@ -34,7 +34,13 @@ def _combined_se(a: evaluate.FidelityReport, b: evaluate.FidelityReport) -> floa
     return math.hypot(a.average_stderr, b.average_stderr)
 
 
-def _run_register(config: cli.ExperimentConfig) -> dict:
+def _run_register(config: cli.ExperimentConfig, out_dir) -> dict:
+    """Train every strategy as ``run`` does, through its training pool.
+
+    With ``config.n_jobs`` of 2 the costliest strategy trains here while a
+    worker writes the dataset into ``out_dir`` and trains the others, so
+    the acceptance gates also cover the pool's results.
+    """
     dataset = sim.generate_dataset(
         cli.build_emission_model(config),
         cli.build_geometry(config),
@@ -45,10 +51,15 @@ def _run_register(config: cli.ExperimentConfig) -> dict:
         dataset.labels, config.train_fraction, config.seed_data
     )
     started = time.perf_counter()
-    results = {
-        name: cli.run_strategy(cli.STRATEGIES[name], dataset, train_idx, test_idx, config)
-        for name in config.strategy_names()
-    }
+    results = cli._train_all(
+        config.strategy_names(),
+        (dataset, train_idx, test_idx, config),
+        str(out_dir / "dataset.jsonl"),
+        config.n_jobs,
+    )
+    for outcome in results.values():
+        if not isinstance(outcome, cli.StrategyResult):
+            raise outcome
     return {
         "config": config,
         "dataset": dataset,
@@ -60,29 +71,31 @@ def _run_register(config: cli.ExperimentConfig) -> dict:
 
 
 @pytest.fixture(scope="module")
-def three_qubit_experiment():
+def three_qubit_experiment(tmp_path_factory):
     config = cli.ExperimentConfig(
         num_ions=3,
         geometry="alternating",
         samples_per_label=8000,
+        n_jobs=2,
         seed_data=SEED_DATA,
         seed_train=SEED_TRAIN,
         strategies="FT,AT,NN,TNN,TNN+,RNN",
     )
-    return _run_register(config)
+    return _run_register(config, tmp_path_factory.mktemp("three_qubit"))
 
 
 @pytest.fixture(scope="module")
-def five_qubit_experiment():
+def five_qubit_experiment(tmp_path_factory):
     config = cli.ExperimentConfig(
         num_ions=5,
         geometry="adjacent",
         samples_per_label=2000,
+        n_jobs=2,
         seed_data=SEED_DATA,
         seed_train=SEED_TRAIN,
         strategies="FT,AT,TNN",
     )
-    return _run_register(config)
+    return _run_register(config, tmp_path_factory.mktemp("five_qubit"))
 
 
 def test_single_ion_calibrated_baseline():
@@ -91,7 +104,7 @@ def test_single_ion_calibrated_baseline():
     dataset = sim.generate_dataset(
         model, sim.single_ion_geometry(), samples_per_label=50000, seed=SEED_DATA
     )
-    counts = np.array([[s.num_events] for s in dataset.samples], dtype=np.int64)
+    counts = np.diff(dataset.offsets)[:, None]
     fitted = threshold.fit_fixed(counts, dataset.labels)
     report = evaluate.fidelity(
         evaluate.confusion(threshold.classify_fixed(fitted, counts), dataset.labels)
@@ -166,10 +179,7 @@ def test_recurrent_parity_and_time_trends(three_qubit_experiment):
     test_labels = [dataset.labels[i] for i in test_idx]
     curve = []
     for probs in lstm.forward_by_bin(model, sequences):
-        predicted = [
-            evaluate.index_to_label(int(i), model.num_ions)
-            for i in np.argmax(probs, axis=1)
-        ]
+        predicted = evaluate.state_labels(model.num_ions)[np.argmax(probs, axis=1)]
         curve.append(evaluate.fidelity(evaluate.confusion(predicted, test_labels)))
     sweep_ok = all(
         later.average - earlier.average >= -_combined_se(earlier, later)

@@ -135,11 +135,23 @@ class TestConfigParsing:
 
 
 class TestBuilders:
-    def test_emission_model_carries_config_rates(self):
-        config = ExperimentConfig(bright_rate=0.05, window_us=100.0)
-        model = build_emission_model(config)
-        assert model.bright_rate == 0.05
-        assert model.window_us == 100.0
+    def test_emission_model_is_the_library_default(self):
+        for preset in ("single", "3q", "5q"):
+            assert build_emission_model(build_config({"preset": preset})) == sim.EmissionModel()
+
+    # keys the config once held; other physics is a sim.EmissionModel call
+    @pytest.mark.parametrize(
+        "key",
+        ["window_us", "bright_rate", "pump_bright_to_dark", "pump_dark_to_bright",
+         "scatter_rate", "dark_count_rate"],
+    )
+    def test_removed_emission_key_is_a_config_error(self, capsys, tmp_path, key):
+        config = write_config(tmp_path / "old.cfg", f"preset = 3q\n{key} = 1.0\n")
+        out = tmp_path / "out"
+        assert main(["generate", "--config", config, "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {"error": "ConfigError", "message": f"unknown config key {key!r}"}
+        assert not out.exists()
 
     def test_geometries(self):
         assert build_geometry(ExperimentConfig()).num_channels == 1

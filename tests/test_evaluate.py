@@ -12,7 +12,6 @@ from ionread.evaluate import (
     confusion,
     fidelity,
     improvement,
-    index_to_label,
     labels_to_bits,
     labels_to_states,
     report_to_dict,
@@ -31,9 +30,9 @@ class TestLabelHelpers:
     def test_index_mapping(self):
         states, num_ions = labels_to_states(["101", "000", "011"])
         assert states.tolist() == [5, 0, 3] and num_ions == 3
-        assert index_to_label(5, 3) == "101"
-        assert index_to_label(0, 2) == "00"
+        assert state_labels(3)[5] == "101" and state_labels(2)[0] == "00"
         assert state_labels(2).tolist() == ["00", "01", "10", "11"]
+        assert state_labels(3) is state_labels(3) and not state_labels(3).flags.writeable
 
     def test_list_and_unicode_array_agree(self):
         labels = ["010", "111", "000", "010", "101", "111"] * 4
@@ -96,7 +95,6 @@ class TestFidelity:
         report = fidelity(np.array([[98, 2], [4, 96]]), strategy="FT")
         np.testing.assert_allclose(report.per_state, [0.98, 0.96], atol=1e-15)
         assert report.average == pytest.approx(0.97, abs=1e-15)
-        assert report.average_error == pytest.approx(0.03, abs=1e-15)
         np.testing.assert_array_equal(report.shots_per_state, [100, 100])
 
     def test_binomial_stderr(self):

@@ -338,7 +338,7 @@ class TestTraining:
         counts = np.concatenate(
             [
                 rng.poisson(0.0033, size=n),
-                rng.poisson(model_params.mean_bright_count, size=n),
+                rng.poisson(model_params.bright_rate * model_params.window_us, size=n),
             ]
         ).astype(float)
         labels = ["0"] * n + ["1"] * n

@@ -1,4 +1,5 @@
 """Simulator checks against closed-form and quadrature oracles."""
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -318,7 +319,7 @@ class TestBlockSampler:
         serial = sim.generate_dataset(model, geometry, per_label, seed=40)
         repeat = sim.generate_dataset(model, geometry, per_label, seed=40)
         assert len(serial) == 2 * per_label
-        for column in ("offsets", "channels", "ticks", "window_us", "states"):
+        for column in ("offsets", "channels", "ticks", "states"):
             np.testing.assert_array_equal(getattr(serial, column), getattr(repeat, column))
         # each block draws from its own stream
         counts = label_counts(serial, "1")
@@ -472,15 +473,26 @@ class TestSamplesView:
 
 
 class TestColumnFootprint:
-    """An event costs 4 bytes, an int16 channel and a uint16 tick."""
+    """An event costs 4 bytes, an int16 channel and a uint16 tick; a shot 8, its offset."""
 
     @staticmethod
     def assert_four_bytes_per_event(ds):
         arrays = {k: v for k, v in vars(ds).items() if isinstance(v, np.ndarray)}
-        assert set(arrays) == {"offsets", "channels", "ticks", "window_us", "states"}
+        assert set(arrays) == {"offsets", "channels", "ticks"}
         assert ds.channels.dtype == np.int16 and ds.ticks.dtype == np.uint16
-        per_shot = arrays["offsets"].nbytes + 16 * len(ds)
-        assert sum(a.nbytes for a in arrays.values()) == 4 * ds.channels.size + per_shot
+        total = sum(a.nbytes for a in arrays.values())
+        assert total == 4 * ds.channels.size + 8 * len(ds) + 8
+        # the states are derived from the label-major layout, read-only
+        np.testing.assert_array_equal(
+            ds.states, np.arange(len(ds)) // ds.samples_per_label
+        )
+        assert ds.states.dtype == np.int64 and not ds.states.flags.writeable
+        assert ds.states is ds.states
+
+    def test_offsets_must_fit_the_label_major_layout(self):
+        ds = sim.generate_dataset(sim.EmissionModel(), sim.adjacent_geometry(2), 3, seed=5)
+        with pytest.raises(sim.SimulationError, match="12 offsets, where 12 label-major"):
+            dataclasses.replace(ds, offsets=ds.offsets[:-1])
 
     @pytest.mark.parametrize("mode", ["fresh", "pool"])
     def test_generated_and_loaded_datasets(self, tmp_path, mode):
@@ -652,7 +664,7 @@ class TestSerialisation:
         back = sim.load_dataset(first)
         sim.save_dataset(back, second)
         assert first.read_bytes() == second.read_bytes()
-        for column in ("offsets", "channels", "ticks", "window_us", "states"):
+        for column in ("offsets", "channels", "ticks", "states"):
             np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
             assert getattr(back, column).dtype == getattr(ds, column).dtype
 
@@ -751,7 +763,25 @@ class TestLoadValidation:
     def test_time_must_be_a_tick_in_range(self, tmp_path, lines, window, time):
         shot = {"label": "101", "window_us": window, "events": [[0, 1.0], [2, time]]}
         message = self.load_with_shot(tmp_path, lines, shot)
-        assert f"event [2, {time}]" in message and "ticks" in message
+        if window == 150.0:
+            assert f"event [2, {time}]" in message and "ticks" in message
+        else:
+            # a window past the ticks' range is never the header's, whose
+            # model caps it at MAX_WINDOW_US
+            assert "window_us 7000.0 is not the header model's 150.0" in message
+
+    @pytest.mark.parametrize("window", [100.0, 150.1, 100, True])
+    def test_window_must_be_the_header_models(self, tmp_path, lines, window):
+        shot = {"label": "101", "window_us": window, "events": [[0, 1.0], [2, 90.0]]}
+        message = self.load_with_shot(tmp_path, lines, shot)
+        assert message.endswith(f": window_us {window!r} is not the header model's 150.0")
+
+    def test_a_whole_number_window_is_the_header_models(self, tmp_path, lines):
+        path = tmp_path / "whole.jsonl"
+        shot = json.loads(lines[2])
+        shot["window_us"] = 150
+        path.write_text("\n".join(lines[:2] + [json.dumps(shot)] + lines[3:]) + "\n")
+        assert sim.load_dataset(path).samples[1].window_us == 150.0
 
     @pytest.mark.parametrize("channel", [1.7, 1.0, True, "1", None])
     def test_channel_must_be_an_integer(self, tmp_path, lines, channel):
