@@ -246,27 +246,28 @@ def run_strategy(
 ) -> StrategyResult:
     started = time.perf_counter()
     geometry = dataset.geometry
-    labels = np.asarray(dataset.labels)
-    train_labels, test_labels = labels[train_idx], labels[test_idx]
+    train_labels, test_labels = dataset.labels[train_idx], dataset.labels[test_idx]
     include = spec.include_intermediate
     if spec.name == "RNN":
         include = geometry.intermediate_channels_present
     fspec = features.FeatureSpec(num_bins=spec.num_bins, include_intermediate=include)
+    # count only the shots read: the train shots, then the test shots
+    to_images = features.sequence_dataset if spec.kind == "lstm" else features.featurize_dataset
+    x_train, x_test = (
+        to_images(dataset.samples[idx], fspec, geometry) for idx in (train_idx, test_idx)
+    )
     history = None
     diagnostics = {}
-    if spec.kind in ("fixed", "adaptive"):
-        counts = features.featurize_dataset(dataset.samples, fspec, geometry)
-        counts = counts.astype(np.int64)
-        if spec.kind == "fixed":
-            model = threshold.fit_fixed(counts[train_idx], train_labels)
-            predicted = threshold.classify_fixed(model, counts[test_idx])
-        else:
-            model = threshold.fit_adaptive(counts[train_idx], train_labels)
-            predicted, converged = threshold.classify_adaptive(model, counts[test_idx])
-            diagnostics = {
-                "unconverged_shots": int((~converged).sum()),
-                "starved_contexts": [list(s) for s in model.starved_contexts],
-            }
+    if spec.kind == "fixed":
+        model = threshold.fit_fixed(x_train, train_labels)
+        predicted = threshold.classify_fixed(model, x_test)
+    elif spec.kind == "adaptive":
+        model = threshold.fit_adaptive(x_train, train_labels)
+        predicted, converged = threshold.classify_adaptive(model, x_test)
+        diagnostics = {
+            "unconverged_shots": int((~converged).sum()),
+            "starved_contexts": [list(s) for s in model.starved_contexts],
+        }
     else:
         train_config = mlp.TrainConfig(
             batch_size=config.batch_size,
@@ -274,15 +275,8 @@ def run_strategy(
             patience=config.patience,
             seed=strategy_seed(config.seed_train, spec.name),
         )
-        if spec.kind == "mlp":
-            network = mlp
-            x = features.featurize_dataset(dataset.samples, fspec, geometry)
-        else:
-            network = lstm
-            x = features.sequence_dataset(dataset.samples, fspec, geometry)
-        model, history = network.train(
-            x[train_idx], train_labels, spec.hidden, config=train_config
-        )
+        network = lstm if spec.kind == "lstm" else mlp
+        model, history = network.train(x_train, train_labels, spec.hidden, config=train_config)
         best = max(history, key=lambda row: row["val_fidelity"])  # first maximum
         diagnostics = {
             "epochs_run": len(history),
@@ -290,7 +284,7 @@ def run_strategy(
             "stop_reason": "patience" if len(history) < config.epochs else "epoch_cap",
             "final_train_loss": float(history[-1]["train_loss"]),
         }
-        predicted = network.predict(model, x[test_idx])
+        predicted = network.predict(model, x_test)
     report = evaluate.fidelity(
         evaluate.confusion(predicted, test_labels), strategy=spec.name
     )
@@ -665,8 +659,8 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> dict:
     result, dataset, test_idx = _trained_rnn(config)
     model: lstm.LstmModel = result.model
     spec = result.feature_spec
-    sequences = features.sequence_dataset(dataset.samples, spec, dataset.geometry)[test_idx]
-    test_labels = np.asarray(dataset.labels)[test_idx]
+    sequences = features.sequence_dataset(dataset.samples[test_idx], spec, dataset.geometry)
+    test_labels = dataset.labels[test_idx]
     bin_width = dataset.model.window_us / spec.num_bins
     rows = []
     for t, probs in enumerate(lstm.forward_by_bin(model, sequences)):

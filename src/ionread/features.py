@@ -1,9 +1,9 @@
 """Turn photon event streams into count images, vectors, and sequences.
 
-A shot is reduced to an (channels x time-bins) count image.  With a single
-time bin this collapses to per-channel totals; with several bins the image
-keeps arrival-time information; transposed it becomes the per-bin input
-sequence for recurrent classifiers.
+A shot is reduced to a (time-bins x channels) count image, one row per bin:
+the input sequence of recurrent classifiers.  Flattened channel-major it is
+the feature vector of the others: per-channel totals with a single bin,
+arrival-time information with several.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sim import DetectorGeometry, ReadoutSample, stack_events
+from .sim import DetectorGeometry, ReadoutSample, Samples, stack_events
 
 
 # Shots binned per pass: bounds the per-event index arrays, which would
@@ -54,16 +54,14 @@ class FeatureSpec:
 
 
 def _count_images(
-    samples: Sequence[ReadoutSample],
-    spec: FeatureSpec,
-    geometry: DetectorGeometry,
-    bins_major: bool,
+    samples: Sequence[ReadoutSample], spec: FeatureSpec, geometry: DetectorGeometry
 ) -> np.ndarray:
-    """uint16 click counts per shot, selected channel (row) and time bin.
+    """uint16 click counts per shot, time bin and selected channel, shape (n, bins, channels).
 
     An event at time t lands in bin ``floor(t / bin_width)`` of its own shot's
     window, or in the final bin when that floor is past it (t at window end).
-    A count above ``MAX_COUNT`` raises :class:`FeatureError`.
+    A count above ``MAX_COUNT`` raises :class:`FeatureError` naming the shot:
+    its index in the dataset for a :class:`Samples` view, else its position.
     """
     if not samples:
         raise FeatureError("no samples to featurize")
@@ -72,20 +70,18 @@ def _count_images(
     row_of = np.full(geometry.num_channels, -1, dtype=np.int64)
     row_of[list(channel_ids)] = np.arange(rows)
     cells = rows * bins
-    if bins_major:
-        shape, row_stride, col_stride = (len(samples), bins, rows), 1, rows
-    else:
-        shape, row_stride, col_stride = (len(samples), cells), bins, 1
-    counts = np.zeros(shape, dtype=np.uint16)
+    counts = np.zeros((len(samples), bins, rows), dtype=np.uint16)
     for start in range(0, len(samples), BLOCK_SHOTS):
         block = samples[start : start + BLOCK_SHOTS]
         shot, channels, times, window_us = stack_events(block)
         col = np.minimum((times // (window_us / bins)[shot]).astype(np.int64), bins - 1)
         row = row_of[channels]
-        cell = shot * cells + row * row_stride + col * col_stride
+        cell = shot * cells + col * rows + row
         block_counts = np.bincount(cell[row >= 0], minlength=len(block) * cells)
         if block_counts.max() > MAX_COUNT:
             k = start + int(np.argmax(block_counts)) // cells
+            if isinstance(samples, Samples):
+                k = int(samples.shots[k])
             raise FeatureError(
                 f"shot {k}: {block_counts.max()} events in one channel and bin, "
                 f"above the {MAX_COUNT} a count image holds"
@@ -97,13 +93,13 @@ def _count_images(
 def featurize_dataset(
     samples: Sequence[ReadoutSample], spec: FeatureSpec, geometry: DetectorGeometry
 ) -> np.ndarray:
-    """Row-major uint16 count images (channel 0's bins first), shape (n, channels * bins)."""
-    return _count_images(samples, spec, geometry, bins_major=False)
+    """:func:`sequence_dataset` flattened channel-major (channel 0's bins first),
+    shape (n, channels * bins)."""
+    return _count_images(samples, spec, geometry).transpose(0, 2, 1).reshape(len(samples), -1)
 
 
 def sequence_dataset(
     samples: Sequence[ReadoutSample], spec: FeatureSpec, geometry: DetectorGeometry
 ) -> np.ndarray:
     """Per-bin uint16 sequences (step t is image column t), shape (n, bins, channels)."""
-    return _count_images(samples, spec, geometry, bins_major=True)
-
+    return _count_images(samples, spec, geometry)

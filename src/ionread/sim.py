@@ -396,14 +396,16 @@ class Dataset:
 class Samples(Sequence):
     """Read-only sequence view of some of a dataset's shots.
 
-    Indexing builds a :class:`ReadoutSample` whose channels and ticks are
-    views into the dataset's columns; nothing is cached, so holding the view
-    costs no per-shot memory.  A slice is another view.
+    The shots are a ``range`` or an int64 array of dataset shot indices, in
+    any order and with repeats.  Indexing with an int builds a
+    :class:`ReadoutSample` whose channels and ticks are views into the
+    dataset's columns; nothing is cached, so holding the view costs no
+    per-shot memory.  A slice or an integer array gives another view.
     """
 
     __slots__ = ("_dataset", "_shots")
 
-    def __init__(self, dataset: Dataset, shots: range):
+    def __init__(self, dataset: Dataset, shots: range | np.ndarray):
         self._dataset = dataset
         self._shots = shots
 
@@ -413,10 +415,19 @@ class Samples(Sequence):
     def __getitem__(self, key):
         if isinstance(key, slice):
             return Samples(self._dataset, self._shots[key])
+        if isinstance(key, (list, np.ndarray)):
+            return Samples(self._dataset, self.shots[key])
         return self._sample(self._shots[key])
 
     def __iter__(self):
-        return map(self._sample, self._shots)
+        shots = self._shots
+        return map(self._sample, shots if isinstance(shots, range) else shots.tolist())
+
+    @property
+    def shots(self) -> np.ndarray:
+        """The dataset shot index of each entry, as an int64 array."""
+        s = self._shots
+        return np.arange(s.start, s.stop, s.step, dtype=np.int64) if isinstance(s, range) else s
 
     def _sample(self, i: int) -> ReadoutSample:
         ds = self._dataset
@@ -431,7 +442,7 @@ class Samples(Sequence):
     def events(self) -> tuple[np.ndarray, ...]:
         """:func:`stack_events` of this view, read from the columns."""
         ds = self._dataset
-        index = np.arange(self._shots.start, self._shots.stop, self._shots.step)
+        index = self.shots
         starts = ds.offsets[index]
         lengths = ds.offsets[index + 1] - starts
         shot = np.repeat(np.arange(index.size), lengths)
@@ -621,31 +632,24 @@ def generate_dataset(
         raise SimulationError("samples_per_label must be >= 1")
     if mode not in ("fresh", "pool"):
         raise SimulationError(f"unknown generation mode {mode!r}")
-    per_label = []
+    parts = []  # (lengths, channels, ticks) of each fresh block or pool label
     for label_index, bits in enumerate(labels_to_bits(state_labels(geometry.num_ions))):
         if mode == "fresh":
-            parts = [
-                _fresh_block(
-                    bits,
-                    min(BLOCK_SHOTS, samples_per_label - first),
-                    model,
-                    geometry,
-                    np.random.default_rng(np.random.SeedSequence((seed, label_index, block))),
-                )
-                for block, first in enumerate(range(0, samples_per_label, BLOCK_SHOTS))
-            ]
+            for block, first in enumerate(range(0, samples_per_label, BLOCK_SHOTS)):
+                rng = np.random.default_rng(np.random.SeedSequence((seed, label_index, block)))
+                shots = min(BLOCK_SHOTS, samples_per_label - first)
+                parts.append(_fresh_block(bits, shots, model, geometry, rng))
         else:
-            parts = [
-                (np.array([channels.size]), channels, ticks)
-                for channels, ticks in (
-                    _pooled_events(
-                        bits.tolist(), label_index, k, model, geometry, seed, samples_per_label
-                    )
-                    for k in range(samples_per_label)
+            # joined per label, so that no per-shot array outlives its label
+            pooled = [
+                _pooled_events(
+                    bits.tolist(), label_index, k, model, geometry, seed, samples_per_label
                 )
+                for k in range(samples_per_label)
             ]
-        per_label.append([np.concatenate(column) for column in zip(*parts)])
-    lengths, channels, ticks = (np.concatenate(column) for column in zip(*per_label))
+            channels, ticks = (np.concatenate(column) for column in zip(*pooled))
+            parts.append((np.array([c.size for c, _ in pooled]), channels, ticks))
+    lengths, channels, ticks = (np.concatenate(column) for column in zip(*parts))
     offsets = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     return Dataset(offsets, channels, ticks, geometry, model, seed, samples_per_label, mode)
@@ -914,7 +918,7 @@ def load_dataset(path: str) -> Dataset:
     ion, the header model's ``window_us`` (a number), and events
     ``[channel, time]`` with integer channels the geometry records and
     finite numeric times in ``[0, window_us]`` on the ``TIME_RESOLUTION_US``
-    grid, at most ``MAX_TICKS`` ticks, sorted by time and then channel.
+    grid, sorted by time and then channel.
     The file holds ``samples_per_label`` shots of every label, label-major,
     as the simulator writes them.  So the returned :class:`Dataset` stores
     only offsets, channels and ticks: 4 bytes per event and 8 per shot.
@@ -966,13 +970,14 @@ def load_dataset(path: str) -> Dataset:
             f"a channel the geometry records, one of {recorded}, and a finite time "
             f"in [0, {window}]"
         )
+    # the window, at most MAX_WINDOW_US, bounds every tick at MAX_TICKS
     ticks = np.rint(times * TICKS_PER_US)
-    off_grid = (ticks > MAX_TICKS) | (ticks / TICKS_PER_US != times)
+    off_grid = ticks / TICKS_PER_US != times
     if off_grid.any():
         i = int(np.argmax(off_grid))
         raise SimulationError(
             f"{path}:{line_numbers[shot[i]]}: event [{channels[i]}, {times[i]}] is not "
-            f"a whole number of {TIME_RESOLUTION_US} us ticks up to {MAX_TICKS}"
+            f"a whole number of {TIME_RESOLUTION_US} us ticks"
         )
     ticks = ticks.astype(np.uint16)
     # the simulator's order: by time, equal times by channel

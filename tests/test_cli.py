@@ -453,8 +453,8 @@ class TestAdaptiveDiagnostics:
         dataset = sim.load_dataset(str(out / "dataset.jsonl"))
         _, test_idx = evaluate.split(dataset.labels, 0.8, 4)
         spec = features.FeatureSpec(num_bins=1)
-        counts = features.featurize_dataset(dataset.samples, spec, dataset.geometry)
-        _, converged = threshold.classify_adaptive(model, counts[test_idx].astype(np.int64))
+        counts = features.featurize_dataset(dataset.samples[test_idx], spec, dataset.geometry)
+        _, converged = threshold.classify_adaptive(model, counts)
         assert int((~converged).sum()) == unconverged
 
 
@@ -817,3 +817,22 @@ class TestWithoutScipy:
         )
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out" / "summary.json").exists()
+
+
+class TestCountedShots:
+    @pytest.mark.parametrize("name", cli.STRATEGY_ORDER)
+    def test_a_strategy_counts_only_its_train_and_test_shots(self, monkeypatch, name):
+        dataset = sim.generate_dataset(sim.EmissionModel(), sim.alternating_geometry(3), 30, seed=5)
+        train_idx, test_idx = evaluate.split(dataset.labels, 0.8, 5)
+        count_images = features._count_images
+        counted = []
+
+        def counting(samples, *args):
+            counted.append(len(samples))
+            return count_images(samples, *args)
+
+        monkeypatch.setattr(features, "_count_images", counting)
+        config = ExperimentConfig(num_ions=3, geometry="alternating", epochs=1)
+        result = cli.run_strategy(cli.STRATEGIES[name], dataset, train_idx, test_idx, config)
+        assert counted == [len(train_idx), len(test_idx)]
+        assert result.report.shots_per_state.sum() == len(test_idx)

@@ -118,6 +118,18 @@ class TestSequences:
         )
 
 
+class TestLayouts:
+    @pytest.mark.parametrize("num_bins", [1, 5, 7, 15])
+    def test_flat_rows_are_the_sequences_flattened_channel_major(self, geometry3, num_bins):
+        ds = sim.generate_dataset(sim.EmissionModel(), geometry3, 10, seed=9)
+        for include in (False, True):
+            spec = features.FeatureSpec(num_bins, include_intermediate=include)
+            seqs = features.sequence_dataset(ds.samples, spec, geometry3)
+            flats = features.featurize_dataset(ds.samples, spec, geometry3)
+            np.testing.assert_array_equal(flats, seqs.transpose(0, 2, 1).reshape(len(ds), -1))
+            assert flats.dtype == np.uint16 and flats.flags.c_contiguous
+
+
 class TestManyShots:
     # 7 shots per pass splits the dataset into several blocks, the last short
     @pytest.mark.parametrize("block_shots", [features.BLOCK_SHOTS, 7])
@@ -167,3 +179,17 @@ class TestCountRange:
             with pytest.raises(features.FeatureError, match="shot 1: 65536 events"):
                 to_images([full, over], spec, geometry)
 
+    def test_a_count_above_uint16_in_a_view_names_the_dataset_shot(self):
+        geometry = sim.single_ion_geometry()
+        # shot 4 of six holds one count too many
+        lengths = [1, 0, 2, 0, features.MAX_COUNT + 1, 3]
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        ds = sim.Dataset(
+            offsets, np.zeros(offsets[-1], dtype=np.int16), np.zeros(offsets[-1], dtype=np.uint16),
+            geometry, sim.EmissionModel(), seed=0, samples_per_label=3,
+        )
+        spec = features.FeatureSpec(num_bins=2)
+        for to_images in (features.featurize_dataset, features.sequence_dataset):
+            for view in (ds.samples[[5, 0, 4]], ds.samples[3:], ds.samples):
+                with pytest.raises(features.FeatureError, match="shot 4: 65536 events"):
+                    to_images(view, spec, geometry)

@@ -471,6 +471,43 @@ class TestSamplesView:
                 features.sequence_dataset(list(view), spec, dataset.geometry),
             )
 
+    @pytest.mark.parametrize(
+        "idx", [[3, 57, 200, 319], [200, 3, 319, 57, 0], [5, 5, 0, 5, -1], []]
+    )
+    def test_an_index_array_views_those_shots_in_its_order(self, dataset, idx):
+        expected = [dataset.samples[i] for i in idx]
+        for key in (np.asarray(idx, dtype=np.int64), idx):
+            view = dataset.samples[key]
+            assert isinstance(view, sim.Samples) and len(view) == len(idx)
+            np.testing.assert_array_equal(view.shots, np.arange(len(dataset))[idx])
+            for got in (list(view), [view[k] for k in range(len(idx))]):
+                assert len(got) == len(expected)
+                for a, b in zip(got, expected):
+                    assert a.label == b.label
+                    np.testing.assert_array_equal(a.channels, b.channels)
+                    np.testing.assert_array_equal(a.ticks, b.ticks)
+                    assert np.shares_memory(a.ticks, dataset.ticks) or a.num_events == 0
+            # a view of a view indexes the shots it holds
+            assert [s.label for s in view[::-1]] == [s.label for s in expected[::-1]]
+            if idx:
+                assert [s.label for s in view[[-1, 0]]] == [expected[-1].label, expected[0].label]
+        with pytest.raises(IndexError):
+            dataset.samples[np.array([3, 320])]
+
+    @pytest.mark.parametrize("block_shots", [features.BLOCK_SHOTS, 7])
+    def test_featurizing_an_indexed_view_gives_those_rows(self, dataset, monkeypatch, block_shots):
+        monkeypatch.setattr(features, "BLOCK_SHOTS", block_shots)
+        rng = np.random.default_rng(4)
+        for idx in (np.arange(0, 320, 3), rng.permutation(320)[:50], rng.integers(0, 320, 90)):
+            for spec in (
+                features.FeatureSpec(num_bins=1),
+                features.FeatureSpec(num_bins=15, include_intermediate=True),
+            ):
+                for to_images in (features.featurize_dataset, features.sequence_dataset):
+                    full = to_images(dataset.samples, spec, dataset.geometry)
+                    part = to_images(dataset.samples[idx], spec, dataset.geometry)
+                    np.testing.assert_array_equal(part, full[idx])
+
 
 class TestColumnFootprint:
     """An event costs 4 bytes, an int16 channel and a uint16 tick; a shot 8, its offset."""
