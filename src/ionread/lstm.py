@@ -5,8 +5,10 @@ state after the last bin, or after each bin for ``forward_by_bin``, feeds a
 dense softmax over all 2**N register states, so the network sees photon
 arrival structure that total counts erase.  Gates are packed [input,
 forget, output, candidate] along one axis and the forget block starts at
-one so early training does not wipe the cell state.  Training reuses the
-ADADELTA rule and epoch protocol of the feed-forward core.
+one so early training does not wipe the cell state.  The three sigmoid
+gates are taken in the tanh form ``(1 + tanh(z/2))/2``, so one ``tanh``
+call covers all four blocks.  Training reuses the ADADELTA rule and epoch
+protocol of the feed-forward core.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .mlp import (
     NetworkError,
     TrainConfig,
     checked_array,
+    checked_size,
     cross_entropy,
     fit,
     parameter_slab,
@@ -31,19 +34,6 @@ DEFAULT_HIDDEN_SIZE = 32
 # inference streams this many sequences at a time, bounding its working set;
 # the block size does not change the probabilities
 INFERENCE_BLOCK_ROWS = 512
-
-
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function ``1/(1+exp(-x))``, into ``out`` when given.
-
-    Four passes: negate, exp, add one, divide.  Far below zero ``exp``
-    overflows to inf, silenced here, and the result saturates to exactly 0.
-    """
-    with np.errstate(over="ignore"):
-        out = np.negative(x, out=out)
-        np.exp(out, out=out)
-    out += 1.0
-    return np.divide(1.0, out, out=out)
 
 
 def _gate_rows(model: LstmModel, vector: np.ndarray) -> np.ndarray:
@@ -63,8 +53,9 @@ class LstmModel:
     PARAMETER_NAMES = ("w_input", "w_hidden", "bias", "w_readout", "b_readout")
 
     def __init__(self, input_size: int, hidden_size: int, output_size: int, seed: int = 0):
-        if input_size < 1 or hidden_size < 1:
-            raise NetworkError("input_size and hidden_size must be >= 1")
+        input_size = checked_size(input_size, "input_size")
+        hidden_size = checked_size(hidden_size, "hidden_size")
+        output_size = checked_size(output_size, "output_size")
         if output_size & (output_size - 1) or output_size < 2:
             raise NetworkError(
                 f"output width must be a power of two >= 2, got {output_size}"
@@ -134,8 +125,12 @@ def _cell(
     hs = c.shape[0]
     z = act[: 4 * hs]
     np.matmul(w_gates.T, xh, out=z)
-    sigmoid(z[: 3 * hs], out=z[: 3 * hs])
-    np.tanh(z[3 * hs :], out=z[3 * hs :])
+    # sigmoid(v) = (1 + tanh(v/2))/2: one tanh for all four blocks, no overflow
+    gates = z[: 3 * hs]
+    gates *= 0.5
+    np.tanh(z, out=z)
+    gates *= 0.5
+    gates += 0.5
     gate_in, forget, gate_out, candidate, tanh_c = act.reshape(5, hs, xh.shape[1])
     np.multiply(forget, c, out=c_next)
     np.multiply(gate_in, candidate, out=h_next)
@@ -321,11 +316,8 @@ def train(
     """
     config = config or TrainConfig()
     x = np.asarray(sequences)
-    labels = np.asarray(labels)
     if x.ndim != 3:
         raise NetworkError(f"sequences must be (batch, bins, channels), got {x.shape}")
-    if x.shape[0] != len(labels):
-        raise NetworkError(f"{x.shape[0]} sequences for {len(labels)} labels")
     _, num_ions = labels_to_states(labels)
     model = LstmModel(x.shape[2], hidden_size, 2**num_ions, seed=config.seed)
     return model, fit(model, x, labels, config, backward, predict)

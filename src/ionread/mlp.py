@@ -65,13 +65,11 @@ class MlpModel:
     FORMAT = "ionread.mlp"
 
     def __init__(self, layer_sizes: Sequence[int], seed: int = 0):
-        layer_sizes = [int(s) for s in layer_sizes]
+        layer_sizes = [checked_size(s, "layer_sizes") for s in layer_sizes]
         if len(layer_sizes) != 4:
             raise NetworkError(
                 f"layer_sizes must be [input, hidden, hidden, output], got {layer_sizes}"
             )
-        if any(s < 1 for s in layer_sizes):
-            raise NetworkError(f"layer sizes must be >= 1, got {layer_sizes}")
         lo, hi = HIDDEN_WIDTH_RANGE
         for width in layer_sizes[1:3]:
             if not lo <= width <= hi:
@@ -130,6 +128,13 @@ def parameter_slab(shapes) -> tuple[np.ndarray, list[np.ndarray]]:
         views.append(flat[start : start + size].reshape(shape))
         start += size
     return flat, views
+
+
+def checked_size(value, name: str) -> int:
+    """A model's size field as a Python int >= 1; a float or a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise NetworkError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def checked_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -261,6 +266,8 @@ def fit(
     parameter stops being finite.
     """
     labels = np.asarray(labels)
+    if len(x) != labels.size:
+        raise NetworkError(f"{len(x)} rows of input for {labels.size} labels")
     states, _ = labels_to_states(labels)
     train_idx, val_idx = split(labels, 1.0 - VALIDATION_FRACTION, config.seed)
     x_val, val_labels = x[val_idx], labels[val_idx]
@@ -313,11 +320,6 @@ def train(
     """
     config = config or TrainConfig()
     features = np.asarray(features)
-    labels = np.asarray(labels)
-    if features.shape[0] != len(labels):
-        raise NetworkError(
-            f"{features.shape[0]} feature rows for {len(labels)} labels"
-        )
     _, num_ions = labels_to_states(labels)
     model = MlpModel(
         [features.shape[1], hidden[0], hidden[1], 2**num_ions], seed=config.seed

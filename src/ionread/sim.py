@@ -43,6 +43,7 @@ TICKS_PER_US = 10.0
 MAX_TICKS = int(np.iinfo(np.uint16).max)
 MAX_WINDOW_US = MAX_TICKS / TICKS_PER_US
 MAX_IONS = 12
+MAX_CHANNELS = 2**15  # channel ids are held in an int16 column
 
 DEFAULT_WINDOW_US = 150.0
 # 9 detected photons on average from a bright ion over the default window.
@@ -200,8 +201,11 @@ class DetectorGeometry:
                 )
         if not 1 <= self.num_ions <= MAX_IONS:
             raise SimulationError(f"num_ions must be in [1, {MAX_IONS}], got {self.num_ions}")
-        if self.num_channels < self.num_ions:
-            raise SimulationError("num_channels must be >= num_ions")
+        if not self.num_ions <= self.num_channels <= MAX_CHANNELS:
+            raise SimulationError(
+                f"num_channels must be in [num_ions, {MAX_CHANNELS}] (channel ids are "
+                f"stored in an int16 column), got {self.num_channels}"
+            )
         if len(self.ion_channel) != self.num_ions:
             raise SimulationError("ion_channel must list one channel per ion")
         if len(set(self.ion_channel)) != self.num_ions:

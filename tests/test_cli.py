@@ -529,6 +529,33 @@ class TestModelFiles:
         with pytest.raises(ModelFileError, match=r"w_hidden has shape \(1, 1\)"):
             load_model(self.write(tmp_path, record))
 
+    @pytest.mark.parametrize(
+        "sizes", [[5.7, 8, 8.9, 8], [3, 8.0, 8, 4], [True, 8, 8, 4], [3, 8, 8, "4"]]
+    )
+    def test_mlp_layer_sizes_must_be_integers(self, tmp_path, sizes):
+        record = mlp.MlpModel([int(s) for s in sizes]).to_dict()
+        record["layer_sizes"] = sizes
+        with pytest.raises(ModelFileError, match="layer_sizes must be an integer >= 1"):
+            load_model(self.write(tmp_path, record))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("input_size", True), ("hidden_size", 4.0), ("output_size", 8.5), ("input_size", "2")],
+    )
+    def test_lstm_sizes_must_be_integers(self, tmp_path, field, value):
+        record = lstm.LstmModel(2, 4, 8).to_dict()
+        record[field] = value
+        with pytest.raises(ModelFileError, match=f"{field} must be an integer >= 1"):
+            load_model(self.write(tmp_path, record))
+
+    def test_numpy_integer_sizes_are_accepted(self, tmp_path):
+        for model in (
+            mlp.MlpModel([np.int64(3), np.int32(8), 8, np.uint8(4)]),
+            lstm.LstmModel(np.int64(2), np.int16(4), np.uint8(8)),
+        ):
+            loaded = load_model(self.write(tmp_path, model.to_dict()))
+            np.testing.assert_array_equal(loaded.flat, model.flat)
+
     def test_fixed_thresholds_must_be_integer_list(self, tmp_path):
         for thresholds in (5, [1, 2.5], ["3"], []):
             record = {"format": "ionread.threshold_fixed", "version": 1, "thresholds": thresholds}

@@ -20,7 +20,6 @@ from ionread.lstm import (
     predict,
     probe,
     readout,
-    sigmoid,
     train,
 )
 
@@ -53,49 +52,60 @@ def masked_sigmoid(x):
     return out
 
 
-def ulp_gap(a, b):
-    """Units in the last place between non-negative doubles of equal shape."""
-    return np.abs(a.view(np.int64) - b.view(np.int64))
+def cell_on(z):
+    """``_cell`` run on gate pre-activations ``z`` (4 hidden, batch) as given.
+
+    An identity ``w_gates`` makes the cell's matmul return ``z`` exactly.
+    Returns the activation slab: gates, candidate and ``tanh(c_next)``.
+    """
+    hs, batch = z.shape[0] // 4, z.shape[1]
+    act = np.empty((5 * hs, batch), z.dtype)
+    state = np.zeros((3, hs, batch), z.dtype)
+    lstm._cell(np.eye(4 * hs, dtype=z.dtype), z, act, *state)
+    return act
 
 
-class TestSigmoid:
-    def test_within_four_ulp_of_masked_form(self):
-        edges = np.array([0.0, -0.0, 700.0, -700.0, 36.0, -36.0, 1e-300, 1e4])
-        draws = np.random.default_rng(30).normal(scale=6.0, size=200_000)
-        x = np.concatenate([edges, np.linspace(-700.0, 700.0, 1_400_001), draws])
-        assert ulp_gap(sigmoid(x), masked_sigmoid(x)).max() <= 4
-        # below -700 the masked form reaches denormals, the direct form 0
-        far = np.array([-700.5, -708.0, -709.9, -745.0, -746.0, -1e4, -1e300])
-        np.testing.assert_allclose(sigmoid(far), masked_sigmoid(far), rtol=0, atol=1e-300)
-        assert sigmoid(np.array([-1e4]))[0] == 0.0
+def gate_inputs(dtype):
+    """Pre-activations across +-1e4 for a 4 x 256-row cell, ``dtype``."""
+    edges = [0.0, -0.0, 1e-30, -1e-30, 36.0, -36.0, 700.0, -700.0, 1e4, -1e4]
+    draws = np.random.default_rng(30).normal(scale=6.0, size=20_000)
+    z = np.concatenate([edges, np.linspace(-1e4, 1e4, 20_001), np.linspace(-40, 40, 40_001), draws])
+    z = np.resize(z, 4 * 256 * (z.size // (4 * 256) + 1))
+    return z.reshape(4 * 256, -1).astype(dtype)
 
-    def test_packed_slab_equals_per_gate_calls(self):
-        hidden = 7
-        z = np.random.default_rng(31).normal(scale=4.0, size=(4 * hidden, 33))
-        slab = z[: 3 * hidden]
-        blocks = [sigmoid(slab[k * hidden : (k + 1) * hidden]) for k in range(3)]
-        np.testing.assert_array_equal(sigmoid(slab), np.concatenate(blocks))
-        assert ulp_gap(sigmoid(slab), masked_sigmoid(slab)).max() <= 4
 
-    def test_writes_in_place_when_given_out(self):
-        x = np.random.default_rng(32).normal(scale=5.0, size=(6, 9))
-        expected = sigmoid(x)
-        result = sigmoid(x, out=x)
-        assert result is x
-        np.testing.assert_array_equal(x, expected)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestCellGates:
+    def test_sigmoid_gates_within_two_eps_of_masked_logistic(self, dtype):
+        z = gate_inputs(dtype)
+        gates = cell_on(z)[: 3 * 256]
+        expected = masked_sigmoid(z[: 3 * 256].astype(np.float64))
+        assert gates.dtype == dtype
+        assert np.abs(gates - expected).max() <= 2 * np.finfo(dtype).eps
 
-    def test_midpoint_and_symmetry(self):
-        assert sigmoid(np.array([0.0]))[0] == 0.5
-        x = np.linspace(-8, 8, 33)
-        np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-15)
+    def test_candidate_is_tanh_exactly(self, dtype):
+        z = gate_inputs(dtype)
+        np.testing.assert_array_equal(cell_on(z)[3 * 256 : 4 * 256], np.tanh(z[3 * 256 :]))
 
-    def test_matches_direct_form(self):
-        x = np.linspace(-30, 30, 61)
-        np.testing.assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), atol=1e-15)
+    def test_gates_are_one_half_at_zero_and_saturate_exactly(self, dtype):
+        z = np.tile(np.array([[-1e4, -1e3, 0.0, 1e3, 1e4]], dtype), (8, 1))
+        act = cell_on(z)
+        np.testing.assert_array_equal(act[:6], np.tile(np.array([0, 0, 0.5, 1, 1], dtype), (6, 1)))
+        np.testing.assert_array_equal(act[6:8], np.tile(np.array([-1, -1, 0, 1, 1], dtype), (2, 1)))
 
-    def test_saturates_without_overflow(self):
-        out = sigmoid(np.array([-1e4, 1e4]))
-        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-300)
+    def test_large_weights_raise_no_floating_point_error(self, dtype):
+        model = LstmModel(3, 8, 8, seed=33)
+        # the gate rows only: logits of 1e4 would underflow the readout's
+        # softmax, which the cell does not compute
+        model.flat[: model.w_gates.size] *= 1e3
+        rng = np.random.default_rng(34)
+        x = rng.poisson(3.0, size=(16, 15, 3)).astype(dtype)
+        y = rng.integers(0, 8, size=16)
+        with np.errstate(all="raise"):
+            probs = forward(model, x)
+            batch_loss, grad = backward(model, x, y)
+        assert np.all(np.isfinite(probs)) and math.isfinite(batch_loss)
+        assert np.all(np.isfinite(grad))
 
 
 class TestForward:

@@ -1015,6 +1015,29 @@ class TestGeometryValidation:
                 sim.EmissionModel(), sim.DetectorGeometry(*geometry_args), 5, seed=0, mode=mode
             )
 
+    @pytest.mark.parametrize("mode", ["fresh", "pool"])
+    def test_channel_ids_must_fit_int16(self, mode):
+        row = np.zeros(40_000)
+        row[-1] = 1.0
+        with pytest.raises(sim.SimulationError, match="int16"):
+            sim.generate_dataset(
+                sim.EmissionModel(),
+                sim.DetectorGeometry(1, 40_000, (39_999,), (tuple(row),), False),
+                5,
+                seed=0,
+                mode=mode,
+            )
+
+    @pytest.mark.parametrize("mode", ["fresh", "pool"])
+    def test_the_last_int16_channel_records_its_ion(self, mode):
+        row = np.zeros(sim.MAX_CHANNELS)
+        row[-1] = 1.0
+        geometry = sim.DetectorGeometry(1, sim.MAX_CHANNELS, (32_767,), (tuple(row),), False)
+        dataset = sim.generate_dataset(sim.EmissionModel(), geometry, 5, seed=0, mode=mode)
+        # label 1's shots follow label 0's five, and its ion's photons arrive
+        assert dataset.channels.size > dataset.offsets[5]
+        np.testing.assert_array_equal(dataset.channels, 32_767)
+
     def test_numpy_integers_accepted(self):
         geometry = sim.DetectorGeometry(
             np.int64(2), np.int32(3), (np.int64(0), np.uint8(2)), ((1, 0, 0), (0, 0, 1))
