@@ -214,6 +214,7 @@ STRATEGIES: dict[str, StrategySpec] = {
     "RNN": StrategySpec("RNN", "lstm", 15, True, lstm.DEFAULT_HIDDEN_SIZE),
 }
 STRATEGY_ORDER = ("FT", "AT", "NN", "NN+", "TNN", "TNN+", "RNN")
+_NETWORKS = {"mlp": mlp, "lstm": lstm}
 
 
 def strategy_seed(seed_train: int, name: str) -> int:
@@ -237,6 +238,36 @@ class StrategyResult:
     diagnostics: dict  # extra summary keys: AT convergence, network training
 
 
+def _images(spec: StrategySpec, fspec, dataset: sim.Dataset, idx: np.ndarray) -> np.ndarray:
+    """``spec``'s input for the shots ``idx`` names: sequences for the LSTM, else vectors."""
+    to_images = features.sequence_dataset if spec.kind == "lstm" else features.featurize_dataset
+    return to_images(dataset.samples[idx], fspec, dataset.geometry)
+
+
+def _fit(
+    spec: StrategySpec, dataset: sim.Dataset, train_idx: np.ndarray, config: ExperimentConfig
+) -> tuple[features.FeatureSpec, object, list[dict] | None]:
+    """(feature spec, model, epoch history or None) of ``spec`` fit on the train shots."""
+    include = spec.include_intermediate
+    if spec.name == "RNN":
+        include = dataset.geometry.intermediate_channels_present
+    fspec = features.FeatureSpec(num_bins=spec.num_bins, include_intermediate=include)
+    x_train = _images(spec, fspec, dataset, train_idx)
+    train_labels = dataset.labels[train_idx]
+    if spec.kind == "fixed":
+        return fspec, threshold.fit_fixed(x_train, train_labels), None
+    if spec.kind == "adaptive":
+        return fspec, threshold.fit_adaptive(x_train, train_labels), None
+    train_config = mlp.TrainConfig(
+        batch_size=config.batch_size,
+        epochs=config.epochs,
+        patience=config.patience,
+        seed=strategy_seed(config.seed_train, spec.name),
+    )
+    network = _NETWORKS[spec.kind]
+    return fspec, *network.train(x_train, train_labels, spec.hidden, config=train_config)
+
+
 def run_strategy(
     spec: StrategySpec,
     dataset: sim.Dataset,
@@ -245,38 +276,19 @@ def run_strategy(
     config: ExperimentConfig,
 ) -> StrategyResult:
     started = time.perf_counter()
-    geometry = dataset.geometry
-    train_labels, test_labels = dataset.labels[train_idx], dataset.labels[test_idx]
-    include = spec.include_intermediate
-    if spec.name == "RNN":
-        include = geometry.intermediate_channels_present
-    fspec = features.FeatureSpec(num_bins=spec.num_bins, include_intermediate=include)
     # count only the shots read: the train shots, then the test shots
-    to_images = features.sequence_dataset if spec.kind == "lstm" else features.featurize_dataset
-    x_train, x_test = (
-        to_images(dataset.samples[idx], fspec, geometry) for idx in (train_idx, test_idx)
-    )
-    history = None
+    fspec, model, history = _fit(spec, dataset, train_idx, config)
+    x_test = _images(spec, fspec, dataset, test_idx)
     diagnostics = {}
     if spec.kind == "fixed":
-        model = threshold.fit_fixed(x_train, train_labels)
         predicted = threshold.classify_fixed(model, x_test)
     elif spec.kind == "adaptive":
-        model = threshold.fit_adaptive(x_train, train_labels)
         predicted, converged = threshold.classify_adaptive(model, x_test)
         diagnostics = {
             "unconverged_shots": int((~converged).sum()),
             "starved_contexts": [list(s) for s in model.starved_contexts],
         }
     else:
-        train_config = mlp.TrainConfig(
-            batch_size=config.batch_size,
-            epochs=config.epochs,
-            patience=config.patience,
-            seed=strategy_seed(config.seed_train, spec.name),
-        )
-        network = lstm if spec.kind == "lstm" else mlp
-        model, history = network.train(x_train, train_labels, spec.hidden, config=train_config)
         best = max(history, key=lambda row: row["val_fidelity"])  # first maximum
         diagnostics = {
             "epochs_run": len(history),
@@ -284,9 +296,9 @@ def run_strategy(
             "stop_reason": "patience" if len(history) < config.epochs else "epoch_cap",
             "final_train_loss": float(history[-1]["train_loss"]),
         }
-        predicted = network.predict(model, x_test)
+        predicted = _NETWORKS[spec.kind].predict(model, x_test)
     report = evaluate.fidelity(
-        evaluate.confusion(predicted, test_labels), strategy=spec.name
+        evaluate.confusion(predicted, dataset.labels[test_idx]), strategy=spec.name
     )
     seconds = time.perf_counter() - started
     return StrategyResult(spec.name, report, model, history, fspec, seconds, diagnostics)
@@ -535,14 +547,14 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> dict:
     derived from it are simply absent.  With ``n_jobs`` above one, training
     runs in that many processes, the caller included; every artifact is the
     same as with one, but for ``n_jobs`` and the per-strategy ``seconds`` in
-    the summary.  Model, history and traceback files that an earlier run left
-    in ``out_dir`` are deleted first, so the folders hold this run's alone.
+    the summary.  Model, history and traceback files and the fidelity report
+    that an earlier run left in ``out_dir`` are deleted first, so it holds
+    this run's alone.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     # artifacts of an earlier run into the same directory
-    stale_patterns = (("errors", "*.txt"), ("models", "*.json"), ("history", "*.csv"))
-    for folder, pattern in stale_patterns:
-        for stale in (out_dir / folder).glob(pattern):
+    for pattern in ("errors/*.txt", "models/*.json", "history/*.csv", "fidelity_report.csv"):
+        for stale in out_dir.glob(pattern):
             stale.unlink()
     names = config.strategy_names()
     dataset = _make_dataset(config)
@@ -596,27 +608,18 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> dict:
     return summary
 
 
-def _trained_rnn(config: ExperimentConfig) -> tuple[StrategyResult, sim.Dataset, np.ndarray]:
-    dataset = _make_dataset(config)
-    train_idx, test_idx = evaluate.split(
-        dataset.labels, config.train_fraction, config.seed_data
-    )
-    result = run_strategy(STRATEGIES["RNN"], dataset, train_idx, test_idx, config)
-    return result, dataset, test_idx
-
-
 def run_probe(config: ExperimentConfig, out_dir: Path) -> dict:
     """Where in the window a lone photon pulls the recurrent model bright.
 
-    Trains the recurrent strategy exactly as ``run`` would, then feeds it
-    one photon per (arrival bin, ion channel) and records the marginal
-    bright probability of the ion that owns the channel.
+    Trains the recurrent strategy exactly as ``run`` would, reading no test
+    shot, then feeds it one photon per (arrival bin, ion channel) and
+    records the marginal bright probability of the ion that owns the channel.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    result, dataset, _ = _trained_rnn(config)
+    dataset = _make_dataset(config)
+    train_idx, _ = evaluate.split(dataset.labels, config.train_fraction, config.seed_data)
+    spec, model, _ = _fit(STRATEGIES["RNN"], dataset, train_idx, config)
     geometry = dataset.geometry
-    model: lstm.LstmModel = result.model
-    spec = result.feature_spec
     channel_ids = spec.channel_ids(geometry)
     bins = spec.num_bins
     bin_width = dataset.model.window_us / bins
@@ -656,9 +659,9 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> dict:
     pass, so the full-window row is ``run``'s RNN fidelity.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    result, dataset, test_idx = _trained_rnn(config)
-    model: lstm.LstmModel = result.model
-    spec = result.feature_spec
+    dataset = _make_dataset(config)
+    train_idx, test_idx = evaluate.split(dataset.labels, config.train_fraction, config.seed_data)
+    spec, model, _ = _fit(STRATEGIES["RNN"], dataset, train_idx, config)
     sequences = features.sequence_dataset(dataset.samples[test_idx], spec, dataset.geometry)
     test_labels = dataset.labels[test_idx]
     bin_width = dataset.model.window_us / spec.num_bins

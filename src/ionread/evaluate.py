@@ -64,15 +64,9 @@ def bits_to_labels(bits: np.ndarray) -> list[str]:
     return state_labels(bits.shape[1])[bits_to_states(bits)].tolist()
 
 
-@dataclass
-class ConfusionMatrix:
-    """counts[i, j] = shots prepared in state i and measured as state j."""
-
-    counts: np.ndarray
-    num_ions: int
-
-
-def confusion(predicted: Sequence[str], prepared: Sequence[str]) -> ConfusionMatrix:
+def confusion(predicted: Sequence[str], prepared: Sequence[str]) -> np.ndarray:
+    """int64 counts, shape (2**N, 2**N): [i, j] is the shots prepared in
+    state i and measured as state j."""
     if len(predicted) != len(prepared):
         raise EvaluationError(
             f"{len(predicted)} predictions for {len(prepared)} prepared labels"
@@ -83,8 +77,7 @@ def confusion(predicted: Sequence[str], prepared: Sequence[str]) -> ConfusionMat
     states, num_ions = labels_to_states(np.concatenate([prepared, predicted]))
     prep, pred = np.split(states, 2)
     size = 2**num_ions
-    counts = np.bincount(prep * size + pred, minlength=size * size)
-    return ConfusionMatrix(counts.reshape(size, size), num_ions)
+    return np.bincount(prep * size + pred, minlength=size * size).reshape(size, size)
 
 
 @dataclass
@@ -97,10 +90,10 @@ class FidelityReport:
     average_stderr: float
 
 
-def fidelity(matrix: ConfusionMatrix | np.ndarray, strategy: str = "") -> FidelityReport:
-    """Per-state and average detection fidelity with binomial uncertainties."""
-    counts = matrix.counts if isinstance(matrix, ConfusionMatrix) else np.asarray(matrix)
-    counts = counts.astype(float)
+def fidelity(counts: np.ndarray, strategy: str = "") -> FidelityReport:
+    """Per-state and average detection fidelity, with binomial uncertainties,
+    of a :func:`confusion` count matrix."""
+    counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise EvaluationError(f"confusion matrix must be square, got {counts.shape}")
     shots = counts.sum(axis=1)

@@ -40,8 +40,10 @@ class FeatureSpec:
     include_intermediate: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_bins < 1:
-            raise FeatureError(f"num_bins must be >= 1, got {self.num_bins}")
+        bins = self.num_bins
+        if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
+            raise FeatureError(f"num_bins must be an integer >= 1, got {bins!r}")
+        object.__setattr__(self, "num_bins", int(bins))
 
     def channel_ids(self, geometry: DetectorGeometry) -> tuple[int, ...]:
         if self.include_intermediate:

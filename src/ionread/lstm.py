@@ -171,8 +171,6 @@ def readout(model: LstmModel, h: np.ndarray) -> np.ndarray:
 def _sequence_array(model: LstmModel, sequences) -> np.ndarray:
     """``sequences`` as a (batch, bins, inputs) array, still in its own dtype."""
     x = np.asarray(sequences)
-    if x.ndim == 2:
-        x = x[np.newaxis]
     if x.ndim != 3 or x.shape[2] != model.input_size:
         raise NetworkError(
             f"expected sequences shaped (batch, bins, {model.input_size}), got {x.shape}"
@@ -327,8 +325,11 @@ def bright_marginal(probs: np.ndarray, ion: int, num_ions: int) -> np.ndarray:
     """P(ion bright) summed over all register states with that bit set."""
     if not 0 <= ion < num_ions:
         raise NetworkError(f"ion {ion} outside register of {num_ions}")
+    probs = np.asarray(probs)
+    if probs.ndim != 2 or probs.shape[1] != 2**num_ions:
+        raise NetworkError(f"expected probabilities (batch, {2**num_ions}), got {probs.shape}")
     bright = labels_to_bits(state_labels(num_ions))[:, ion] == 1
-    return np.atleast_2d(probs)[:, bright].sum(axis=1)
+    return probs[:, bright].sum(axis=1)
 
 
 def probe(model: LstmModel, num_bins: int, feature_column: int, ion: int) -> np.ndarray:

@@ -52,8 +52,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1 or self.epochs < 1 or self.patience < 1:
-            raise NetworkError("batch_size, epochs and patience must be >= 1")
+        for name in ("batch_size", "epochs", "patience"):
+            setattr(self, name, checked_size(getattr(self, name), name))
 
 
 class MlpModel:
@@ -151,10 +151,10 @@ def checked_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 
 def _validate_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != model.layer_sizes[0]:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != model.layer_sizes[0]:
         raise NetworkError(
-            f"expected {model.layer_sizes[0]} features, got {x.shape[1]}"
+            f"expected features shaped (batch, {model.layer_sizes[0]}), got {x.shape}"
         )
     if not np.all(np.isfinite(x)):
         raise NetworkError("non-finite feature values")

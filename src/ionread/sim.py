@@ -366,11 +366,6 @@ class Dataset:
         for column in (self.offsets, self.channels, self.ticks):
             column.flags.writeable = False
 
-    @property
-    def times(self) -> np.ndarray:
-        """Every event's arrival time in microseconds, built on each access, never kept."""
-        return _times(self.ticks)
-
     @cached_property
     def states(self) -> np.ndarray:
         """Per-shot prepared register state (int64, ion 0 the most significant
@@ -391,7 +386,7 @@ class Dataset:
     @property
     def samples(self) -> "Samples":
         """Every shot as a :class:`ReadoutSample`, built on access."""
-        return Samples(self, range(len(self)))
+        return Samples(self, np.arange(len(self), dtype=np.int64))
 
     def __len__(self) -> int:
         return self.offsets.size - 1
@@ -400,38 +395,29 @@ class Dataset:
 class Samples(Sequence):
     """Read-only sequence view of some of a dataset's shots.
 
-    The shots are a ``range`` or an int64 array of dataset shot indices, in
-    any order and with repeats.  Indexing with an int builds a
-    :class:`ReadoutSample` whose channels and ticks are views into the
-    dataset's columns; nothing is cached, so holding the view costs no
-    per-shot memory.  A slice or an integer array gives another view.
+    ``shots`` is an int64 array of dataset shot indices, in any order and
+    with repeats.  Indexing with an int builds a :class:`ReadoutSample`
+    whose channels and ticks are views into the dataset's columns; nothing
+    is cached, so holding the view costs no per-shot memory.  A slice or an
+    integer array gives another view.
     """
 
-    __slots__ = ("_dataset", "_shots")
+    __slots__ = ("_dataset", "shots")
 
-    def __init__(self, dataset: Dataset, shots: range | np.ndarray):
+    def __init__(self, dataset: Dataset, shots: np.ndarray):
         self._dataset = dataset
-        self._shots = shots
+        self.shots = shots
 
     def __len__(self) -> int:
-        return len(self._shots)
+        return len(self.shots)
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            return Samples(self._dataset, self._shots[key])
-        if isinstance(key, (list, np.ndarray)):
+        if isinstance(key, (slice, list, np.ndarray)):
             return Samples(self._dataset, self.shots[key])
-        return self._sample(self._shots[key])
+        return self._sample(self.shots[key])
 
     def __iter__(self):
-        shots = self._shots
-        return map(self._sample, shots if isinstance(shots, range) else shots.tolist())
-
-    @property
-    def shots(self) -> np.ndarray:
-        """The dataset shot index of each entry, as an int64 array."""
-        s = self._shots
-        return np.arange(s.start, s.stop, s.step, dtype=np.int64) if isinstance(s, range) else s
+        return map(self._sample, self.shots.tolist())
 
     def _sample(self, i: int) -> ReadoutSample:
         ds = self._dataset

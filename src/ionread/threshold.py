@@ -34,12 +34,11 @@ def _as_count_matrix(counts) -> np.ndarray:
     counts = np.asarray(counts)
     if counts.ndim != 2:
         raise ThresholdError(f"counts must be 2-d (shots, ions), got {counts.shape}")
-    mat = np.rint(counts).astype(np.int64)
-    if not np.allclose(counts, mat):
-        raise ThresholdError("counts must be integers")
-    if np.any(mat < 0):
+    if counts.dtype.kind not in "iu":
+        raise ThresholdError(f"counts must have an integer dtype, got {counts.dtype}")
+    if np.any(counts < 0):
         raise ThresholdError("counts must be >= 0")
-    return mat
+    return counts.astype(np.int64, copy=False)
 
 
 def _best_threshold(counts: np.ndarray, bits: np.ndarray) -> int:
@@ -137,7 +136,6 @@ class AdaptiveThresholdModel:
     fixed: FixedThresholdModel
     context_thresholds: tuple[dict, ...]
     starved_contexts: tuple[tuple[int, str], ...] = ()
-    max_iterations: int = MAX_ITERATIONS
 
     FORMAT = "ionread.threshold_adaptive"
 
@@ -152,7 +150,7 @@ class AdaptiveThresholdModel:
             "fixed_thresholds": list(self.fixed.thresholds),
             "context_thresholds": [dict(c) for c in self.context_thresholds],
             "starved_contexts": [list(s) for s in self.starved_contexts],
-            "max_iterations": self.max_iterations,
+            "max_iterations": MAX_ITERATIONS,
         }
 
     @classmethod
@@ -175,14 +173,14 @@ class AdaptiveThresholdModel:
         pairs = [[i, key] for i in range(num_ions) for key in _context_keys(num_ions, i)]
         if not isinstance(starved, list) or any(s not in pairs for s in starved):
             raise ThresholdError("starved_contexts must list [ion, context] pairs")
-        max_iterations = data["max_iterations"]
-        if not isinstance(max_iterations, Integral) or max_iterations < 1:
-            raise ThresholdError("max_iterations must be an integer >= 1")
+        # the one cap that classify_adaptive runs
+        cap = data["max_iterations"]
+        if type(cap) is not int or cap != MAX_ITERATIONS:
+            raise ThresholdError(f"max_iterations must be {MAX_ITERATIONS}, got {cap!r}")
         return cls(
             fixed=fixed,
             context_thresholds=tuple(contexts),
             starved_contexts=tuple((int(i), str(c)) for i, c in starved),
-            max_iterations=int(max_iterations),
         )
 
 
@@ -191,8 +189,7 @@ def fit_adaptive(counts, labels: Sequence[str]) -> AdaptiveThresholdModel:
 
     Conditioning uses the true neighbour bits of the training labels.  A
     context with fewer than ``MIN_CONTEXT_SAMPLES`` shots, or missing one of
-    the two classes, inherits the unconditioned threshold.  The model runs
-    at most ``MAX_ITERATIONS`` update rounds.
+    the two classes, inherits the unconditioned threshold.
     """
     mat = _as_count_matrix(counts)
     bits = labels_to_bits(labels)
@@ -241,7 +238,7 @@ def classify_adaptive(
         lookup.append((neighbour_indices(num_ions, i), table))
     bits = (mat > np.asarray(model.fixed.thresholds)).astype(np.int8)
     converged = np.zeros(mat.shape[0], dtype=bool)
-    for _ in range(model.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         new_bits = np.empty_like(bits)
         for i in range(num_ions):
             neighbours, table = lookup[i]

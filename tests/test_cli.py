@@ -345,6 +345,20 @@ class TestStaleArtifacts:
         assert [p.name for p in (out / "models").iterdir()] == ["FT.json"]
         assert not (out / "history" / "NN.csv").exists()
 
+    def test_a_rerun_that_scores_nothing_drops_the_old_report(self, tmp_path):
+        out = tmp_path / "out"
+        # NN+ reads intermediate channels, which an adjacent geometry lacks
+        for strategies, code in (("FT", 0), ("NN+", 1)):
+            config = write_config(
+                tmp_path / "run.cfg",
+                "num_ions = 2\ngeometry = adjacent\nsamples_per_label = 40\n"
+                f"strategies = {strategies}\n",
+            )
+            assert main(["run", "--config", config, "--out", str(out)]) == code
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["strategies"] == {} and list(summary["errors"]) == ["NN+"]
+        assert not (out / "fidelity_report.csv").exists()
+
 
 class TestGenerateCommand:
     def test_writes_reproducible_dataset(self, tmp_path):
@@ -561,6 +575,17 @@ class TestModelFiles:
             record = {"format": "ionread.threshold_fixed", "version": 1, "thresholds": thresholds}
             with pytest.raises(ModelFileError, match="thresholds"):
                 load_model(self.write(tmp_path, record))
+
+    @pytest.mark.parametrize("cap", [5, 11, 10.0, True, "10", None])
+    def test_adaptive_max_iterations_must_be_the_classifier_cap(self, tmp_path, cap):
+        record = threshold.AdaptiveThresholdModel(
+            fixed=threshold.FixedThresholdModel((1, 2)),
+            context_thresholds=({"0": 1, "1": 3}, {"0": 2, "1": 2}),
+        ).to_dict()
+        assert record["max_iterations"] == threshold.MAX_ITERATIONS == 10
+        record["max_iterations"] = cap
+        with pytest.raises(ModelFileError, match=f"max_iterations must be 10, got {cap!r}"):
+            load_model(self.write(tmp_path, record))
 
     def test_adaptive_tables_must_cover_every_context(self, tmp_path):
         record = threshold.AdaptiveThresholdModel(
@@ -847,10 +872,9 @@ class TestWithoutScipy:
 
 
 class TestCountedShots:
-    @pytest.mark.parametrize("name", cli.STRATEGY_ORDER)
-    def test_a_strategy_counts_only_its_train_and_test_shots(self, monkeypatch, name):
-        dataset = sim.generate_dataset(sim.EmissionModel(), sim.alternating_geometry(3), 30, seed=5)
-        train_idx, test_idx = evaluate.split(dataset.labels, 0.8, 5)
+    @staticmethod
+    def count_shots(monkeypatch) -> list[int]:
+        """The number of shots each count-image call reads, in call order."""
         count_images = features._count_images
         counted = []
 
@@ -859,7 +883,36 @@ class TestCountedShots:
             return count_images(samples, *args)
 
         monkeypatch.setattr(features, "_count_images", counting)
+        return counted
+
+    @pytest.mark.parametrize("name", cli.STRATEGY_ORDER)
+    def test_a_strategy_counts_only_its_train_and_test_shots(self, monkeypatch, name):
+        dataset = sim.generate_dataset(sim.EmissionModel(), sim.alternating_geometry(3), 30, seed=5)
+        train_idx, test_idx = evaluate.split(dataset.labels, 0.8, 5)
+        counted = self.count_shots(monkeypatch)
         config = ExperimentConfig(num_ions=3, geometry="alternating", epochs=1)
         result = cli.run_strategy(cli.STRATEGIES[name], dataset, train_idx, test_idx, config)
         assert counted == [len(train_idx), len(test_idx)]
         assert result.report.shots_per_state.sum() == len(test_idx)
+
+    # 8 labels x 20 shots, cut 16 train / 4 test per label
+    RNN_CONFIG = ExperimentConfig(
+        num_ions=3, geometry="alternating", samples_per_label=20, epochs=1, seed_data=6
+    )
+
+    def test_sweep_counts_the_train_then_the_test_shots_once(self, monkeypatch, tmp_path):
+        counted = self.count_shots(monkeypatch)
+        info = cli.run_sweep(self.RNN_CONFIG, tmp_path)
+        assert counted == [8 * 16, 8 * 4]
+        assert len(info["fidelity"]) == 1 + 15
+
+    def test_probe_counts_the_train_shots_and_scores_none(self, monkeypatch, tmp_path):
+        counted = self.count_shots(monkeypatch)
+
+        def no_scoring(*args):
+            raise AssertionError("probe scored test shots")
+
+        monkeypatch.setattr(evaluate, "confusion", no_scoring)
+        info = cli.run_probe(self.RNN_CONFIG, tmp_path)
+        assert counted == [8 * 16]
+        assert len(info["mean_curve"]) == 15

@@ -97,6 +97,18 @@ class TestFlatten:
         with pytest.raises(features.FeatureError):
             features.featurize_dataset([], features.FeatureSpec(), geometry3)
 
+    @pytest.mark.parametrize("num_bins", [2.5, 3.0, True, "5", 0, -1])
+    def test_num_bins_must_be_an_integer(self, num_bins):
+        with pytest.raises(features.FeatureError, match="num_bins must be an integer >= 1"):
+            features.FeatureSpec(num_bins=num_bins)
+
+    def test_numpy_num_bins_is_kept_as_a_python_int(self, geometry3):
+        spec = features.FeatureSpec(num_bins=np.int64(5))
+        assert spec.num_bins == 5 and type(spec.num_bins) is int
+        assert spec == features.FeatureSpec(num_bins=5)
+        sample = make_sample("101", [0, 4], [1.0, 149.0])
+        assert image(sample, spec, geometry3).shape == (3, 5)
+
 
 class TestSequences:
     def test_sequence_is_column_traversal(self, geometry3):

@@ -1,5 +1,6 @@
 """Recurrent core: gate arithmetic, BPTT gradients, per-bin readout, training."""
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -178,6 +179,19 @@ class TestForward:
             forward(model, np.full((1, 2, 3), np.nan))
         with pytest.raises(NetworkError):
             LstmModel(3, 4, 6)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3,), (1, 2, 5, 3)])
+    def test_sequences_must_be_a_batch(self, shape):
+        model = LstmModel(3, 4, 2, seed=0)
+        expected = rf"shaped \(batch, bins, 3\), got {re.escape(str(shape))}"
+        for call in (
+            lambda x: forward(model, x),
+            lambda x: forward_by_bin(model, x),
+            lambda x: predict(model, x),
+            lambda x: backward(model, x, [0]),
+        ):
+            with pytest.raises(NetworkError, match=expected):
+                call(np.ones(shape, dtype=np.uint16))
 
 
 class TestStreaming:
@@ -490,6 +504,14 @@ class TestMarginals:
         assert bright_marginal(probs, 1, 2)[0] == pytest.approx(0.6)
         with pytest.raises(NetworkError):
             bright_marginal(probs, 2, 2)
+
+    @pytest.mark.parametrize(
+        "probs", [[0.1, 0.2, 0.3, 0.4], np.full((1, 1, 4), 0.25), np.full((2, 8), 0.125)]
+    )
+    def test_bright_marginal_needs_a_batch_of_register_rows(self, probs):
+        shape = re.escape(str(np.shape(probs)))
+        with pytest.raises(NetworkError, match=rf"probabilities \(batch, 4\), got {shape}"):
+            bright_marginal(probs, 0, 2)
 
     def test_probe_shape_and_bounds(self):
         model = LstmModel(3, 4, 4, seed=15)

@@ -2,6 +2,7 @@
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,18 @@ class TestForwardLoss:
             forward(model, np.ones((2, 4)))
         with pytest.raises(NetworkError):
             forward(model, np.array([[1.0, np.nan, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(3,), (), (1, 1, 3), (2, 1, 3)])
+    def test_input_must_be_a_batch_of_rows(self, shape):
+        model = MlpModel([3, 8, 8, 2], seed=0)
+        expected = rf"expected features shaped \(batch, 3\), got {re.escape(str(shape))}"
+        for call in (
+            lambda x: forward(model, x),
+            lambda x: predict(model, x),
+            lambda x: backward(model, x, [0]),
+        ):
+            with pytest.raises(NetworkError, match=expected):
+                call(np.ones(shape))
 
     def test_hidden_width_bounds_enforced(self):
         with pytest.raises(NetworkError):
@@ -430,6 +443,17 @@ class TestTraining:
     def test_config_validation(self):
         with pytest.raises(NetworkError):
             TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("field", ["batch_size", "epochs", "patience"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "4", 0])
+    def test_config_sizes_must_be_integers(self, field, value):
+        with pytest.raises(NetworkError, match=f"{field} must be an integer >= 1"):
+            TrainConfig(**{field: value})
+
+    def test_config_keeps_numpy_sizes_as_python_ints(self):
+        config = TrainConfig(batch_size=np.int64(32), epochs=np.uint8(3), patience=np.int32(2))
+        assert (config.batch_size, config.epochs, config.patience) == (32, 3, 2)
+        assert all(type(v) is int for v in (config.batch_size, config.epochs, config.patience))
 
 
 class TestSerialisation:

@@ -64,6 +64,23 @@ class TestFitFixed:
         with pytest.raises(threshold.ThresholdError):
             threshold.fit_fixed(np.array([[0.5], [2.0]]), ["0", "1"])
 
+    def test_whole_float_counts_rejected(self):
+        # counts are integer arrays; a float array is refused, whole or not
+        counts = np.array([[0.0, 3.0], [2.0, 1.0]])
+        labels = ["01", "10"]
+        fixed = threshold.FixedThresholdModel((1, 1))
+        adaptive = threshold.AdaptiveThresholdModel(fixed, ({"0": 1, "1": 1},) * 2)
+        for call in (
+            lambda: threshold.fit_fixed(counts, labels),
+            lambda: threshold.fit_adaptive(counts, labels),
+            lambda: threshold.classify_fixed(fixed, counts),
+            lambda: threshold.classify_adaptive(adaptive, counts),
+        ):
+            with pytest.raises(threshold.ThresholdError, match="integer dtype, got float64"):
+                call()
+        for dtype in (np.uint16, np.int64):
+            assert threshold.classify_fixed(fixed, counts.astype(dtype)) == ["01", "10"]
+
 
 class TestClassifyFixed:
     def test_strictly_greater_reads_bright(self):
