@@ -316,9 +316,9 @@ _MODEL_CLASSES = {
 
 
 def save_model(model, path: str | Path, metadata: dict | None = None) -> None:
-    """Write any strategy's model as one JSON record carrying ``metadata``."""
-    record = model.to_dict()
-    record["metadata"] = metadata or {}
+    """Write any strategy's model as one JSON record: the envelope, ``format``
+    and ``version`` 1, then the model's ``to_dict`` fields and ``metadata``."""
+    record = {"format": model.FORMAT, "version": 1, **model.to_dict(), "metadata": metadata or {}}
     with open(path, "w") as fh:
         json.dump(record, fh)
 
@@ -326,9 +326,10 @@ def save_model(model, path: str | Path, metadata: dict | None = None) -> None:
 def load_model(path: str | Path):
     """Read a model file back; its ``format`` key selects the model class.
 
-    The record's ``version`` must be 1, the only version any model writes.
-    Every array's shape and every threshold's type is checked against the
-    record's declared sizes, so a bad record fails here, not at first use.
+    Only here is the envelope checked: ``version`` must be 1 and ``metadata``
+    a JSON object.  The rest must be exactly the keys the class's ``to_dict``
+    writes; its ``from_dict`` checks every array's shape and every threshold
+    against the declared sizes, so a bad record fails here, not at first use.
     """
     with open(path) as fh:
         try:
@@ -337,18 +338,26 @@ def load_model(path: str | Path):
             raise ModelFileError(f"{path}: not a JSON model file: {exc}") from None
     if not isinstance(data, dict):
         raise ModelFileError(f"{path}: model file must hold a JSON object")
-    cls = _MODEL_CLASSES.get(data.get("format"))
+    name = data.pop("format", None)
+    cls = _MODEL_CLASSES.get(name) if isinstance(name, str) else None
     if cls is None:
-        raise ModelFileError(f"{path}: unknown model format {data.get('format')!r}")
-    version = data.get("version")
+        raise ModelFileError(f"{path}: unknown model format {name!r}")
+    version = data.pop("version", None)
     if type(version) is not int or version != 1:
         raise ModelFileError(f"{path}: unsupported {cls.FORMAT} version {version!r}")
     try:
-        return cls.from_dict(data)
+        metadata = data.pop("metadata")
+        model = cls.from_dict(data)
     except KeyError as exc:
         raise ModelFileError(f"{path}: {cls.FORMAT} record lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ModelFileError(f"{path}: bad {cls.FORMAT} record: {exc}") from None
+    if not isinstance(metadata, dict):
+        raise ModelFileError(f"{path}: {cls.FORMAT} metadata must be a JSON object")
+    unknown = [key for key in data if key not in model.to_dict()]
+    if unknown:
+        raise ModelFileError(f"{path}: {cls.FORMAT} record has unknown key {unknown[0]!r}")
+    return model
 
 
 def _save_strategy(result: StrategyResult, out_dir: Path) -> dict:

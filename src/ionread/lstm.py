@@ -84,8 +84,6 @@ class LstmModel:
 
     def to_dict(self) -> dict:
         return {
-            "format": self.FORMAT,
-            "version": 1,
             "input_size": self.input_size,
             "hidden_size": self.hidden_size,
             "output_size": self.output_size,
@@ -99,8 +97,6 @@ class LstmModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LstmModel":
-        if data.get("format") != cls.FORMAT:
-            raise NetworkError("not a recurrent model record")
         model = cls(data["input_size"], data["hidden_size"], data["output_size"])
         for name, view in zip(cls.PARAMETER_NAMES, model.parameters):
             view[...] = checked_array(data[name], view.shape, name)

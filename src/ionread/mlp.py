@@ -89,8 +89,6 @@ class MlpModel:
 
     def to_dict(self) -> dict:
         return {
-            "format": self.FORMAT,
-            "version": 1,
             "layer_sizes": self.layer_sizes,
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
@@ -103,8 +101,6 @@ class MlpModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MlpModel":
-        if data.get("format") != cls.FORMAT:
-            raise NetworkError("not a feed-forward model record")
         model = cls(data["layer_sizes"])
         for name, views in (("weights", model.weights), ("biases", model.biases)):
             values = data[name]

@@ -102,8 +102,28 @@ def _store_plain(instance) -> None:
         object.__setattr__(instance, field.name, plain(getattr(instance, field.name)))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+class _FieldRecord:
+    """A frozen dataclass whose dict form is its fields, by name."""
+
+    def to_dict(self) -> dict:
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """The instance of exactly the fields' keys; a missing one raises ``KeyError``."""
+        names = [field.name for field in fields(cls)]
+        for key in data:
+            if key not in names:
+                raise SimulationError(f"{cls.__name__} has unknown key {key!r}")
+        return cls(**{name: data[name] for name in names})
+
+
 @dataclass(frozen=True)
-class EmissionModel:
+class EmissionModel(_FieldRecord):
     """Per-ion photon emission and error-process rates, all in events/us.
 
     Parameters
@@ -132,21 +152,12 @@ class EmissionModel:
 
     def __post_init__(self) -> None:
         _store_plain(self)
-        for name in (
-            "bright_rate",
-            "pump_bright_to_dark_rate",
-            "pump_dark_to_bright_rate",
-            "background_scatter_rate",
-            "detector_dark_rate",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise SimulationError(f"{name} must be finite and >= 0, got {value!r}")
-        if not math.isfinite(self.window_us) or self.window_us <= 0.0:
-            raise SimulationError(f"window_us must be positive, got {self.window_us!r}")
-        if self.window_us > MAX_WINDOW_US:
+        for name, value in self.to_dict().items():
+            if not (_is_number(value) and math.isfinite(value) and value >= 0.0):
+                raise SimulationError(f"{name} must be a finite number >= 0, got {value!r}")
+        if not 0.0 < self.window_us <= MAX_WINDOW_US:
             raise SimulationError(
-                f"window_us must be at most {MAX_WINDOW_US} ({MAX_TICKS} ticks of "
+                f"window_us must be in (0, {MAX_WINDOW_US}] ({MAX_TICKS} ticks of "
                 f"{TIME_RESOLUTION_US} us), got {self.window_us!r}"
             )
 
@@ -155,23 +166,9 @@ class EmissionModel:
         """Total uniform background rate per channel."""
         return self.background_scatter_rate + self.detector_dark_rate
 
-    def to_dict(self) -> dict:
-        return {
-            "bright_rate": self.bright_rate,
-            "pump_bright_to_dark_rate": self.pump_bright_to_dark_rate,
-            "pump_dark_to_bright_rate": self.pump_dark_to_bright_rate,
-            "background_scatter_rate": self.background_scatter_rate,
-            "detector_dark_rate": self.detector_dark_rate,
-            "window_us": self.window_us,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EmissionModel":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class DetectorGeometry:
+class DetectorGeometry(_FieldRecord):
     """Mapping of ions onto detector channels plus per-ion crosstalk rows.
 
     ``crosstalk[i, m]`` is the probability that a photon emitted by ion ``i``
@@ -206,6 +203,11 @@ class DetectorGeometry:
                 f"num_channels must be in [num_ions, {MAX_CHANNELS}] (channel ids are "
                 f"stored in an int16 column), got {self.num_channels}"
             )
+        if type(self.intermediate_channels_present) is not bool:
+            raise SimulationError(
+                "geometry intermediate_channels_present must be a bool, got "
+                f"{self.intermediate_channels_present!r}"
+            )
         if len(self.ion_channel) != self.num_ions:
             raise SimulationError("ion_channel must list one channel per ion")
         if len(set(self.ion_channel)) != self.num_ions:
@@ -218,8 +220,10 @@ class DetectorGeometry:
             raise SimulationError(
                 f"crosstalk must be shaped ({self.num_ions}, {self.num_channels})"
             )
-        if np.any(rows < 0.0):
-            raise SimulationError("crosstalk entries must be >= 0")
+        if not all(_is_number(p) for row in self.crosstalk for p in row):
+            raise SimulationError("crosstalk entries must be numbers, not strings or booleans")
+        if not np.all(np.isfinite(rows) & (rows >= 0.0)):
+            raise SimulationError("crosstalk entries must be finite and >= 0")
         sums = rows.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
             raise SimulationError(f"crosstalk rows must sum to 1, got sums {sums}")
@@ -234,25 +238,6 @@ class DetectorGeometry:
         if self.intermediate_channels_present:
             return tuple(range(self.num_channels))
         return self.ion_channel
-
-    def to_dict(self) -> dict:
-        return {
-            "num_ions": self.num_ions,
-            "num_channels": self.num_channels,
-            "ion_channel": list(self.ion_channel),
-            "crosstalk": [list(row) for row in self.crosstalk],
-            "intermediate_channels_present": self.intermediate_channels_present,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DetectorGeometry":
-        return cls(
-            num_ions=data["num_ions"],
-            num_channels=data["num_channels"],
-            ion_channel=tuple(data["ion_channel"]),
-            crosstalk=tuple(tuple(row) for row in data["crosstalk"]),
-            intermediate_channels_present=data["intermediate_channels_present"],
-        )
 
 
 def _spread_rows(
@@ -600,6 +585,21 @@ def _fresh_block(
     return np.bincount(shot, minlength=shots), channels[order], ticks[order]
 
 
+def _dataset_fields(seed, samples_per_label, mode) -> tuple[int, int, str]:
+    """A dataset's ``seed`` and ``samples_per_label``, as Python ints, and ``mode``.
+
+    Both counts must be integers, numpy ones included, but not booleans:
+    ``seed`` at least 0 and ``samples_per_label`` at least 1.  ``mode`` must
+    be ``"fresh"`` or ``"pool"``.
+    """
+    for name, value, least in (("seed", seed, 0), ("samples_per_label", samples_per_label, 1)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise SimulationError(f"{name} must be an integer >= {least}, got {value!r}")
+    if mode not in ("fresh", "pool"):
+        raise SimulationError(f"unknown generation mode {mode!r}")
+    return int(seed), int(samples_per_label), mode
+
+
 def generate_dataset(
     model: EmissionModel,
     geometry: DetectorGeometry,
@@ -618,10 +618,7 @@ def generate_dataset(
     the output is bit-identical across runs.  Labels are simulated one
     after another, in this process.
     """
-    if samples_per_label < 1:
-        raise SimulationError("samples_per_label must be >= 1")
-    if mode not in ("fresh", "pool"):
-        raise SimulationError(f"unknown generation mode {mode!r}")
+    seed, samples_per_label, mode = _dataset_fields(seed, samples_per_label, mode)
     parts = []  # (lengths, channels, ticks) of each fresh block or pool label
     for label_index, bits in enumerate(labels_to_bits(state_labels(geometry.num_ions))):
         if mode == "fresh":
@@ -872,27 +869,18 @@ def _read_header(path: str, line: str) -> dict:
     """The header's :class:`Dataset` fields, with geometry and model built."""
     try:
         header = json.loads(line)
-        if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
+        if not isinstance(header, dict) or header.pop("format", None) != _FORMAT_NAME:
             raise SimulationError(f"not a {_FORMAT_NAME} file")
-        version = header.get("version")
+        version = header.pop("version", None)
         if type(version) is not int or version != _FORMAT_VERSION:
             raise SimulationError(f"unsupported version {version!r}")
-        geometry = DetectorGeometry.from_dict(header["geometry"])
-        model = EmissionModel.from_dict(header["model"])
-        # the constructors accept JSON true for the flag, and true or "0.5"
-        # for a rate
-        if type(geometry.intermediate_channels_present) is not bool:
-            raise SimulationError("geometry intermediate_channels_present must be true or false")
-        rates = (*(p for row in geometry.crosstalk for p in row), *model.to_dict().values())
-        if any(type(value) not in (int, float) for value in rates):
-            raise SimulationError("geometry crosstalk and model rates must be numbers")
-        if header["mode"] not in ("fresh", "pool"):
-            raise SimulationError(f"unknown generation mode {header['mode']!r}")
-        for key, least in (("seed", 0), ("samples_per_label", 1)):
-            if type(header[key]) is not int or header[key] < least:
-                raise SimulationError(f"{key} must be an integer >= {least}, got {header[key]!r}")
-        fields = {key: header[key] for key in ("seed", "samples_per_label", "mode")}
-        return dict(fields, geometry=geometry, model=model)
+        names = ("seed", "samples_per_label", "mode")
+        run = dict(zip(names, _dataset_fields(*(header.pop(name) for name in names))))
+        run["geometry"] = DetectorGeometry.from_dict(header.pop("geometry"))
+        run["model"] = EmissionModel.from_dict(header.pop("model"))
+        if header:
+            raise SimulationError(f"unknown key {next(iter(header))!r}")
+        return run
     except KeyError as exc:
         raise SimulationError(f"{path}:1: header lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -902,8 +890,9 @@ def _read_header(path: str, line: str) -> dict:
 def load_dataset(path: str) -> Dataset:
     """Read a dataset file; reject any shot the simulator cannot have written.
 
-    The header must name the format, version, an integer seed >= 0, an
-    integer ``samples_per_label`` >= 1, a generation mode, and a valid
+    The header, its model and its geometry hold exactly the keys
+    :func:`save_dataset` writes: the format, version, an integer seed >= 0,
+    an integer ``samples_per_label`` >= 1, a generation mode, and a valid
     emission model and geometry.  Each shot needs a label of one 0/1 per
     ion, the header model's ``window_us`` (a number), and events
     ``[channel, time]`` with integer channels the geometry records and

@@ -64,32 +64,32 @@ class FixedThresholdModel:
 
     FORMAT = "ionread.threshold_fixed"
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "thresholds", _thresholds(self.thresholds, "thresholds"))
+
     @property
     def num_ions(self) -> int:
         return len(self.thresholds)
 
     def to_dict(self) -> dict:
-        return {
-            "format": self.FORMAT,
-            "version": 1,
-            "thresholds": list(self.thresholds),
-        }
+        return {"thresholds": list(self.thresholds)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FixedThresholdModel":
-        if data.get("format") != cls.FORMAT:
-            raise ThresholdError("not a fixed-threshold model record")
-        return cls(_integers(data["thresholds"], "thresholds"))
+        return cls(data["thresholds"])
 
 
-def _integers(values, name: str) -> tuple[int, ...]:
-    """A record's non-empty list of integers, as a tuple."""
+def _thresholds(values, name: str) -> tuple[int, ...]:
+    """A non-empty list or tuple of integers >= 0, as a tuple of Python ints."""
     if (
-        not isinstance(values, list)
+        not isinstance(values, (list, tuple))
         or not values
         or not all(isinstance(v, Integral) and not isinstance(v, bool) for v in values)
     ):
         raise ThresholdError(f"{name} must be a non-empty list of integers: {values!r}")
+    # a count is never negative, so a negative threshold reads every shot bright
+    if min(values) < 0:
+        raise ThresholdError(f"{name} must be >= 0: {values!r}")
     return tuple(int(v) for v in values)
 
 
@@ -139,14 +139,33 @@ class AdaptiveThresholdModel:
 
     FORMAT = "ionread.threshold_adaptive"
 
+    def __post_init__(self) -> None:
+        num_ions = self.num_ions
+        tables = self.context_thresholds
+        if not isinstance(tables, (list, tuple)) or len(tables) != num_ions:
+            raise ThresholdError(f"context_thresholds must hold {num_ions} tables")
+        contexts = []
+        for i, table in enumerate(tables):
+            keys = _context_keys(num_ions, i)
+            if not isinstance(table, dict) or sorted(table) != keys:
+                raise ThresholdError(f"context_thresholds[{i}] must have keys {keys}")
+            values = _thresholds(list(table.values()), f"context_thresholds[{i}]")
+            contexts.append(dict(zip(table, values)))
+        starved = self.starved_contexts
+        pairs = [(i, key) for i in range(num_ions) for key in _context_keys(num_ions, i)]
+        if not isinstance(starved, (list, tuple)) or any(
+            not isinstance(s, (list, tuple)) or tuple(s) not in pairs for s in starved
+        ):
+            raise ThresholdError("starved_contexts must list (ion, context) pairs")
+        object.__setattr__(self, "context_thresholds", tuple(contexts))
+        object.__setattr__(self, "starved_contexts", tuple((int(i), str(c)) for i, c in starved))
+
     @property
     def num_ions(self) -> int:
         return self.fixed.num_ions
 
     def to_dict(self) -> dict:
         return {
-            "format": self.FORMAT,
-            "version": 1,
             "fixed_thresholds": list(self.fixed.thresholds),
             "context_thresholds": [dict(c) for c in self.context_thresholds],
             "starved_contexts": [list(s) for s in self.starved_contexts],
@@ -155,33 +174,16 @@ class AdaptiveThresholdModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AdaptiveThresholdModel":
-        if data.get("format") != cls.FORMAT:
-            raise ThresholdError("not an adaptive-threshold model record")
-        fixed = FixedThresholdModel(_integers(data["fixed_thresholds"], "fixed_thresholds"))
-        num_ions = fixed.num_ions
-        tables = data["context_thresholds"]
-        if not isinstance(tables, list) or len(tables) != num_ions:
-            raise ThresholdError(f"context_thresholds must hold {num_ions} tables")
-        contexts = []
-        for i, table in enumerate(tables):
-            keys = _context_keys(num_ions, i)
-            if not isinstance(table, dict) or sorted(table) != keys:
-                raise ThresholdError(f"context_thresholds[{i}] must have keys {keys}")
-            values = _integers(list(table.values()), f"context_thresholds[{i}]")
-            contexts.append(dict(zip(table, values)))
-        starved = data["starved_contexts"]
-        pairs = [[i, key] for i in range(num_ions) for key in _context_keys(num_ions, i)]
-        if not isinstance(starved, list) or any(s not in pairs for s in starved):
-            raise ThresholdError("starved_contexts must list [ion, context] pairs")
+        model = cls(
+            FixedThresholdModel(data["fixed_thresholds"]),
+            data["context_thresholds"],
+            data["starved_contexts"],
+        )
         # the one cap that classify_adaptive runs
         cap = data["max_iterations"]
         if type(cap) is not int or cap != MAX_ITERATIONS:
             raise ThresholdError(f"max_iterations must be {MAX_ITERATIONS}, got {cap!r}")
-        return cls(
-            fixed=fixed,
-            context_thresholds=tuple(contexts),
-            starved_contexts=tuple((int(i), str(c)) for i, c in starved),
-        )
+        return model
 
 
 def fit_adaptive(counts, labels: Sequence[str]) -> AdaptiveThresholdModel:

@@ -25,6 +25,7 @@ from ionread.cli import (
     load_model,
     main,
     parse_config_file,
+    save_model,
     strategy_seed,
 )
 
@@ -472,12 +473,32 @@ class TestAdaptiveDiagnostics:
         assert int((~converged).sum()) == unconverged
 
 
+def two_ion_adaptive_model():
+    return threshold.AdaptiveThresholdModel(
+        fixed=threshold.FixedThresholdModel((1, 2)),
+        context_thresholds=({"0": 1, "1": 3}, {"0": 2, "1": 2}),
+    )
+
+
+EACH_MODEL = pytest.mark.parametrize(
+    "model",
+    [
+        threshold.FixedThresholdModel((3, 4)),
+        two_ion_adaptive_model(),
+        mlp.MlpModel([2, 8, 8, 4]),
+        lstm.LstmModel(2, 4, 2),
+    ],
+    ids=lambda model: model.FORMAT,
+)
+
+
 class TestModelFiles:
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"format": "ionread.cnn", "version": 1}))
-        with pytest.raises(ModelFileError, match="unknown model format"):
-            load_model(path)
+        for name in ("ionread.cnn", ["ionread.mlp"]):
+            path.write_text(json.dumps({"format": name, "version": 1}))
+            with pytest.raises(ModelFileError, match="unknown model format"):
+                load_model(path)
 
     @pytest.mark.parametrize("text", ["", '{"format": "ionread.mlp", "lay', "nan?"])
     def test_not_json(self, tmp_path, text):
@@ -493,7 +514,7 @@ class TestModelFiles:
             load_model(path)
 
     def test_missing_key(self, tmp_path):
-        record = mlp.MlpModel([2, 8, 8, 4]).to_dict()
+        record = self.record(tmp_path, mlp.MlpModel([2, 8, 8, 4]))
         del record["weights"]
         path = tmp_path / "m.json"
         path.write_text(json.dumps(record))
@@ -506,21 +527,16 @@ class TestModelFiles:
         path.write_text(json.dumps(record))
         return path
 
-    @pytest.mark.parametrize(
-        "model",
-        [
-            threshold.FixedThresholdModel((3, 4)),
-            threshold.AdaptiveThresholdModel(
-                fixed=threshold.FixedThresholdModel((1, 2)),
-                context_thresholds=({"0": 1, "1": 3}, {"0": 2, "1": 2}),
-            ),
-            mlp.MlpModel([2, 8, 8, 4]),
-            lstm.LstmModel(2, 4, 2),
-        ],
-        ids=lambda model: model.FORMAT,
-    )
+    @staticmethod
+    def record(tmp_path, model):
+        """``model``'s file as ``save_model`` writes it, as a dict to edit."""
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        return json.loads(path.read_text())
+
+    @EACH_MODEL
     def test_version_must_be_one(self, tmp_path, model):
-        record = model.to_dict()
+        record = self.record(tmp_path, model)
         assert type(load_model(self.write(tmp_path, record))) is type(model)
         for version in (99, 0, 1.0, "1", True, None):
             record["version"] = version
@@ -532,13 +548,13 @@ class TestModelFiles:
             )
 
     def test_mlp_weight_shape_contradicts_layer_sizes(self, tmp_path):
-        record = mlp.MlpModel([3, 8, 8, 4]).to_dict()
+        record = self.record(tmp_path, mlp.MlpModel([3, 8, 8, 4]))
         record["weights"][0] = np.zeros((5, 8)).tolist()
         with pytest.raises(ModelFileError, match=r"weights\[0\] has shape \(5, 8\)"):
             load_model(self.write(tmp_path, record))
 
     def test_lstm_weight_shape_contradicts_sizes(self, tmp_path):
-        record = lstm.LstmModel(3, 4, 4).to_dict()
+        record = self.record(tmp_path, lstm.LstmModel(3, 4, 4))
         record["w_hidden"] = [[0.0]]
         with pytest.raises(ModelFileError, match=r"w_hidden has shape \(1, 1\)"):
             load_model(self.write(tmp_path, record))
@@ -547,7 +563,7 @@ class TestModelFiles:
         "sizes", [[5.7, 8, 8.9, 8], [3, 8.0, 8, 4], [True, 8, 8, 4], [3, 8, 8, "4"]]
     )
     def test_mlp_layer_sizes_must_be_integers(self, tmp_path, sizes):
-        record = mlp.MlpModel([int(s) for s in sizes]).to_dict()
+        record = self.record(tmp_path, mlp.MlpModel([int(s) for s in sizes]))
         record["layer_sizes"] = sizes
         with pytest.raises(ModelFileError, match="layer_sizes must be an integer >= 1"):
             load_model(self.write(tmp_path, record))
@@ -557,7 +573,7 @@ class TestModelFiles:
         [("input_size", True), ("hidden_size", 4.0), ("output_size", 8.5), ("input_size", "2")],
     )
     def test_lstm_sizes_must_be_integers(self, tmp_path, field, value):
-        record = lstm.LstmModel(2, 4, 8).to_dict()
+        record = self.record(tmp_path, lstm.LstmModel(2, 4, 8))
         record[field] = value
         with pytest.raises(ModelFileError, match=f"{field} must be an integer >= 1"):
             load_model(self.write(tmp_path, record))
@@ -567,31 +583,73 @@ class TestModelFiles:
             mlp.MlpModel([np.int64(3), np.int32(8), 8, np.uint8(4)]),
             lstm.LstmModel(np.int64(2), np.int16(4), np.uint8(8)),
         ):
-            loaded = load_model(self.write(tmp_path, model.to_dict()))
+            save_model(model, tmp_path / "m.json")
+            loaded = load_model(tmp_path / "m.json")
             np.testing.assert_array_equal(loaded.flat, model.flat)
 
     def test_fixed_thresholds_must_be_integer_list(self, tmp_path):
         for thresholds in (5, [1, 2.5], ["3"], []):
-            record = {"format": "ionread.threshold_fixed", "version": 1, "thresholds": thresholds}
-            with pytest.raises(ModelFileError, match="thresholds"):
+            record = {
+                "format": "ionread.threshold_fixed",
+                "version": 1,
+                "thresholds": thresholds,
+                "metadata": {},
+            }
+            with pytest.raises(ModelFileError, match="thresholds must be a non-empty list"):
                 load_model(self.write(tmp_path, record))
+
+    def test_negative_thresholds_are_refused(self, tmp_path):
+        # a count is never negative: -3 would read every shot of ion 0 bright
+        record = self.record(tmp_path, threshold.FixedThresholdModel((3, 2)))
+        record["thresholds"] = [-3, 2]
+        with pytest.raises(ModelFileError, match=r"thresholds must be >= 0: \[-3, 2\]"):
+            load_model(self.write(tmp_path, record))
+        record = self.record(tmp_path, two_ion_adaptive_model())
+        record["context_thresholds"][1]["1"] = -1
+        with pytest.raises(ModelFileError, match=r"context_thresholds\[1\] must be >= 0"):
+            load_model(self.write(tmp_path, record))
+
+    @EACH_MODEL
+    def test_unknown_key_is_refused(self, tmp_path, model):
+        record = self.record(tmp_path, model)
+        record["junk"] = 1
+        with pytest.raises(ModelFileError, match=f"{model.FORMAT} record has unknown key 'junk'"):
+            load_model(self.write(tmp_path, record))
+
+    @pytest.mark.parametrize("metadata", [None, [], "NN", "absent"])
+    def test_metadata_must_be_an_object(self, tmp_path, metadata):
+        record = self.record(tmp_path, threshold.FixedThresholdModel((3, 4)))
+        assert record["metadata"] == {}
+        if metadata == "absent":
+            del record["metadata"]
+            complaint = "record lacks key 'metadata'"
+        else:
+            record["metadata"] = metadata
+            complaint = "metadata must be a JSON object"
+        with pytest.raises(ModelFileError, match=complaint):
+            load_model(self.write(tmp_path, record))
+
+    def test_every_model_file_of_a_run_rewrites_byte_for_byte(self, runs_by_jobs, tmp_path):
+        # the 3q preset's seven strategies, read and written through the envelope
+        paths = sorted((runs_by_jobs[0] / "models").glob("*.json"))
+        assert [path.stem for path in paths] == sorted(
+            cli._file_stem(name) for name in cli.STRATEGY_ORDER
+        )
+        for path in paths:
+            again = tmp_path / path.name
+            save_model(load_model(path), again, json.loads(path.read_text())["metadata"])
+            assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("cap", [5, 11, 10.0, True, "10", None])
     def test_adaptive_max_iterations_must_be_the_classifier_cap(self, tmp_path, cap):
-        record = threshold.AdaptiveThresholdModel(
-            fixed=threshold.FixedThresholdModel((1, 2)),
-            context_thresholds=({"0": 1, "1": 3}, {"0": 2, "1": 2}),
-        ).to_dict()
+        record = self.record(tmp_path, two_ion_adaptive_model())
         assert record["max_iterations"] == threshold.MAX_ITERATIONS == 10
         record["max_iterations"] = cap
         with pytest.raises(ModelFileError, match=f"max_iterations must be 10, got {cap!r}"):
             load_model(self.write(tmp_path, record))
 
     def test_adaptive_tables_must_cover_every_context(self, tmp_path):
-        record = threshold.AdaptiveThresholdModel(
-            fixed=threshold.FixedThresholdModel((1, 2)),
-            context_thresholds=({"0": 1, "1": 3}, {"0": 2, "1": 2}),
-        ).to_dict()
+        record = self.record(tmp_path, two_ion_adaptive_model())
         loaded = load_model(self.write(tmp_path, record))
         assert loaded.context_thresholds == ({"0": 1, "1": 3}, {"0": 2, "1": 2})
         for table in ({"0": 1}, {"0": 1, "1": "3"}):

@@ -1,4 +1,5 @@
 """Recurrent core: gate arithmetic, BPTT gradients, per-bin readout, training."""
+import json
 import math
 import re
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 
 from ionread import cli, features, lstm
 from ionread.evaluate import EvaluationError
-from ionread.mlp import cross_entropy
+from ionread.mlp import MlpModel, cross_entropy
 from ionread.lstm import (
     LstmModel,
     NetworkError,
@@ -581,6 +582,10 @@ class TestSerialisation:
         np.testing.assert_array_equal(forward(loaded, x), forward(model, x))
         assert loaded.num_ions == 3
 
-    def test_rejects_foreign_record(self):
-        with pytest.raises(NetworkError):
-            LstmModel.from_dict({"format": "ionread.mlp"})
+    def test_rejects_foreign_record(self, tmp_path):
+        # a feed-forward model's fields under the recurrent format
+        record = {"format": LstmModel.FORMAT, "version": 1, **MlpModel([2, 8, 8, 4]).to_dict()}
+        path = tmp_path / "rnn.json"
+        path.write_text(json.dumps(dict(record, metadata={})))
+        with pytest.raises(cli.ModelFileError, match="ionread.lstm record lacks key 'input_size'"):
+            cli.load_model(path)

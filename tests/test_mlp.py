@@ -1,5 +1,6 @@
 """Classifier core: softmax, backprop gradients, ADADELTA, training loop."""
 import copy
+import json
 import math
 import pickle
 import re
@@ -466,6 +467,10 @@ class TestSerialisation:
         x = np.random.default_rng(3).normal(size=(5, 6))
         np.testing.assert_array_equal(forward(loaded, x), forward(model, x))
 
-    def test_rejects_foreign_record(self):
-        with pytest.raises(NetworkError):
-            MlpModel.from_dict({"format": "something.else"})
+    def test_rejects_foreign_record(self, tmp_path):
+        # a recurrent model's fields under the feed-forward format
+        record = {"format": MlpModel.FORMAT, "version": 1, **lstm.LstmModel(2, 4, 4).to_dict()}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(record, metadata={})))
+        with pytest.raises(cli.ModelFileError, match="ionread.mlp record lacks key 'layer_sizes'"):
+            cli.load_model(path)

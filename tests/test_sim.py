@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -127,6 +128,32 @@ class TestGenerateDataset:
     def test_rejects_too_many_ions(self):
         with pytest.raises(sim.SimulationError):
             sim.alternating_geometry(13)
+
+    @pytest.mark.parametrize("mode", ["fresh", "pool"])
+    def test_numpy_integer_counts_write_the_python_int_file(self, tmp_path, mode):
+        model, geometry = sim.EmissionModel(), sim.alternating_geometry(2)
+        ds = sim.generate_dataset(model, geometry, np.int64(3), seed=np.uint32(4), mode=mode)
+        assert type(ds.seed) is int and type(ds.samples_per_label) is int
+        sim.save_dataset(ds, tmp_path / "numpy.jsonl")
+        plain = sim.generate_dataset(model, geometry, 3, seed=4, mode=mode)
+        sim.save_dataset(plain, tmp_path / "plain.jsonl")
+        assert (tmp_path / "numpy.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", True),
+            ("seed", -1),
+            ("seed", 1.0),
+            ("samples_per_label", True),
+            ("samples_per_label", 2.0),
+            ("samples_per_label", 0),
+        ],
+    )
+    def test_seed_and_samples_per_label_are_checked_at_generate_time(self, key, value):
+        counts = {"samples_per_label": 3, "seed": 4, key: value}
+        with pytest.raises(sim.SimulationError, match=f"{key} must be an integer >= "):
+            sim.generate_dataset(sim.EmissionModel(), sim.single_ion_geometry(), **counts)
 
 
 class TestGenerationContract:
@@ -953,12 +980,30 @@ class TestHeaderValidation:
             ("geometry", "crosstalk", HOME_ROWS),
             ("geometry", "crosstalk", [[str(float(p)) for p in row] for row in HOME_ROWS]),
             ("model", "detector_dark_rate", True),
+            # json writes and reads NaN; the row sums to NaN, which no
+            # tolerance comparison refuses
+            (
+                "geometry",
+                "crosstalk",
+                [[math.nan, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0], [0.0] * 4 + [1.0]],
+            ),
         ],
     )
     def test_bad_model_or_geometry(self, tmp_path, lines, section, key, value):
         header = json.loads(lines[0])
         header[section][key] = value
         self.load_with_header(tmp_path, lines, header)
+
+    def test_model_lacking_rates_is_named(self, tmp_path, lines):
+        header = json.loads(lines[0])
+        del header["model"]["bright_rate"], header["model"]["pump_bright_to_dark_rate"]
+        assert "lacks key 'bright_rate'" in self.load_with_header(tmp_path, lines, header)
+
+    @pytest.mark.parametrize("section", ["header", "model", "geometry"])
+    def test_unknown_key_is_named(self, tmp_path, lines, section):
+        header = json.loads(lines[0])
+        (header if section == "header" else header[section])["junk"] = 1
+        assert "unknown key 'junk'" in self.load_with_header(tmp_path, lines, header)
 
     @pytest.mark.parametrize("version", [True, 1.0, 2])
     def test_version_must_be_the_integer_one(self, tmp_path, lines, version):
@@ -1050,6 +1095,24 @@ class TestGeometryValidation:
     def test_negative_rates_rejected(self):
         with pytest.raises(sim.SimulationError):
             sim.EmissionModel(bright_rate=-0.1)
+
+    @pytest.mark.parametrize("value", [True, "0.06", None, math.nan])
+    def test_rates_must_be_numbers(self, value):
+        with pytest.raises(sim.SimulationError, match="bright_rate must be a finite number >= 0"):
+            sim.EmissionModel(bright_rate=value)
+
+    def test_flag_must_be_a_bool(self):
+        with pytest.raises(sim.SimulationError, match="intermediate_channels_present must be a bool"):
+            sim.DetectorGeometry(1, 1, (0,), ((1.0,),), intermediate_channels_present=1)
+        flag = sim.DetectorGeometry(1, 1, (0,), ((1.0,),), np.bool_(False))
+        assert flag.intermediate_channels_present is False
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, True, "0.0"])
+    def test_crosstalk_entries_must_be_finite_numbers(self, entry):
+        # at a NaN entry every photon went to the NaN channel, none to the
+        # channel of mass 1
+        with pytest.raises(sim.SimulationError, match="crosstalk entries must be"):
+            sim.DetectorGeometry(1, 2, (0,), ((entry, 1.0),))
 
     def test_window_must_fit_the_ticks(self):
         assert sim.EmissionModel(window_us=6553.5).window_us == sim.MAX_WINDOW_US

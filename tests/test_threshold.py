@@ -212,6 +212,14 @@ class TestClassifyAdaptive:
 
 
 class TestSerialisation:
+    def test_negative_thresholds_are_refused(self):
+        with pytest.raises(threshold.ThresholdError, match="thresholds must be >= 0"):
+            threshold.FixedThresholdModel((-3, 2))
+        with pytest.raises(threshold.ThresholdError, match=r"context_thresholds\[1\] must be >= 0"):
+            threshold.AdaptiveThresholdModel(
+                threshold.FixedThresholdModel((1, 2)), ({"0": 1, "1": 3}, {"0": -1, "1": 2})
+            )
+
     def test_fixed_round_trip(self, tmp_path):
         model = threshold.FixedThresholdModel((1, 2, 3))
         path = tmp_path / "fixed.json"
