@@ -54,6 +54,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name in ("batch_size", "epochs", "patience"):
             setattr(self, name, checked_size(getattr(self, name), name))
+        self.seed = checked_size(self.seed, "seed", least=0)
 
 
 class MlpModel:
@@ -126,10 +127,10 @@ def parameter_slab(shapes) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, views
 
 
-def checked_size(value, name: str) -> int:
-    """A model's size field as a Python int >= 1; a float or a bool is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise NetworkError(f"{name} must be an integer >= 1, got {value!r}")
+def checked_size(value, name: str, least: int = 1) -> int:
+    """A size or seed field as a Python int >= ``least``; a float or a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise NetworkError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 

@@ -186,6 +186,10 @@ class DetectorGeometry(_FieldRecord):
 
     def __post_init__(self) -> None:
         _store_plain(self)
+        if not isinstance(self.ion_channel, tuple):
+            raise SimulationError(
+                f"geometry ion_channel must be a sequence, got {self.ion_channel!r}"
+            )
         # a float or bool here would count or index channels wrongly further on
         for name, values in (
             ("num_ions", [self.num_ions]),
@@ -215,13 +219,19 @@ class DetectorGeometry(_FieldRecord):
         for ch in self.ion_channel:
             if not 0 <= ch < self.num_channels:
                 raise SimulationError(f"ion channel {ch} outside [0, {self.num_channels})")
-        rows = np.asarray(self.crosstalk, dtype=float)
-        if rows.shape != (self.num_ions, self.num_channels):
+        # one row of num_channels entries per ion, before numpy reads any row
+        if not (
+            isinstance(self.crosstalk, tuple)
+            and len(self.crosstalk) == self.num_ions
+            and all(isinstance(row, tuple) and len(row) == self.num_channels
+                    for row in self.crosstalk)
+        ):
             raise SimulationError(
                 f"crosstalk must be shaped ({self.num_ions}, {self.num_channels})"
             )
         if not all(_is_number(p) for row in self.crosstalk for p in row):
             raise SimulationError("crosstalk entries must be numbers, not strings or booleans")
+        rows = np.asarray(self.crosstalk, dtype=float)
         if not np.all(np.isfinite(rows) & (rows >= 0.0)):
             raise SimulationError("crosstalk entries must be finite and >= 0")
         sums = rows.sum(axis=1)
@@ -258,11 +268,6 @@ def _spread_rows(
             row[m if 0 <= m < num_channels else centre] += mass
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def single_ion_geometry() -> DetectorGeometry:
-    """One ion imaged onto one channel, no crosstalk."""
-    return DetectorGeometry(1, 1, (0,), ((1.0,),), intermediate_channels_present=False)
 
 
 def alternating_geometry(num_ions: int) -> DetectorGeometry:
@@ -820,11 +825,16 @@ _FORMAT_VERSION = 1
 
 
 def _shot_from_line(line: str) -> tuple[object, object, np.ndarray, np.ndarray]:
-    """(label, window_us, channels, times) of one shot line, event types checked."""
+    """(label, window_us, channels, times) of one shot line, keys and event types checked."""
     record = json.loads(line)
+    label, window_us, events = record["label"], record["window_us"], record["events"]
+    # all three keys are there, so any further key is one save_dataset never writes
+    if len(record) != 3:
+        unknown = next(key for key in record if key not in ("label", "window_us", "events"))
+        raise SimulationError(f"unknown key {unknown!r}")
     channels, times = [], []
     # unpacking rejects events of any other length
-    for channel, time in record["events"]:
+    for channel, time in events:
         if type(channel) is not int:
             raise ValueError(f"channel {channel!r} is not an integer")
         if type(time) is not float and type(time) is not int:
@@ -833,7 +843,7 @@ def _shot_from_line(line: str) -> tuple[object, object, np.ndarray, np.ndarray]:
         times.append(time)
     channels = np.asarray(channels, dtype=np.int16)
     times = np.asarray(times, dtype=float)
-    return record["label"], record["window_us"], channels, times
+    return label, window_us, channels, times
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
@@ -893,11 +903,11 @@ def load_dataset(path: str) -> Dataset:
     The header, its model and its geometry hold exactly the keys
     :func:`save_dataset` writes: the format, version, an integer seed >= 0,
     an integer ``samples_per_label`` >= 1, a generation mode, and a valid
-    emission model and geometry.  Each shot needs a label of one 0/1 per
-    ion, the header model's ``window_us`` (a number), and events
-    ``[channel, time]`` with integer channels the geometry records and
-    finite numeric times in ``[0, window_us]`` on the ``TIME_RESOLUTION_US``
-    grid, sorted by time and then channel.
+    emission model and geometry.  Each shot holds exactly three keys: a
+    label of one 0/1 per ion, the header model's ``window_us`` (a number),
+    and events ``[channel, time]`` with integer channels the geometry
+    records and finite numeric times in ``[0, window_us]`` on the
+    ``TIME_RESOLUTION_US`` grid, sorted by time and then channel.
     The file holds ``samples_per_label`` shots of every label, label-major,
     as the simulator writes them.  So the returned :class:`Dataset` stores
     only offsets, channels and ticks: 4 bytes per event and 8 per shot.
@@ -916,6 +926,8 @@ def load_dataset(path: str) -> Dataset:
                 continue
             try:
                 label, window_us, channels, times = _shot_from_line(line)
+            except SimulationError as exc:
+                raise SimulationError(f"{path}:{line_number}: shot has {exc}") from None
             except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
                 raise SimulationError(
                     f"{path}:{line_number}: malformed shot {exc!r}"

@@ -102,7 +102,7 @@ def test_single_ion_calibrated_baseline():
     started = time.perf_counter()
     model = sim.calibrate_to_fidelity(0.995)
     dataset = sim.generate_dataset(
-        model, sim.single_ion_geometry(), samples_per_label=50000, seed=SEED_DATA
+        model, sim.adjacent_geometry(1), samples_per_label=50000, seed=SEED_DATA
     )
     counts = np.diff(dataset.offsets)[:, None]
     fitted = threshold.fit_fixed(counts, dataset.labels)
@@ -298,7 +298,7 @@ def test_numerical_property_suite(tmp_path):
         background_scatter_rate=0.0,
         detector_dark_rate=0.0,
     )
-    quiet_ds = sim.generate_dataset(quiet, sim.single_ion_geometry(), 100000, seed=13)
+    quiet_ds = sim.generate_dataset(quiet, sim.adjacent_geometry(1), 100000, seed=13)
     shot_counts = np.diff(quiet_ds.offsets)[quiet_ds.labels == "1"]
     mean = quiet.bright_rate * quiet.window_us
     edges = np.arange(2, 18)

@@ -52,7 +52,7 @@ def test_readout_streams_every_shot_and_verifies(workloads, tmp_path):
 @pytest.mark.parametrize("mode", ["fresh", "pool"])
 @pytest.mark.parametrize(
     "geometry",
-    [sim.single_ion_geometry(), sim.alternating_geometry(3), sim.adjacent_geometry(5)],
+    [sim.adjacent_geometry(1), sim.alternating_geometry(3), sim.adjacent_geometry(5)],
     ids=["single", "alternating", "adjacent"],
 )
 def test_expected_channel_means_match_the_bench_law(workloads, geometry, mode):

@@ -140,11 +140,12 @@ class TestBuilders:
         for preset in ("single", "3q", "5q"):
             assert build_emission_model(build_config({"preset": preset})) == sim.EmissionModel()
 
-    # keys the config once held; other physics is a sim.EmissionModel call
+    # keys the config once held; other physics is a sim.EmissionModel call,
+    # and pool data a sim.generate_dataset(..., mode="pool") call
     @pytest.mark.parametrize(
         "key",
         ["window_us", "bright_rate", "pump_bright_to_dark", "pump_dark_to_bright",
-         "scatter_rate", "dark_count_rate"],
+         "scatter_rate", "dark_count_rate", "mode"],
     )
     def test_removed_emission_key_is_a_config_error(self, capsys, tmp_path, key):
         config = write_config(tmp_path / "old.cfg", f"preset = 3q\n{key} = 1.0\n")
@@ -155,7 +156,8 @@ class TestBuilders:
         assert not out.exists()
 
     def test_geometries(self):
-        assert build_geometry(ExperimentConfig()).num_channels == 1
+        assert build_geometry(ExperimentConfig()) == sim.adjacent_geometry(1)
+        assert build_geometry(build_config(preset="single")).num_channels == 1
         alt = build_geometry(build_config({"preset": "3q"}))
         assert alt.intermediate_channels_present and alt.num_channels == 5
         adj = build_geometry(build_config({"preset": "5q"}))
@@ -165,6 +167,12 @@ class TestBuilders:
         assert strategy_seed(5, "RNN") == strategy_seed(5, "RNN")
         assert strategy_seed(5, "FT") != strategy_seed(5, "RNN")
         assert strategy_seed(5, "NN") != strategy_seed(6, "NN")
+
+    def test_strategy_order_is_pinned(self):
+        # strategy_seed keys each stream on this position: reordering the
+        # table would change every network's initialisation
+        assert cli.STRATEGY_ORDER == ("FT", "AT", "NN", "NN+", "TNN", "TNN+", "RNN")
+        assert cli.STRATEGY_ORDER == tuple(cli.STRATEGIES)
 
 
 class TestSimulatorCheck:

@@ -28,7 +28,7 @@ def geometry3():
 class TestBinSample:
     def test_hand_binned_example(self):
         # events at 10, 40 and 149.9 us, five 30 us bins -> [1, 1, 0, 0, 1]
-        geometry = sim.single_ion_geometry()
+        geometry = sim.adjacent_geometry(1)
         sample = make_sample("1", [0, 0, 0], [10.0, 40.0, 149.9])
         counts = features.featurize_dataset(
             [sample], features.FeatureSpec(num_bins=5), geometry
@@ -71,7 +71,7 @@ class TestBinSample:
             )
 
     def test_final_bin_absorbs_window_edge(self):
-        geometry = sim.single_ion_geometry()
+        geometry = sim.adjacent_geometry(1)
         sample = make_sample("1", [0], [150.0], window=150.0)
         counts = image(sample, features.FeatureSpec(num_bins=4), geometry)
         assert counts[0, 3] == 1
@@ -181,7 +181,7 @@ class TestManyShots:
 
 class TestCountRange:
     def test_a_count_above_uint16_names_its_shot(self):
-        geometry = sim.single_ion_geometry()
+        geometry = sim.adjacent_geometry(1)
         full = make_sample("1", np.zeros(features.MAX_COUNT), np.zeros(features.MAX_COUNT))
         over = make_sample("1", np.zeros(features.MAX_COUNT + 1), np.zeros(features.MAX_COUNT + 1))
         spec = features.FeatureSpec(num_bins=3)
@@ -192,7 +192,7 @@ class TestCountRange:
                 to_images([full, over], spec, geometry)
 
     def test_a_count_above_uint16_in_a_view_names_the_dataset_shot(self):
-        geometry = sim.single_ion_geometry()
+        geometry = sim.adjacent_geometry(1)
         # shot 4 of six holds one count too many
         lengths = [1, 0, 2, 0, features.MAX_COUNT + 1, 3]
         offsets = np.concatenate([[0], np.cumsum(lengths)])

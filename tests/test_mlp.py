@@ -451,10 +451,18 @@ class TestTraining:
         with pytest.raises(NetworkError, match=f"{field} must be an integer >= 1"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [True, -1, 2.0, "3", None])
+    def test_config_seed_must_be_a_non_negative_integer(self, value):
+        with pytest.raises(NetworkError, match="seed must be an integer >= 0"):
+            TrainConfig(seed=value)
+
     def test_config_keeps_numpy_sizes_as_python_ints(self):
-        config = TrainConfig(batch_size=np.int64(32), epochs=np.uint8(3), patience=np.int32(2))
-        assert (config.batch_size, config.epochs, config.patience) == (32, 3, 2)
-        assert all(type(v) is int for v in (config.batch_size, config.epochs, config.patience))
+        config = TrainConfig(
+            batch_size=np.int64(32), epochs=np.uint8(3), patience=np.int32(2), seed=np.uint32(7)
+        )
+        values = (config.batch_size, config.epochs, config.patience, config.seed)
+        assert values == (32, 3, 2, 7)
+        assert all(type(v) is int for v in values)
 
 
 class TestSerialisation:

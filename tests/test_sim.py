@@ -48,7 +48,7 @@ class TestGenerateDataset:
         assert ds.labels.tolist() == [l for l in sim.all_labels(3) for _ in range(2)]
 
     def test_labels_built_once(self):
-        ds = sim.generate_dataset(sim.EmissionModel(), sim.single_ion_geometry(), 3, seed=2)
+        ds = sim.generate_dataset(sim.EmissionModel(), sim.adjacent_geometry(1), 3, seed=2)
         assert ds.labels is ds.labels
         assert ds.labels.tolist() == [s.label for s in ds.samples]
 
@@ -57,7 +57,7 @@ class TestGenerateDataset:
         model = sim.EmissionModel(
             pump_bright_to_dark_rate=0.0, pump_dark_to_bright_rate=0.0
         )
-        geometry = sim.single_ion_geometry()
+        geometry = sim.adjacent_geometry(1)
         ds = sim.generate_dataset(model, geometry, samples_per_label=50000, seed=77)
         counts = np.array([s.num_events for s in ds.samples if s.label == "1"])
         assert counts.size == 50000
@@ -89,7 +89,7 @@ class TestGenerateDataset:
 
     def test_seed_changes_output(self, tmp_path):
         model = sim.EmissionModel()
-        geometry = sim.single_ion_geometry()
+        geometry = sim.adjacent_geometry(1)
         a = sim.generate_dataset(model, geometry, 50, seed=1)
         b = sim.generate_dataset(model, geometry, 50, seed=2)
         pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -153,7 +153,7 @@ class TestGenerateDataset:
     def test_seed_and_samples_per_label_are_checked_at_generate_time(self, key, value):
         counts = {"samples_per_label": 3, "seed": 4, key: value}
         with pytest.raises(sim.SimulationError, match=f"{key} must be an integer >= "):
-            sim.generate_dataset(sim.EmissionModel(), sim.single_ion_geometry(), **counts)
+            sim.generate_dataset(sim.EmissionModel(), sim.adjacent_geometry(1), **counts)
 
 
 class TestGenerationContract:
@@ -235,7 +235,7 @@ class TestBlockSampler:
     @pytest.mark.parametrize("state", [0, 1])
     def test_single_ion_counts_follow_the_exact_pmf(self, state):
         model = sim.calibrate_to_fidelity(0.995)
-        ds = self.generate(model, sim.single_ion_geometry(), 50000, seed=32)
+        ds = self.generate(model, sim.adjacent_geometry(1), 50000, seed=32)
         counts = label_counts(ds, str(state))
         pmf = sim.count_distribution(state, model)
         # pool the sparse tail so every expected cell holds at least 5 shots
@@ -250,7 +250,7 @@ class TestBlockSampler:
     def test_bright_flip_low_count_tail_matches_quadrature_oracle(self):
         model = sim.EmissionModel(**dict(QUIET, pump_bright_to_dark_rate=2e-3))
         counts = label_counts(
-            self.generate(model, sim.single_ion_geometry(), 40000, seed=33), "1"
+            self.generate(model, sim.adjacent_geometry(1), 40000, seed=33), "1"
         )
         oracle = sum(flip_count_pmf_oracle(k, 1, 0.06, 2e-3, 150.0, 0.0) for k in range(5))
         # the flip shows: far more low counts than a Poisson count of mean 9
@@ -261,7 +261,7 @@ class TestBlockSampler:
     def test_dark_flip_high_count_tail_matches_quadrature_oracle(self):
         model = sim.EmissionModel(**dict(QUIET, pump_dark_to_bright_rate=1e-3))
         counts = label_counts(
-            self.generate(model, sim.single_ion_geometry(), 40000, seed=34), "0"
+            self.generate(model, sim.adjacent_geometry(1), 40000, seed=34), "0"
         )
         oracle = 1.0 - sum(
             flip_count_pmf_oracle(k, 0, 0.06, 1e-3, 150.0, 0.0) for k in range(2)
@@ -270,7 +270,7 @@ class TestBlockSampler:
         assert abs(np.mean(counts >= 2) - oracle) < 4.0 * se
 
     def test_dark_without_pumping_or_background_records_nothing(self):
-        ds = self.generate(sim.EmissionModel(**QUIET), sim.single_ion_geometry(), 10000, seed=42)
+        ds = self.generate(sim.EmissionModel(**QUIET), sim.adjacent_geometry(1), 10000, seed=42)
         assert ds.channels.size > 0
         assert not label_counts(ds, "0").any()
 
@@ -278,7 +278,7 @@ class TestBlockSampler:
         # a dark-prepared ion's photons start at its flip, so of the shots
         # with any event the dark ones begin later
         model = sim.EmissionModel(pump_bright_to_dark_rate=1e-3, pump_dark_to_bright_rate=1e-2)
-        ds = self.generate(model, sim.single_ion_geometry(), 4000, seed=43)
+        ds = self.generate(model, sim.adjacent_geometry(1), 4000, seed=43)
         seen = np.diff(ds.offsets) > 0
         first = ds.ticks[ds.offsets[:-1][seen]]
         first_dark = first[ds.labels[seen] == "0"]
@@ -379,7 +379,7 @@ class TestSimulateIon:
 
     def test_bright_counts_poisson_mean_nine(self):
         model = sim.EmissionModel(**QUIET)
-        recordings = pool_recordings(1, model, sim.single_ion_geometry(), 20000, seed=11)
+        recordings = pool_recordings(1, model, sim.adjacent_geometry(1), 20000, seed=11)
         counts = np.array([channels.size for channels, _ in recordings])
         se = 3.0 / np.sqrt(counts.size)
         assert abs(counts.mean() - 9.0) < 3.0 * se
@@ -388,7 +388,7 @@ class TestSimulateIon:
 
     def test_arrivals_sorted_inside_window(self):
         model = sim.EmissionModel()
-        for _, ticks in pool_recordings(1, model, sim.single_ion_geometry(), 500, seed=5):
+        for _, ticks in pool_recordings(1, model, sim.adjacent_geometry(1), 500, seed=5):
             assert ticks.dtype == np.uint16
             assert np.all(np.diff(ticks.astype(np.int64)) >= 0)
             if ticks.size:
@@ -404,7 +404,7 @@ class TestRouteEvents:
         model = sim.EmissionModel(**QUIET)
         for entry in range(200):
             channels, ticks = sim._pool_recording(
-                0, 1, entry, model, sim.single_ion_geometry(), 1
+                0, 1, entry, model, sim.adjacent_geometry(1), 1
             )
             rng = np.random.default_rng(
                 np.random.SeedSequence((1, sim._POOL_STREAM_TAG, 0, 1, entry))
@@ -590,7 +590,7 @@ class TestColumnFootprint:
         model = sim.EmissionModel(
             pump_bright_to_dark_rate=0.0, pump_dark_to_bright_rate=0.0, window_us=sim.MAX_WINDOW_US
         )
-        ds = sim.generate_dataset(model, sim.single_ion_geometry(), 4, seed=7, mode=mode)
+        ds = sim.generate_dataset(model, sim.adjacent_geometry(1), 4, seed=7, mode=mode)
         # a wrapped tick would break the order or fall near 0
         shot = np.repeat(np.arange(len(ds)), np.diff(ds.offsets))
         steps = np.diff(ds.ticks.astype(int))[shot[1:] == shot[:-1]]
@@ -672,7 +672,7 @@ class TestCalibration:
         target = 0.99
         model = sim.calibrate_to_fidelity(target)
         theta = sim.single_ion_fidelity(model).threshold
-        geometry = sim.single_ion_geometry()
+        geometry = sim.adjacent_geometry(1)
         ds = sim.generate_dataset(model, geometry, samples_per_label=20000, seed=314)
         counts = np.array([s.num_events for s in ds.samples])
         bits = np.array([int(s.label) for s in ds.samples])
@@ -762,7 +762,7 @@ class TestSerialisation:
         assert path.read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
 
     def test_header_is_json_with_format_marker(self, tmp_path):
-        ds = sim.generate_dataset(sim.EmissionModel(), sim.single_ion_geometry(), 2, seed=0)
+        ds = sim.generate_dataset(sim.EmissionModel(), sim.adjacent_geometry(1), 2, seed=0)
         path = tmp_path / "ds.jsonl"
         sim.save_dataset(ds, path)
         first = path.read_text().splitlines()[0]
@@ -802,6 +802,10 @@ class TestLoadValidation:
     def test_label_must_be_register_bits(self, tmp_path, lines, label):
         shot = {"label": label, "window_us": 150.0, "events": [[0, 1.0]]}
         assert "label" in self.load_with_shot(tmp_path, lines, shot)
+
+    def test_shot_holds_no_other_key(self, tmp_path, lines):
+        shot = {"label": "101", "window_us": 150.0, "events": [[0, 1.0]], "junk": 1}
+        assert "shot has unknown key 'junk'" in self.load_with_shot(tmp_path, lines, shot)
 
     @pytest.mark.parametrize("channel", [-1, 5, 9])
     def test_channel_must_exist(self, tmp_path, lines, channel):
@@ -1085,6 +1089,18 @@ class TestGeometryValidation:
         # label 1's shots follow label 0's five, and its ion's photons arrive
         assert dataset.channels.size > dataset.offsets[5]
         np.testing.assert_array_equal(dataset.channels, 32_767)
+
+    @pytest.mark.parametrize(
+        "crosstalk", [((1.0, 0, 0), (0, 1.0)), ((1.0, 0, 0), 1.0), ((1.0, 0, 0),), 5]
+    )
+    def test_crosstalk_must_be_one_row_per_ion_of_every_channel(self, crosstalk):
+        with pytest.raises(sim.SimulationError, match=r"crosstalk must be shaped \(2, 3\)"):
+            sim.DetectorGeometry(2, 3, (0, 2), crosstalk)
+
+    @pytest.mark.parametrize("ion_channel", [5, None, "02"])
+    def test_ion_channel_must_be_a_sequence(self, ion_channel):
+        with pytest.raises(sim.SimulationError, match="ion_channel must be a sequence"):
+            sim.DetectorGeometry(2, 3, ion_channel, ((1.0, 0, 0), (0, 0, 1.0)))
 
     def test_numpy_integers_accepted(self):
         geometry = sim.DetectorGeometry(

@@ -46,7 +46,7 @@ class TestFitFixed:
         # neighbour leakage pushes dark-channel counts up, so the fitted
         # register thresholds sit at or above the isolated-ion threshold
         model = sim.EmissionModel()
-        single = sim.generate_dataset(model, sim.single_ion_geometry(), 4000, seed=50)
+        single = sim.generate_dataset(model, sim.adjacent_geometry(1), 4000, seed=50)
         counts_1 = np.array([[s.num_events] for s in single.samples])
         theta_single = threshold.fit_fixed(counts_1, single.labels).thresholds[0]
 
