@@ -42,29 +42,24 @@ class ModelFileError(ValueError):
     """A model file that cannot be read back into a model."""
 
 
-PRESETS: dict[str, dict[str, str]] = {
-    "single": {
-        "num_ions": "1",
-        "geometry": "single",
-        "strategies": "FT,NN,TNN,RNN",
-    },
-    "3q": {
-        "num_ions": "3",
-        "geometry": "alternating",
-        "strategies": "FT,AT,NN,NN+,TNN,TNN+,RNN",
-    },
-    "5q": {
-        "num_ions": "5",
-        "geometry": "adjacent",
-        "strategies": "FT,AT,NN,TNN,RNN",
-    },
+PRESETS: dict[str, dict[str, object]] = {
+    "single": {"num_ions": 1, "geometry": "adjacent", "strategies": "FT,NN,TNN,RNN"},
+    "3q": {"num_ions": 3, "geometry": "alternating", "strategies": "FT,AT,NN,NN+,TNN,TNN+,RNN"},
+    "5q": {"num_ions": 5, "geometry": "adjacent", "strategies": "FT,AT,NN,TNN,RNN"},
 }
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment's settings, checked on construction.
+
+    Every field must have its default's type (a bool is no number); numpy
+    numbers are stored as Python numbers.  Any failure is a ``ConfigError``
+    that names the key.
+    """
+
     num_ions: int = 1
-    geometry: str = "single"
+    geometry: str = "adjacent"
     samples_per_label: int = 1000
     n_jobs: int = 1
     train_fraction: float = 0.8
@@ -75,6 +70,38 @@ class ExperimentConfig:
     patience: int = 5
     strategies: str = "FT,NN,TNN,RNN"
 
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, np.generic):
+                value = value.item()
+            kind = type(field.default)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(
+                    f"config key {field.name!r} must be {kind.__name__}, got {value!r}"
+                )
+            setattr(self, field.name, value)
+        if self.geometry not in ("alternating", "adjacent"):
+            raise ConfigError(f"geometry must be alternating or adjacent, got {self.geometry!r}")
+        if not 1 <= self.num_ions <= sim.MAX_IONS:
+            raise ConfigError(f"num_ions must be in [1, {sim.MAX_IONS}]")
+        if self.geometry == "alternating" and self.num_ions < 2:
+            raise ConfigError("geometry 'alternating' needs num_ions >= 2")
+        for key, least in (("n_jobs", 1), ("seed_data", 0), ("seed_train", 0),
+                           ("epochs", 1), ("batch_size", 1), ("patience", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError("train_fraction must be inside (0, 1)")
+        # evaluate.split cuts each label's shots after this many training shots
+        n_train = round(self.train_fraction * self.samples_per_label)
+        if not 0 < n_train < self.samples_per_label:
+            raise ConfigError(
+                f"train_fraction {self.train_fraction} of samples_per_label "
+                f"{self.samples_per_label} leaves no train or no test shot"
+            )
+        self.strategy_names()
+
     def strategy_names(self) -> list[str]:
         names = [s.strip() for s in self.strategies.split(",") if s.strip()]
         if not names:
@@ -82,14 +109,13 @@ class ExperimentConfig:
         for name in names:
             if name not in STRATEGIES:
                 raise ConfigError(
-                    f"unknown strategy {name!r}; known: {', '.join(STRATEGY_ORDER)}"
+                    f"strategies: unknown strategy {name!r}; known: {', '.join(STRATEGY_ORDER)}"
                 )
         # canonical execution order, duplicates collapsed
         return [s for s in STRATEGY_ORDER if s in names]
 
 
-_DEFAULTS = ExperimentConfig()
-_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
+_FIELD_TYPES = {field.name: type(field.default) for field in fields(ExperimentConfig)}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -110,16 +136,12 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _coerce(key: str, value: str):
-    target = type(getattr(_DEFAULTS, key))
+def _coerce(key: str, text: str):
+    """A config file's ``text`` for ``key``, parsed as its default's type."""
     try:
-        if target is int:
-            return int(value)
-        if target is float:
-            return float(value)
+        return _FIELD_TYPES[key](text)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
-    return value
 
 
 def build_config(
@@ -127,49 +149,25 @@ def build_config(
     preset: str | None = None,
     overrides: dict[str, object] | None = None,
 ) -> ExperimentConfig:
-    """Defaults <- preset <- config file <- command line flags."""
+    """Defaults <- preset <- config file <- command line flags.
+
+    A ``preset`` argument (the ``--preset`` flag) beats the file's ``preset`` key.
+    """
     file_values = dict(file_values or {})
-    preset = file_values.pop("preset", preset)
+    file_preset = file_values.pop("preset", None)
+    preset = file_preset if preset is None else preset
+    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+    for key in (*file_values, *overrides):
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"unknown config key {key!r}")
     merged: dict[str, object] = {}
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; known: {', '.join(sorted(PRESETS))}")
-        merged.update({k: _coerce(k, v) for k, v in PRESETS[preset].items()})
-    for key, value in file_values.items():
-        if key not in _FIELD_NAMES:
-            raise ConfigError(f"unknown config key {key!r}")
-        merged[key] = _coerce(key, value)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    config = ExperimentConfig(**merged)
-    _validate(config)
-    return config
-
-
-def _validate(config: ExperimentConfig) -> None:
-    if config.geometry not in ("single", "alternating", "adjacent"):
-        raise ConfigError(f"unknown geometry {config.geometry!r}")
-    if config.geometry == "single" and config.num_ions != 1:
-        raise ConfigError("geometry 'single' records exactly one ion")
-    if config.geometry != "single" and config.num_ions < 2:
-        raise ConfigError(f"geometry {config.geometry!r} needs at least two ions")
-    if not 1 <= config.num_ions <= sim.MAX_IONS:
-        raise ConfigError(f"num_ions must be in [1, {sim.MAX_IONS}]")
-    for key, least in (("n_jobs", 1), ("seed_data", 0), ("seed_train", 0),
-                       ("epochs", 1), ("batch_size", 1), ("patience", 1)):
-        if getattr(config, key) < least:
-            raise ConfigError(f"{key} must be >= {least}, got {getattr(config, key)}")
-    if not 0.0 < config.train_fraction < 1.0:
-        raise ConfigError("train_fraction must be inside (0, 1)")
-    # evaluate.split cuts each label's shots after this many training shots
-    n_train = round(config.train_fraction * config.samples_per_label)
-    if not 0 < n_train < config.samples_per_label:
-        raise ConfigError(
-            f"train_fraction {config.train_fraction} of samples_per_label "
-            f"{config.samples_per_label} leaves no train or no test shot"
-        )
-    config.strategy_names()
+        merged.update(PRESETS[preset])
+    merged.update({key: _coerce(key, text) for key, text in file_values.items()})
+    merged.update(overrides)
+    return ExperimentConfig(**merged)
 
 
 def build_emission_model(config: ExperimentConfig) -> sim.EmissionModel:
@@ -181,7 +179,6 @@ def build_emission_model(config: ExperimentConfig) -> sim.EmissionModel:
 def build_geometry(config: ExperimentConfig) -> sim.DetectorGeometry:
     if config.geometry == "alternating":
         return sim.alternating_geometry(config.num_ions)
-    # "single" is the one-ion adjacent layout: one channel, no crosstalk
     return sim.adjacent_geometry(config.num_ions)
 
 
@@ -417,16 +414,12 @@ def simulator_check(dataset: sim.Dataset) -> dict:
     # all channels in order when intermediate ones are recorded, else the ions'
     spec = features.FeatureSpec(1, geometry.intermediate_channels_present)
     counts = features.featurize_dataset(dataset.samples, spec, geometry).astype(float)
-    width, num_labels = counts.shape[1], expected.shape[0]
-    # each shot's counts summed per (label, channel)
-    key = (dataset.states[:, None] * width + np.arange(width)).ravel()
-    sums, squares = (
-        np.bincount(key, weights=w.ravel(), minlength=num_labels * width).reshape(-1, width)
-        for w in (counts, counts**2)
-    )
-    shots = np.bincount(dataset.states, minlength=num_labels)[:, None]
-    mean = sums / shots
-    variance = (squares - shots * mean**2) / np.maximum(shots - 1, 1)
+    # label-major: label k's shots are the k-th block of samples_per_label rows
+    counts = counts.reshape(expected.shape[0], dataset.samples_per_label, -1)
+    shots = dataset.samples_per_label
+    # sums of whole counts are exact in float64, whatever their order
+    mean = counts.sum(axis=1) / shots
+    variance = ((counts**2).sum(axis=1) - shots * mean**2) / max(shots - 1, 1)
     stderr = np.sqrt(np.maximum(variance, expected) / shots)
     diff = mean - expected
     z = np.divide(diff, stderr, out=np.where(diff == 0.0, 0.0, np.inf), where=stderr > 0.0)

@@ -44,6 +44,10 @@ class FeatureSpec:
         if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
             raise FeatureError(f"num_bins must be an integer >= 1, got {bins!r}")
         object.__setattr__(self, "num_bins", int(bins))
+        if type(self.include_intermediate) is not bool:
+            raise FeatureError(
+                f"include_intermediate must be a bool, got {self.include_intermediate!r}"
+            )
 
     def channel_ids(self, geometry: DetectorGeometry) -> tuple[int, ...]:
         if self.include_intermediate:

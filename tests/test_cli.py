@@ -59,9 +59,14 @@ class TestConfigParsing:
     def test_readme_config_block_lists_every_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("### Config file", 1)[1].split("```", 2)[1]
-        # one key per unindented line; indented lines continue a description
-        keys = [line.split()[0] for line in block.splitlines() if line[:1].isalpha()]
-        assert keys == [field.name for field in dataclasses.fields(ExperimentConfig)]
+        # one key per unindented line, its default in parentheses at the end;
+        # indented lines continue a description
+        rows = [line.split() for line in block.splitlines() if line[:1].isalpha()]
+        defaults = dataclasses.asdict(ExperimentConfig())
+        assert [row[0] for row in rows] == list(defaults)
+        assert {row[0]: row[-1].strip("()") for row in rows} == {
+            key: str(value) for key, value in defaults.items()
+        }
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="num_ions"):
@@ -87,10 +92,70 @@ class TestConfigParsing:
     def test_geometry_constraints(self):
         with pytest.raises(ConfigError):
             build_config({"geometry": "single", "num_ions": "2"})
-        with pytest.raises(ConfigError):
-            build_config({"geometry": "adjacent", "num_ions": "1"})
+        assert build_config({"geometry": "adjacent", "num_ions": "1"}) == ExperimentConfig()
+        with pytest.raises(ConfigError, match="geometry 'alternating' needs num_ions >= 2"):
+            build_config({"geometry": "alternating", "num_ions": "1"})
         with pytest.raises(ConfigError):
             build_config({"geometry": "ring", "num_ions": "3"})
+
+    def test_single_is_no_geometry(self, capsys, tmp_path):
+        config = write_config(tmp_path / "single.cfg", "num_ions = 1\ngeometry = single\n")
+        out = tmp_path / "out"
+        assert main(["generate", "--config", config, "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {
+            "error": "ConfigError",
+            "message": "geometry must be alternating or adjacent, got 'single'",
+        }
+        assert not out.exists()
+
+    def test_preset_flag_beats_the_file_preset(self, tmp_path):
+        config = write_config(
+            tmp_path / "5q.cfg", "preset = 5q\nsamples_per_label = 20\nstrategies = FT\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "3q", "--config", config, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["num_ions"] == 3
+        assert summary["config"]["geometry"] == "alternating"
+        assert summary["config"]["samples_per_label"] == 20
+        assert sim.load_dataset(str(out / "dataset.jsonl")).geometry == sim.alternating_geometry(3)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("train_fraction", "0.5"), ("samples_per_label", 100.5), ("epochs", True),
+         ("n_jobs", np.bool_(True)), ("train_fraction", 1), ("geometry", 3)],
+    )
+    def test_a_value_of_another_type_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+            build_config(overrides={key: value})
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+            ExperimentConfig(**{key: value})
+
+    def test_direct_construction_runs_the_checks(self):
+        with pytest.raises(ConfigError, match="epochs must be >= 1, got 0"):
+            ExperimentConfig(epochs=0)
+        with pytest.raises(ConfigError, match="geometry"):
+            ExperimentConfig(geometry="single")
+        with pytest.raises(ConfigError, match="train_fraction"):
+            ExperimentConfig(samples_per_label=1)
+
+    def test_numpy_numbers_are_stored_as_python_numbers(self, tmp_path):
+        config = build_config(overrides={
+            "samples_per_label": np.int64(20), "epochs": np.int32(1),
+            "train_fraction": np.float32(0.5), "strategies": "FT,NN",
+        })
+        assert type(config.samples_per_label) is int and type(config.epochs) is int
+        assert type(config.train_fraction) is float and config.train_fraction == 0.5
+        summary = cli.run_experiment(config, tmp_path)
+        assert summary["errors"] == {}
+        saved = json.loads((tmp_path / "summary.json").read_text())
+        assert saved["config"] == dataclasses.asdict(config)
+        assert saved["config"]["samples_per_label"] == 20
+
+    def test_unknown_override_key_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="unknown config key 'mode'"):
+            build_config(overrides={"mode": "pool"})
 
     @pytest.mark.parametrize("n_jobs", ["0", "-3"])
     def test_n_jobs_must_be_positive(self, n_jobs):
@@ -188,6 +253,10 @@ class TestSimulatorCheck:
         assert flagged[("111", 0)]["z"] < -5.0
         assert flagged[("111", 0)]["expected"] > flagged[("111", 0)]["mean"]
         assert all(label != "000" for label, _ in flagged)
+        # label 111 is the last block of 500 shots; recount its channel-0 events
+        shot = np.repeat(np.arange(len(ds)), np.diff(ds.offsets))
+        recount = np.count_nonzero((ds.channels == 0) & (ds.states[shot] == 7)) / 500
+        assert flagged[("111", 0)]["mean"] == recount
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +264,7 @@ def tiny_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     config = write_config(
         tmp_path_factory.mktemp("cfg") / "tiny.cfg",
-        "num_ions = 1\ngeometry = single\nsamples_per_label = 60\n"
+        "num_ions = 1\ngeometry = adjacent\nsamples_per_label = 60\n"
         "epochs = 3\nstrategies = FT,NN\nseed_data = 11\nseed_train = 12\n",
     )
     code = main(["run", "--config", config, "--out", str(out)])
@@ -245,7 +314,7 @@ class TestRunCommand:
     def test_training_diagnostics_on_a_patience_stop(self, tmp_path):
         config = write_config(
             tmp_path / "patience.cfg",
-            "num_ions = 1\ngeometry = single\nsamples_per_label = 60\n"
+            "num_ions = 1\ngeometry = adjacent\nsamples_per_label = 60\n"
             "epochs = 50\npatience = 1\nstrategies = NN,RNN\nseed_data = 11\n",
         )
         out = tmp_path / "out"
@@ -373,7 +442,7 @@ class TestGenerateCommand:
     def test_writes_reproducible_dataset(self, tmp_path):
         config = write_config(
             tmp_path / "gen.cfg",
-            "num_ions = 1\ngeometry = single\nsamples_per_label = 25\nseed_data = 4\n",
+            "num_ions = 1\ngeometry = adjacent\nsamples_per_label = 25\nseed_data = 4\n",
         )
         code_a = main(["generate", "--config", config, "--out", str(tmp_path / "a")])
         code_b = main(["generate", "--config", config, "--out", str(tmp_path / "b")])
@@ -385,7 +454,7 @@ class TestGenerateCommand:
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write_config(
             tmp_path / "gen.cfg",
-            "num_ions = 1\ngeometry = single\nsamples_per_label = 10\nseed_data = 4\n",
+            "num_ions = 1\ngeometry = adjacent\nsamples_per_label = 10\nseed_data = 4\n",
         )
         main(["generate", "--config", config, "--out", str(tmp_path / "a"),
               "--seed-data", "9"])
@@ -397,7 +466,7 @@ class TestGenerateCommand:
 def rnn_config(tmp_path_factory):
     return write_config(
         tmp_path_factory.mktemp("cfg") / "rnn.cfg",
-        "num_ions = 1\ngeometry = single\nsamples_per_label = 40\n"
+        "num_ions = 1\ngeometry = adjacent\nsamples_per_label = 40\n"
         "epochs = 2\nstrategies = RNN\nseed_data = 3\nseed_train = 5\n",
     )
 

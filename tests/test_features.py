@@ -102,6 +102,11 @@ class TestFlatten:
         with pytest.raises(features.FeatureError, match="num_bins must be an integer >= 1"):
             features.FeatureSpec(num_bins=num_bins)
 
+    @pytest.mark.parametrize("flag", [1, 0, "no", None, np.bool_(True)])
+    def test_include_intermediate_must_be_a_bool(self, flag):
+        with pytest.raises(features.FeatureError, match="include_intermediate must be a bool"):
+            features.FeatureSpec(1, flag)
+
     def test_numpy_num_bins_is_kept_as_a_python_int(self, geometry3):
         spec = features.FeatureSpec(num_bins=np.int64(5))
         assert spec.num_bins == 5 and type(spec.num_bins) is int
