@@ -313,8 +313,8 @@ def save_model(model, path: str | Path, metadata: dict | None = None) -> None:
     """Write any strategy's model as one JSON record: the envelope, ``format``
     and ``version`` 1, then the model's ``to_dict`` fields and ``metadata``."""
     record = {"format": model.FORMAT, "version": 1, **model.to_dict(), "metadata": metadata or {}}
-    with open(path, "w") as fh:
-        json.dump(record, fh)
+    # encoded before the file opens, so a value JSON cannot hold leaves no partial file
+    Path(path).write_text(json.dumps(record))
 
 
 def load_model(path: str | Path):
@@ -385,12 +385,14 @@ def _save_strategy(result: StrategyResult, out_dir: Path) -> dict:
 
 
 def _make_dataset(config: ExperimentConfig) -> sim.Dataset:
-    return sim.generate_dataset(
-        build_emission_model(config),
-        build_geometry(config),
-        config.samples_per_label,
-        config.seed_data,
-    )
+    model, geometry = build_emission_model(config), build_geometry(config)
+    return sim.generate_dataset(model, geometry, config.samples_per_label, config.seed_data)
+
+
+def _split_dataset(config: ExperimentConfig) -> tuple[sim.Dataset, np.ndarray, np.ndarray]:
+    """The config's dataset and its train and test shot indices."""
+    dataset = _make_dataset(config)
+    return dataset, *evaluate.split(dataset.labels, config.train_fraction, config.seed_data)
 
 
 # Deviation, in standard errors, at which the simulator self-check flags a
@@ -546,19 +548,18 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> dict:
     runs in that many processes, the caller included; every artifact is the
     same as with one, but for ``n_jobs`` and the per-strategy ``seconds`` in
     the summary.  Model, history and traceback files and the fidelity report
-    that an earlier run left in ``out_dir`` are deleted first, so it holds
-    this run's alone.
+    and the summary that an earlier run left in ``out_dir`` are deleted
+    first, so it holds this run's alone.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     # artifacts of an earlier run into the same directory
-    for pattern in ("errors/*.txt", "models/*.json", "history/*.csv", "fidelity_report.csv"):
+    for pattern in (
+        "errors/*.txt", "models/*.json", "history/*.csv", "fidelity_report.csv", "summary.json"
+    ):
         for stale in out_dir.glob(pattern):
             stale.unlink()
     names = config.strategy_names()
-    dataset = _make_dataset(config)
-    train_idx, test_idx = evaluate.split(
-        dataset.labels, config.train_fraction, config.seed_data
-    )
+    dataset, train_idx, test_idx = _split_dataset(config)
     task = (dataset, train_idx, test_idx, config)
     outcomes = _train_all(names, task, str(out_dir / "dataset.jsonl"), config.n_jobs)
     results: dict[str, StrategyResult] = {}
@@ -592,17 +593,13 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> dict:
             if name == "FT":
                 continue
             try:
-                gain = evaluate.improvement(baseline, result.report)
+                gain = evaluate.improvement(baseline, result.report)._asdict()
             except evaluate.EvaluationError:
                 # baseline error exactly zero: ratio undefined, record as such
-                summary["improvements_over_FT"][name] = {"value": None, "stderr": None}
-                continue
-            summary["improvements_over_FT"][name] = {
-                "value": gain.value,
-                "stderr": gain.stderr,
-            }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+                gain = {"value": None, "stderr": None}
+            summary["improvements_over_FT"][name] = gain
+    # encoded before the file opens, so a value JSON cannot hold leaves no partial file
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
     return summary
 
 
@@ -614,8 +611,7 @@ def run_probe(config: ExperimentConfig, out_dir: Path) -> dict:
     records the marginal bright probability of the ion that owns the channel.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = _make_dataset(config)
-    train_idx, _ = evaluate.split(dataset.labels, config.train_fraction, config.seed_data)
+    dataset, train_idx, _ = _split_dataset(config)
     spec, model, _ = _fit(STRATEGIES["RNN"], dataset, train_idx, config)
     geometry = dataset.geometry
     channel_ids = spec.channel_ids(geometry)
@@ -657,8 +653,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> dict:
     pass, so the full-window row is ``run``'s RNN fidelity.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = _make_dataset(config)
-    train_idx, test_idx = evaluate.split(dataset.labels, config.train_fraction, config.seed_data)
+    dataset, train_idx, test_idx = _split_dataset(config)
     spec, model, _ = _fit(STRATEGIES["RNN"], dataset, train_idx, config)
     sequences = features.sequence_dataset(dataset.samples[test_idx], spec, dataset.geometry)
     test_labels = dataset.labels[test_idx]
@@ -725,11 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides: dict[str, object] = {"seed_data": args.seed_data}
-    if hasattr(args, "seed_train"):
-        overrides["seed_train"] = args.seed_train
-    if getattr(args, "strategies", None):
-        overrides["strategies"] = args.strategies
+    # the flags named like config keys, as parsed; build_config drops the unset ones
+    overrides = {key: value for key, value in vars(args).items() if key in _FIELD_TYPES}
     return build_config(file_values, preset=args.preset, overrides=overrides)
 
 

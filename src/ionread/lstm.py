@@ -12,13 +12,13 @@ protocol of the feed-forward core.
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .evaluate import labels_to_bits, labels_to_states, state_labels
 from .mlp import (
+    Network,
     NetworkError,
     TrainConfig,
     checked_array,
@@ -46,40 +46,27 @@ def _gate_rows(model: LstmModel, vector: np.ndarray) -> np.ndarray:
     return vector[: rows * 4 * model.hidden_size].reshape(rows, 4 * model.hidden_size)
 
 
-class LstmModel:
+class LstmModel(Network):
     """LSTM over count sequences with a dense softmax readout."""
 
     FORMAT = "ionread.lstm"
     PARAMETER_NAMES = ("w_input", "w_hidden", "bias", "w_readout", "b_readout")
 
     def __init__(self, input_size: int, hidden_size: int, output_size: int, seed: int = 0):
-        input_size = checked_size(input_size, "input_size")
-        hidden_size = checked_size(hidden_size, "hidden_size")
-        output_size = checked_size(output_size, "output_size")
-        if output_size & (output_size - 1) or output_size < 2:
-            raise NetworkError(
-                f"output width must be a power of two >= 2, got {output_size}"
-            )
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.output_size = output_size
-        self.num_ions = output_size.bit_length() - 1
-        h = hidden_size
-        self.flat, self.parameters = parameter_slab(
-            [(input_size, 4 * h), (h, 4 * h), (4 * h,), (h, output_size), (output_size,)]
+        self.input_size = n_in = checked_size(input_size, "input_size")
+        self.hidden_size = h = checked_size(hidden_size, "hidden_size")
+        self.output_size = out = checked_size(output_size, "output_size")
+        # each gate matrix draws with fan_out = hidden_size, one gate's width
+        super().__init__(
+            [(n_in, 4 * h), (h, 4 * h), (4 * h,), (h, out), (out,)],
+            out,
+            seed,
+            [(0, n_in, h), (1, h, h), (3, h, out)],
         )
         self.w_input, self.w_hidden, self.bias, self.w_readout, self.b_readout = (
             self.parameters
         )
         self.w_gates = _gate_rows(self, self.flat)
-        rng = np.random.default_rng(seed)
-        for weights, fan_in, fan_out in (
-            (self.w_input, input_size, h),
-            (self.w_hidden, h, h),
-            (self.w_readout, h, output_size),
-        ):
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            weights[...] = rng.uniform(-bound, bound, size=weights.shape)
         self.bias[h : 2 * h] = 1.0
 
     def to_dict(self) -> dict:
@@ -89,11 +76,6 @@ class LstmModel:
             "output_size": self.output_size,
             **{name: getattr(self, name).tolist() for name in self.PARAMETER_NAMES},
         }
-
-    def __reduce__(self):
-        # pickle and deepcopy rebuild the record, so the copy's views share
-        # the copy's own ``flat``
-        return type(self).from_dict, (self.to_dict(),)
 
     @classmethod
     def from_dict(cls, data: dict) -> "LstmModel":

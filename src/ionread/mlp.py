@@ -57,11 +57,31 @@ class TrainConfig:
         self.seed = checked_size(self.seed, "seed", least=0)
 
 
-class MlpModel:
-    """Input -> hidden -> hidden -> softmax classifier.
+class Network:
+    """A softmax over ``output_size`` register states whose parameters, one
+    per shape, are views of one float64 vector, ``flat``.  Each ``glorot``
+    ``(index, fan_in, fan_out)``, in order, draws uniform in
+    +-sqrt(6 / (fan_in + fan_out)); the rest start at zero."""
 
-    Weights start uniform in +-sqrt(6 / (fan_in + fan_out)), biases at zero.
-    """
+    def __init__(self, shapes, output_size: int, seed: int, glorot) -> None:
+        if output_size & (output_size - 1) or output_size < 2:
+            raise NetworkError(f"output width must be a power of two >= 2, got {output_size}")
+        self.num_ions = output_size.bit_length() - 1
+        self.flat, self.parameters = parameter_slab(shapes)
+        rng = np.random.default_rng(seed)
+        for index, fan_in, fan_out in glorot:
+            bound = math.sqrt(6.0 / (fan_in + fan_out))
+            weights = self.parameters[index]
+            weights[...] = rng.uniform(-bound, bound, size=weights.shape)
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the record, so the copy's views share
+        # the copy's own ``flat``
+        return type(self).from_dict, (self.to_dict(),)
+
+
+class MlpModel(Network):
+    """Input -> hidden -> hidden -> softmax classifier."""
 
     FORMAT = "ionread.mlp"
 
@@ -75,18 +95,11 @@ class MlpModel:
         for width in layer_sizes[1:3]:
             if not lo <= width <= hi:
                 raise NetworkError(f"hidden width {width} outside [{lo}, {hi}]")
-        out = layer_sizes[3]
-        if out & (out - 1) or out < 2:
-            raise NetworkError(f"output width must be a power of two >= 2, got {out}")
         self.layer_sizes = layer_sizes
-        self.num_ions = out.bit_length() - 1
         fans = list(zip(layer_sizes[:-1], layer_sizes[1:]))
-        self.flat, self.parameters = parameter_slab(fans + [(n,) for _, n in fans])
+        glorot = [(i, *fan) for i, fan in enumerate(fans)]
+        super().__init__(fans + [(n,) for _, n in fans], layer_sizes[3], seed, glorot)
         self.weights, self.biases = self.parameters[:3], self.parameters[3:]
-        rng = np.random.default_rng(seed)
-        for w, (fan_in, fan_out) in zip(self.weights, fans):
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            w[...] = rng.uniform(-bound, bound, size=w.shape)
 
     def to_dict(self) -> dict:
         return {
@@ -94,11 +107,6 @@ class MlpModel:
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
-
-    def __reduce__(self):
-        # pickle and deepcopy rebuild the record, so the copy's views share
-        # the copy's own ``flat``
-        return type(self).from_dict, (self.to_dict(),)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MlpModel":

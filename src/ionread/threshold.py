@@ -30,7 +30,8 @@ def neighbour_indices(num_ions: int, ion: int) -> tuple[int, ...]:
     return tuple(j for j in (ion - 1, ion + 1) if 0 <= j < num_ions)
 
 
-def _as_count_matrix(counts) -> np.ndarray:
+def _as_count_matrix(counts, num_ions: int | None = None) -> np.ndarray:
+    """``counts`` as an int64 (shots, ions) matrix; ``num_ions`` columns if given."""
     counts = np.asarray(counts)
     if counts.ndim != 2:
         raise ThresholdError(f"counts must be 2-d (shots, ions), got {counts.shape}")
@@ -38,6 +39,8 @@ def _as_count_matrix(counts) -> np.ndarray:
         raise ThresholdError(f"counts must have an integer dtype, got {counts.dtype}")
     if np.any(counts < 0):
         raise ThresholdError("counts must be >= 0")
+    if num_ions is not None and counts.shape[1] != num_ions:
+        raise ThresholdError(f"expected {num_ions} ion columns, got {counts.shape[1]}")
     return counts.astype(np.int64, copy=False)
 
 
@@ -109,11 +112,7 @@ def fit_fixed(counts, labels: Sequence[str]) -> FixedThresholdModel:
 
 def classify_fixed(model: FixedThresholdModel, counts) -> list[str]:
     """Bit i is 1 exactly when the ion's count strictly exceeds its threshold."""
-    mat = _as_count_matrix(counts)
-    if mat.shape[1] != model.num_ions:
-        raise ThresholdError(
-            f"expected {model.num_ions} ion columns, got {mat.shape[1]}"
-        )
+    mat = _as_count_matrix(counts, model.num_ions)
     bits = mat > np.asarray(model.thresholds)
     return bits_to_labels(bits)
 
@@ -228,10 +227,8 @@ def classify_adaptive(
     synchronously.  Returns the final labels plus a per-shot flag that is
     false when the assignment was still changing at the iteration cap.
     """
-    mat = _as_count_matrix(counts)
     num_ions = model.num_ions
-    if mat.shape[1] != num_ions:
-        raise ThresholdError(f"expected {num_ions} ion columns, got {mat.shape[1]}")
+    mat = _as_count_matrix(counts, num_ions)
     # context-indexed threshold lookup tables, one per ion
     lookup = []
     for i in range(num_ions):

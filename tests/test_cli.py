@@ -184,10 +184,14 @@ class TestConfigParsing:
     def test_empty_strategy_list_rejected(self, capsys, tmp_path):
         with pytest.raises(ConfigError, match="strategies"):
             build_config({"strategies": " , "})
-        code = main(["run", "--strategies", ",", "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
-        assert not (tmp_path / "out").exists()
+        for flag in (",", ""):
+            code = main(["run", "--strategies", flag, "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert json.loads(capsys.readouterr().err.strip()) == {
+                "error": "ConfigError",
+                "message": f"strategies names no strategy: {flag!r}",
+            }
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["seed_data", "seed_train"])
     def test_seeds_must_be_non_negative(self, key):
@@ -437,6 +441,19 @@ class TestStaleArtifacts:
         assert summary["strategies"] == {} and list(summary["errors"]) == ["NN+"]
         assert not (out / "fidelity_report.csv").exists()
 
+    def test_a_rerun_whose_summary_cannot_be_encoded_leaves_no_summary(
+        self, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        config = build_config({"num_ions": "2", "samples_per_label": "40", "strategies": "FT"})
+        cli.run_experiment(config, out)
+        assert json.loads((out / "summary.json").read_text())["strategies"]["FT"]
+        # a diagnostic JSON cannot encode, met after every strategy has trained
+        monkeypatch.setattr(cli, "simulator_check", lambda dataset: np.float32(1.0))
+        with pytest.raises(TypeError, match="float32"):
+            cli.run_experiment(config, out)
+        assert not (out / "summary.json").exists()
+
 
 class TestGenerateCommand:
     def test_writes_reproducible_dataset(self, tmp_path):
@@ -583,6 +600,16 @@ class TestModelFiles:
         path.write_text(text)
         with pytest.raises(ModelFileError, match="not a JSON model file"):
             load_model(path)
+
+    def test_a_record_json_cannot_encode_leaves_the_path_untouched(self, tmp_path):
+        path = tmp_path / "m.json"
+        model = mlp.MlpModel([2, 8, 8, 4])
+        for before in (None, "an earlier file"):
+            if before is not None:
+                path.write_text(before)
+            with pytest.raises(TypeError, match="float32"):
+                save_model(model, path, {"x": np.float32(1.0)})
+            assert (path.read_text() if path.exists() else None) == before
 
     def test_not_an_object(self, tmp_path):
         path = tmp_path / "m.json"

@@ -296,6 +296,20 @@ class TestFlatSlab:
                 np.testing.assert_array_equal(old, untouched)
 
 
+class TestNetworkRecord:
+    @pytest.mark.parametrize("width", [1, 3, 6])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda width: MlpModel([2, 8, 8, width]), lambda width: lstm.LstmModel(2, 4, width)],
+        ids=["mlp", "lstm"],
+    )
+    def test_output_width_must_be_a_power_of_two(self, build, width):
+        with pytest.raises(
+            NetworkError, match=f"output width must be a power of two >= 2, got {width}"
+        ):
+            build(width)
+
+
 class TestTraining:
     def test_learns_xor(self):
         base = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)

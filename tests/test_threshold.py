@@ -211,6 +211,29 @@ class TestClassifyAdaptive:
         assert converged.mean() >= 0.999
 
 
+class TestCountColumns:
+    FIXED = threshold.FixedThresholdModel((2, 3))
+
+    @pytest.mark.parametrize(
+        "classify, model",
+        [
+            (threshold.classify_fixed, FIXED),
+            (
+                threshold.classify_adaptive,
+                threshold.AdaptiveThresholdModel(FIXED, ({"0": 2, "1": 2}, {"0": 3, "1": 3})),
+            ),
+        ],
+        ids=["fixed", "adaptive"],
+    )
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_counts_of_another_width_are_refused(self, classify, model, columns):
+        counts = np.zeros((4, columns), dtype=np.int64)
+        with pytest.raises(
+            threshold.ThresholdError, match=f"expected 2 ion columns, got {columns}"
+        ):
+            classify(model, counts)
+
+
 class TestSerialisation:
     def test_negative_thresholds_are_refused(self):
         with pytest.raises(threshold.ThresholdError, match="thresholds must be >= 0"):
