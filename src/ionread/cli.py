@@ -291,9 +291,10 @@ def run_strategy(
             "final_train_loss": float(history[-1]["train_loss"]),
         }
         predicted = _NETWORKS[spec.kind].predict(model, x_test)
-    report = evaluate.fidelity(
-        evaluate.confusion(predicted, dataset.labels[test_idx]), strategy=spec.name
-    )
+    counts = evaluate.confusion(predicted, dataset.labels[test_idx])
+    report = evaluate.fidelity(counts, strategy=spec.name)
+    # a readout that reads every test shot as one state shows as 1 here
+    diagnostics["states_predicted"] = int(np.count_nonzero(counts.sum(axis=0)))
     seconds = time.perf_counter() - started
     return StrategyResult(spec.name, report, model, history, fspec, seconds, diagnostics)
 

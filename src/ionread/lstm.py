@@ -6,9 +6,9 @@ dense softmax over all 2**N register states, so the network sees photon
 arrival structure that total counts erase.  Gates are packed [input,
 forget, output, candidate] along one axis and the forget block starts at
 one so early training does not wipe the cell state.  The three sigmoid
-gates are taken in the tanh form ``(1 + tanh(z/2))/2``, so one ``tanh``
-call covers all four blocks.  Training reuses the ADADELTA rule and epoch
-protocol of the feed-forward core.
+gates are taken in the tanh form ``(1 + tanh(z/2))/2``, the halving folded
+into their weights, so one ``tanh`` call covers all four blocks.  Training
+reuses the ADADELTA rule and epoch protocol of the feed-forward core.
 """
 from __future__ import annotations
 
@@ -95,18 +95,19 @@ def _cell(
 ) -> None:
     """One time bin of the LSTM, gate-major: one column per sequence.
 
-    ``xh`` is ``[x_t; h_t; 1]`` and ``w_gates`` the model's gate rows in the
-    compute dtype.  Writes the activations BPTT needs into ``act``, as
-    ``[input, forget, output, candidate, tanh(c_next)]`` blocks of
-    ``hidden_size`` rows, and the next state into ``c_next`` and ``h_next``.
+    ``xh`` is ``[x_t; h_t; 1]`` and ``w_gates`` the gate rows in the compute
+    dtype with the sigmoid gates' columns halved (see :func:`_unroll`).
+    Writes the activations BPTT needs into ``act``, as ``[input, forget,
+    output, candidate, tanh(c_next)]`` blocks of ``hidden_size`` rows, and
+    the next state into ``c_next`` and ``h_next``.
     """
     hs = c.shape[0]
     z = act[: 4 * hs]
     np.matmul(w_gates.T, xh, out=z)
-    # sigmoid(v) = (1 + tanh(v/2))/2: one tanh for all four blocks, no overflow
-    gates = z[: 3 * hs]
-    gates *= 0.5
+    # sigmoid(v) = (1 + tanh(v/2))/2, v/2 read off the halved weights: one
+    # tanh for all four blocks, no overflow
     np.tanh(z, out=z)
+    gates = z[: 3 * hs]
     gates *= 0.5
     gates += 0.5
     gate_in, forget, gate_out, candidate, tanh_c = act.reshape(5, hs, xh.shape[1])
@@ -120,25 +121,34 @@ def _cell(
 def _unroll(w_gates: np.ndarray, x: np.ndarray, keep: bool):
     """Run the cell over every bin of ``x`` (batch, bins, inputs), from zero state.
 
-    ``x`` and ``w_gates`` share the compute dtype, which every slab takes.
-    Returns the slabs ``xh`` (``[x_t; h_t; 1]`` per step), ``act`` and ``c``
-    (cell state per step) and the final hidden state, all gate-major.  With
-    ``keep`` every step has its own slot, as BPTT and per-bin readouts need;
-    without it two slots alternate and only the current state is held.
+    ``w_gates`` are the model's gate rows; every slab takes ``x``'s compute
+    dtype.  The rows are cast to it with the sigmoid gates' columns halved:
+    halving is exact, so ``_cell`` reads each ``v/2`` off its one matmul bit
+    for bit as if it had halved ``v`` after it.  Returns the slabs ``xh``
+    (``[x_t; h_t; 1]`` per step), ``act`` and ``c`` (cell state per step)
+    and the final hidden state, all gate-major.  With ``keep`` every step
+    has its own slot, as BPTT and per-bin readouts need, and the inputs are
+    copied in at once; without it two slots alternate and only the current
+    state is held.
     """
     batch, bins, n_in = x.shape
     hs = w_gates.shape[1] // 4
+    w_cell = w_gates.astype(x.dtype)
+    w_cell[:, : 3 * hs] *= 0.5
     slots = bins + 1 if keep else 2
     xh = np.empty((slots, n_in + hs + 1, batch), x.dtype)
     xh[:, -1] = 1.0
     xh[0, n_in:-1] = 0.0
+    if keep:
+        xh[:bins, :n_in] = x.transpose(1, 2, 0)
     act = np.empty((bins if keep else 1, 5 * hs, batch), x.dtype)
     c = np.empty((slots, hs, batch), x.dtype)
     c[0] = 0.0
     for t in range(bins):
         now, after = t % slots, (t + 1) % slots
-        xh[now, :n_in] = x[:, t].T
-        _cell(w_gates, xh[now], act[t % len(act)], c[now], c[after], xh[after, n_in:-1])
+        if not keep:
+            xh[now, :n_in] = x[:, t].T
+        _cell(w_cell, xh[now], act[t % len(act)], c[now], c[after], xh[after, n_in:-1])
     return xh, act, c, xh[bins % slots, n_in:-1]
 
 
@@ -186,7 +196,7 @@ def _block_readouts(model: LstmModel, sequences, by_bin: bool) -> np.ndarray:
     for start in range(0, batch, INFERENCE_BLOCK_ROWS):
         block = _finite_counts(x[start : start + INFERENCE_BLOCK_ROWS])
         rows = slice(start, start + block.shape[0])
-        xh = _unroll(np.asarray(model.w_gates, block.dtype), block, keep=by_bin)[0]
+        xh = _unroll(model.w_gates, block, keep=by_bin)[0]
         # the state after t bins sits in slot t of ``_unroll``'s cyclic slots
         for i, t in enumerate(read_after):
             probs[i, rows] = readout(model, xh[t % len(xh), n_in:-1].T)
@@ -218,9 +228,8 @@ def backward(model: LstmModel, sequences, class_indices) -> tuple[float, np.ndar
     """
     x = _finite_counts(_sequence_array(model, sequences))
     y = np.asarray(class_indices, dtype=np.int64)
-    batch, bins, n_in = x.shape
-    w_gates = np.asarray(model.w_gates, x.dtype)
-    xh, act, c, h_last = _unroll(w_gates, x, keep=True)
+    batch, bins, _ = x.shape
+    xh, act, c, h_last = _unroll(model.w_gates, x, keep=True)
     probs = readout(model, h_last.T)
     batch_loss = cross_entropy(probs, y)
 
@@ -232,12 +241,15 @@ def backward(model: LstmModel, sequences, class_indices) -> tuple[float, np.ndar
     )
     np.matmul(h_last, delta, out=grad_w_readout)
     delta.sum(axis=0, out=grad_b_readout)
-    grad_gates = _gate_rows(model, grad)
-    # each bin's gate gradient in the compute dtype, summed in float64
-    step_grad = np.empty(grad_gates.shape, x.dtype)
 
     hs = model.hidden_size
-    w_hidden = w_gates[n_in:-1]
+    w_hidden = model.w_hidden.astype(x.dtype)
+    # each bin's gate gradient is d_z @ [x_t; h_t; 1] over batch-major rows,
+    # a plain-layout matmul, summed in the compute dtype and written into the
+    # float64 gradient once, transposed
+    xh_rows = xh[:bins].transpose(0, 2, 1).copy()
+    gate_grad = np.zeros((4 * hs, xh.shape[1]), x.dtype)
+    step = np.empty_like(gate_grad)
     d_h = (model.w_readout @ delta.T).astype(x.dtype, copy=False)
     d_c = np.zeros((hs, batch), x.dtype)
     d_z = np.empty((4 * hs, batch), x.dtype)
@@ -266,10 +278,13 @@ def backward(model: LstmModel, sequences, class_indices) -> tuple[float, np.ndar
         np.subtract(1.0, d_cand, out=d_cand)
         d_cand *= gate_in
         d_cand *= d_c
-        np.matmul(xh[t], d_z.T, out=step_grad)
-        grad_gates += step_grad
-        np.matmul(w_hidden, d_z, out=d_h)
-        d_c *= forget
+        np.matmul(d_z, xh_rows[t], out=step)
+        gate_grad += step
+        # the first bin's state is zero, so nothing flows back from it
+        if t:
+            np.matmul(w_hidden, d_z, out=d_h)
+            d_c *= forget
+    _gate_rows(model, grad)[...] = gate_grad.T
     return batch_loss, grad
 
 

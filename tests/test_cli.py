@@ -295,6 +295,7 @@ class TestRunCommand:
         assert "NN" in summary["improvements_over_FT"]
         for entry in summary["strategies"].values():
             assert 0.0 <= entry["average"] <= 1.0
+            assert entry["states_predicted"] in (1, 2)
         check = summary["diagnostics"]["simulator"]
         assert check["flagged"] == [] and 0.0 <= check["max_abs_z"] <= check["sigmas"]
 
@@ -329,6 +330,21 @@ class TestRunCommand:
             assert entry["epochs_run"] < 50
             # patience 1 stops at the first epoch that does not improve
             assert entry["best_epoch"] == entry["epochs_run"] - 2
+
+    def test_states_predicted_names_a_readout_of_one_state(self, tmp_path, monkeypatch):
+        # a network that reads every shot bright, as a dead NN does
+        monkeypatch.setattr(mlp, "predict", lambda model, x: ["1"] * len(x))
+        config = write_config(
+            tmp_path / "one_state.cfg",
+            "num_ions = 1\ngeometry = adjacent\nsamples_per_label = 60\n"
+            "epochs = 1\nstrategies = FT,NN\nseed_data = 11\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        entries = json.loads((out / "summary.json").read_text())["strategies"]
+        assert entries["NN"]["states_predicted"] == 1
+        assert entries["NN"]["average"] == 0.5
+        assert entries["FT"]["states_predicted"] == 2
 
     def test_threshold_file_says_which_features_it_read(self, tiny_run):
         _, out = tiny_run

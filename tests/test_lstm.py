@@ -57,13 +57,16 @@ def masked_sigmoid(x):
 def cell_on(z):
     """``_cell`` run on gate pre-activations ``z`` (4 hidden, batch) as given.
 
-    An identity ``w_gates`` makes the cell's matmul return ``z`` exactly.
-    Returns the activation slab: gates, candidate and ``tanh(c_next)``.
+    ``_cell`` takes weights whose sigmoid columns are halved, so an identity
+    halved on the three sigmoid blocks makes its matmul return each
+    sigmoid gate's ``z/2`` and the candidate's ``z`` exactly.  Returns the
+    activation slab: gates, candidate and ``tanh(c_next)``.
     """
     hs, batch = z.shape[0] // 4, z.shape[1]
     act = np.empty((5 * hs, batch), z.dtype)
     state = np.zeros((3, hs, batch), z.dtype)
-    lstm._cell(np.eye(4 * hs, dtype=z.dtype), z, act, *state)
+    halved_identity = np.diag(np.repeat([0.5, 1.0], [3 * hs, hs])).astype(z.dtype)
+    lstm._cell(halved_identity, z, act, *state)
     return act
 
 
@@ -318,15 +321,17 @@ class TestSinglePrecision:
     @pytest.mark.parametrize("hidden", [1, 32])
     def test_gradient_matches_the_float64_path(self, counts, hidden):
         model = trained_looking(LstmModel(5, hidden, 8, seed=51), seed=52)
-        x = counts[:64]
         y = np.random.default_rng(53).integers(0, 8, size=64)
-        loss32, grad32 = backward(model, x, y)
-        loss64, grad64 = backward(model, x.astype(float), y)
-        assert grad32.dtype == np.float64
-        assert abs(loss32 - loss64) <= 1e-5 * loss64
+        # 150 bins too: the gate gradient sums ten times as many float32 products
+        long = np.random.default_rng(150).poisson(1.5, size=(64, 150, 5)).astype(np.uint16)
         ends = np.cumsum([p.size for p in model.parameters])
-        for got, want in zip(np.split(grad32, ends[:-1]), np.split(grad64, ends[:-1])):
-            assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+        for x in (counts[:64], long):
+            loss32, grad32 = backward(model, x, y)
+            loss64, grad64 = backward(model, x.astype(float), y)
+            assert grad32.dtype == np.float64
+            assert abs(loss32 - loss64) <= 1e-5 * loss64, x.shape
+            for got, want in zip(np.split(grad32, ends[:-1]), np.split(grad64, ends[:-1])):
+                assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want), x.shape
 
     def test_probabilities_match_the_float64_path(self, counts):
         model = trained_looking(LstmModel(5, 32, 8, seed=54), seed=55)
