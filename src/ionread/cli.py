@@ -93,14 +93,33 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be inside (0, 1)")
-        # evaluate.split cuts each label's shots after this many training shots
-        n_train = round(self.train_fraction * self.samples_per_label)
-        if not 0 < n_train < self.samples_per_label:
-            raise ConfigError(
-                f"train_fraction {self.train_fraction} of samples_per_label "
-                f"{self.samples_per_label} leaves no train or no test shot"
-            )
-        self.strategy_names()
+        names = self.strategy_names()
+        self.check_split(networks=any(STRATEGIES[name].kind in _NETWORKS for name in names))
+
+    def check_split(self, networks: bool) -> None:
+        """Refuse a ``train_fraction`` that ``evaluate.split`` cannot cut.
+
+        Every label's shots are cut once into train and test shots.  When
+        ``networks`` train, ``mlp.fit`` cuts each label's training shots
+        again to hold out ``mlp.VALIDATION_FRACTION`` of them; at 0.1 that
+        takes at least 5 training shots a label.
+        """
+        where = (
+            f"train_fraction {self.train_fraction} of samples_per_label "
+            f"{self.samples_per_label} leaves"
+        )
+        try:
+            n_train = evaluate.train_count(self.samples_per_label, self.train_fraction)
+        except evaluate.EvaluationError:
+            raise ConfigError(f"{where} no train or no test shot") from None
+        if networks:
+            try:
+                evaluate.train_count(n_train, 1.0 - mlp.VALIDATION_FRACTION)
+            except evaluate.EvaluationError:
+                raise ConfigError(
+                    f"{where} {n_train} training shots a label, too few for a network "
+                    f"to hold out {mlp.VALIDATION_FRACTION} of them for validation"
+                ) from None
 
     def strategy_names(self) -> list[str]:
         names = [s.strip() for s in self.strategies.split(",") if s.strip()]
@@ -611,6 +630,7 @@ def run_probe(config: ExperimentConfig, out_dir: Path) -> dict:
     shot, then feeds it one photon per (arrival bin, ion channel) and
     records the marginal bright probability of the ion that owns the channel.
     """
+    config.check_split(networks=True)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset, train_idx, _ = _split_dataset(config)
     spec, model, _ = _fit(STRATEGIES["RNN"], dataset, train_idx, config)
@@ -653,6 +673,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> dict:
     set's readout after 0, 1, ... bins from one ``lstm.forward_by_bin``
     pass, so the full-window row is ``run``'s RNN fidelity.
     """
+    config.check_split(networks=True)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset, train_idx, test_idx = _split_dataset(config)
     spec, model, _ = _fit(STRATEGIES["RNN"], dataset, train_idx, config)

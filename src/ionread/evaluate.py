@@ -145,6 +145,18 @@ def improvement(
     return ImprovementResult(value, math.sqrt(variance))
 
 
+def train_count(n: int, fraction: float) -> int:
+    """How many of a label's ``n`` shots :func:`split` puts on the train side.
+
+    That is ``round(fraction * n)``; unless it leaves at least one shot on
+    each side, ``EvaluationError``.
+    """
+    n_train = int(round(fraction * n))
+    if not 0 < n_train < n:
+        raise EvaluationError(f"{n} shots cannot be split at {fraction}")
+    return n_train
+
+
 def split(
     labels: Sequence[str], fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -164,12 +176,11 @@ def split(
     train, test = [], []
     for indices in groups:
         shuffled = indices[rng.permutation(indices.size)]
-        n_train = int(round(fraction * indices.size))
-        if n_train == 0 or n_train == indices.size:
+        try:
+            n_train = train_count(indices.size, fraction)
+        except EvaluationError as exc:
             label = str(state_labels(num_ions)[states[indices[0]]])
-            raise EvaluationError(
-                f"label {label!r}: {indices.size} shots cannot be split at {fraction}"
-            )
+            raise EvaluationError(f"label {label!r}: {exc}") from None
         train.append(shuffled[:n_train])
         test.append(shuffled[n_train:])
     return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))

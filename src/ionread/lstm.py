@@ -33,7 +33,7 @@ from .mlp import (
 DEFAULT_HIDDEN_SIZE = 32
 # inference streams this many sequences at a time, bounding its working set;
 # the block size does not change the probabilities
-INFERENCE_BLOCK_ROWS = 512
+INFERENCE_BLOCK_ROWS = 256
 
 
 def _gate_rows(model: LstmModel, vector: np.ndarray) -> np.ndarray:
@@ -118,38 +118,32 @@ def _cell(
     np.multiply(gate_out, tanh_c, out=h_next)
 
 
-def _unroll(w_gates: np.ndarray, x: np.ndarray, keep: bool):
+def _unroll(w_gates: np.ndarray, x: np.ndarray):
     """Run the cell over every bin of ``x`` (batch, bins, inputs), from zero state.
 
     ``w_gates`` are the model's gate rows; every slab takes ``x``'s compute
     dtype.  The rows are cast to it with the sigmoid gates' columns halved:
     halving is exact, so ``_cell`` reads each ``v/2`` off its one matmul bit
     for bit as if it had halved ``v`` after it.  Returns the slabs ``xh``
-    (``[x_t; h_t; 1]`` per step), ``act`` and ``c`` (cell state per step)
-    and the final hidden state, all gate-major.  With ``keep`` every step
-    has its own slot, as BPTT and per-bin readouts need, and the inputs are
-    copied in at once; without it two slots alternate and only the current
-    state is held.
+    (``[x_t; h_t; 1]`` per step, the state after ``t`` bins in slot ``t``),
+    ``act`` and ``c`` (cell state per step) and the final hidden state, all
+    gate-major.  Every step has its own slot, as BPTT and per-bin readouts
+    need, and the inputs are copied in at once.
     """
     batch, bins, n_in = x.shape
     hs = w_gates.shape[1] // 4
     w_cell = w_gates.astype(x.dtype)
     w_cell[:, : 3 * hs] *= 0.5
-    slots = bins + 1 if keep else 2
-    xh = np.empty((slots, n_in + hs + 1, batch), x.dtype)
+    xh = np.empty((bins + 1, n_in + hs + 1, batch), x.dtype)
     xh[:, -1] = 1.0
     xh[0, n_in:-1] = 0.0
-    if keep:
-        xh[:bins, :n_in] = x.transpose(1, 2, 0)
-    act = np.empty((bins if keep else 1, 5 * hs, batch), x.dtype)
-    c = np.empty((slots, hs, batch), x.dtype)
+    xh[:bins, :n_in] = x.transpose(1, 2, 0)
+    act = np.empty((bins, 5 * hs, batch), x.dtype)
+    c = np.empty((bins + 1, hs, batch), x.dtype)
     c[0] = 0.0
     for t in range(bins):
-        now, after = t % slots, (t + 1) % slots
-        if not keep:
-            xh[now, :n_in] = x[:, t].T
-        _cell(w_cell, xh[now], act[t % len(act)], c[now], c[after], xh[after, n_in:-1])
-    return xh, act, c, xh[bins % slots, n_in:-1]
+        _cell(w_cell, xh[t], act[t], c[t], c[t + 1], xh[t + 1, n_in:-1])
+    return xh, act, c, xh[bins, n_in:-1]
 
 
 def readout(model: LstmModel, h: np.ndarray) -> np.ndarray:
@@ -186,8 +180,8 @@ def _finite_counts(x: np.ndarray) -> np.ndarray:
 def _block_readouts(model: LstmModel, sequences, by_bin: bool) -> np.ndarray:
     """Readouts after the last bin (1, batch, 2**N), or ``by_bin`` after each.
 
-    No backward pass follows, so one block of rows is converted at a time,
-    and without ``by_bin`` only its current state is held, not every bin's.
+    No backward pass follows, so one block of rows is converted and
+    unrolled at a time.
     """
     x = _sequence_array(model, sequences)
     batch, bins, n_in = x.shape
@@ -196,10 +190,9 @@ def _block_readouts(model: LstmModel, sequences, by_bin: bool) -> np.ndarray:
     for start in range(0, batch, INFERENCE_BLOCK_ROWS):
         block = _finite_counts(x[start : start + INFERENCE_BLOCK_ROWS])
         rows = slice(start, start + block.shape[0])
-        xh = _unroll(model.w_gates, block, keep=by_bin)[0]
-        # the state after t bins sits in slot t of ``_unroll``'s cyclic slots
+        xh = _unroll(model.w_gates, block)[0]
         for i, t in enumerate(read_after):
-            probs[i, rows] = readout(model, xh[t % len(xh), n_in:-1].T)
+            probs[i, rows] = readout(model, xh[t, n_in:-1].T)
     return probs
 
 
@@ -229,7 +222,7 @@ def backward(model: LstmModel, sequences, class_indices) -> tuple[float, np.ndar
     x = _finite_counts(_sequence_array(model, sequences))
     y = np.asarray(class_indices, dtype=np.int64)
     batch, bins, _ = x.shape
-    xh, act, c, h_last = _unroll(model.w_gates, x, keep=True)
+    xh, act, c, h_last = _unroll(model.w_gates, x)
     probs = readout(model, h_last.T)
     batch_loss = cross_entropy(probs, y)
 

@@ -325,6 +325,8 @@ def train(
     """
     config = config or TrainConfig()
     features = np.asarray(features)
+    if features.ndim != 2:
+        raise NetworkError(f"features must be (batch, features), got {features.shape}")
     _, num_ions = labels_to_states(labels)
     model = MlpModel(
         [features.shape[1], hidden[0], hidden[1], 2**num_ions], seed=config.seed

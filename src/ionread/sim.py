@@ -454,17 +454,6 @@ def all_labels(num_ions: int) -> list[str]:
     return state_labels(num_ions).tolist()
 
 
-def _pool_entry_index(label_index: int, sample_index: int, ion: int, bit: int,
-                      num_ions: int, samples_per_label: int) -> int:
-    # Sequential cursor into the per-(ion, bit) pool, computable without
-    # global state so generation order cannot matter.  Of every ``2 * half``
-    # consecutive label indices, the last ``half`` have this ion's bit set.
-    half = 1 << (num_ions - 1 - ion)
-    ones = (label_index // (2 * half)) * half + max(0, label_index % (2 * half) - half)
-    earlier = ones if bit else label_index - ones
-    return earlier * samples_per_label + sample_index
-
-
 def _pool_recording(
     ion: int,
     bit: int,
@@ -511,29 +500,6 @@ def _pool_recording(
     if not geometry.intermediate_channels_present:
         keep = np.isin(channels, np.asarray(geometry.ion_channel, dtype=np.int16))
         channels, ticks = channels[keep], ticks[keep]
-    order = np.lexsort((np.arange(channels.size), channels, ticks))
-    return channels[order], ticks[order]
-
-
-def _pooled_events(
-    bits: list[int],
-    label_index: int,
-    sample_index: int,
-    model: EmissionModel,
-    geometry: DetectorGeometry,
-    seed: int,
-    samples_per_label: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    # Superimpose independent single-ion recordings, one per register site,
-    # mirroring readout assembled from single-ion data.  Background enters
-    # once per recording, i.e. num_ions times in total.
-    recordings = []
-    for ion, bit in enumerate(bits):
-        entry = _pool_entry_index(
-            label_index, sample_index, ion, bit, geometry.num_ions, samples_per_label
-        )
-        recordings.append(_pool_recording(ion, bit, entry, model, geometry, seed))
-    channels, ticks = (np.concatenate(column) for column in zip(*recordings))
     order = np.lexsort((np.arange(channels.size), channels, ticks))
     return channels[order], ticks[order]
 
@@ -625,6 +591,7 @@ def generate_dataset(
     """
     seed, samples_per_label, mode = _dataset_fields(seed, samples_per_label, mode)
     parts = []  # (lengths, channels, ticks) of each fresh block or pool label
+    drawn = np.zeros((geometry.num_ions, 2), dtype=np.int64)  # pool entries used per (ion, bit)
     for label_index, bits in enumerate(labels_to_bits(state_labels(geometry.num_ions))):
         if mode == "fresh":
             for block, first in enumerate(range(0, samples_per_label, BLOCK_SHOTS)):
@@ -632,13 +599,19 @@ def generate_dataset(
                 shots = min(BLOCK_SHOTS, samples_per_label - first)
                 parts.append(_fresh_block(bits, shots, model, geometry, rng))
         else:
+            # a shot superimposes the next unused recording of each ion's pool
+            # for its bit, so background enters once per ion; the shots are
             # joined per label, so that no per-shot array outlives its label
-            pooled = [
-                _pooled_events(
-                    bits.tolist(), label_index, k, model, geometry, seed, samples_per_label
-                )
-                for k in range(samples_per_label)
-            ]
+            pooled = []
+            for k in range(samples_per_label):
+                recordings = [
+                    _pool_recording(ion, bit, drawn[ion, bit] + k, model, geometry, seed)
+                    for ion, bit in enumerate(bits.tolist())
+                ]
+                channels, ticks = (np.concatenate(column) for column in zip(*recordings))
+                order = np.lexsort((np.arange(channels.size), channels, ticks))
+                pooled.append((channels[order], ticks[order]))
+            drawn[np.arange(geometry.num_ions), bits] += samples_per_label
             channels, ticks = (np.concatenate(column) for column in zip(*pooled))
             parts.append((np.array([c.size for c, _ in pooled]), channels, ticks))
     lengths, channels, ticks = (np.concatenate(column) for column in zip(*parts))

@@ -4,6 +4,7 @@ import dataclasses
 import faulthandler
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -139,6 +140,10 @@ class TestConfigParsing:
             ExperimentConfig(geometry="single")
         with pytest.raises(ConfigError, match="train_fraction"):
             ExperimentConfig(samples_per_label=1)
+        with pytest.raises(ConfigError, match=r"num_ions must be in \[1, 12\]"):
+            ExperimentConfig(num_ions=13)
+        with pytest.raises(ConfigError, match=r"train_fraction must be inside \(0, 1\)"):
+            ExperimentConfig(train_fraction=1.0)
 
     def test_numpy_numbers_are_stored_as_python_numbers(self, tmp_path):
         config = build_config(overrides={
@@ -176,10 +181,31 @@ class TestConfigParsing:
             build_config({"samples_per_label": samples, "train_fraction": fraction})
 
     def test_train_fraction_accepted_where_split_cuts(self):
-        config = build_config({"samples_per_label": "3", "train_fraction": "0.5"})
+        # no network, so the training shots are not cut again for validation
+        config = build_config(
+            {"samples_per_label": "3", "train_fraction": "0.5", "strategies": "FT,AT"}
+        )
         labels = [label for label in ("0", "1") for _ in range(config.samples_per_label)]
         train, test = evaluate.split(labels, config.train_fraction, config.seed_data)
         assert len(train) == 4 and len(test) == 2
+
+    # mlp.fit cuts each label's training shots again at 1 - VALIDATION_FRACTION,
+    # which needs at least 5 of them
+    @pytest.mark.parametrize("network", ["NN", "NN+", "TNN", "TNN+", "RNN"])
+    @pytest.mark.parametrize("samples, fraction, n_train", [("5", "0.8", 4), ("2", "0.5", 1)])
+    def test_a_network_needs_five_training_shots_a_label(
+        self, network, samples, fraction, n_train
+    ):
+        values = {"samples_per_label": samples, "train_fraction": fraction}
+        expected = (
+            f"train_fraction {fraction} of samples_per_label {samples} leaves {n_train} "
+            "training shots a label, too few for a network to hold out 0.1 of them"
+        )
+        with pytest.raises(ConfigError, match=re.escape(expected)):
+            build_config({**values, "strategies": f"FT,{network}"})
+        assert build_config({**values, "strategies": "FT,AT"}).strategy_names() == ["FT", "AT"]
+        # 6 shots a label at the default 0.8 leave 5 training shots
+        assert build_config({"samples_per_label": "6", "strategies": network}).strategies == network
 
     def test_empty_strategy_list_rejected(self, capsys, tmp_path):
         with pytest.raises(ConfigError, match="strategies"):
@@ -525,6 +551,29 @@ class TestProbeAndSweep:
         assert len(rows) == 1 + 16
         assert rows[1][0] == "0.0" and rows[-1][0] == "150.0"
 
+    def test_too_few_training_shots_for_a_network_exit_2(self, capsys, tmp_path):
+        # 5 shots a label leave 4 training shots, too few to hold out validation
+        config = write_config(tmp_path / "five.cfg", "samples_per_label = 5\n")
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "single", "--config", config, "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ConfigError"
+        assert "samples_per_label 5" in payload["message"]
+        assert "train_fraction 0.8" in payload["message"]
+        assert not out.exists()
+        # the thresholds alone still run on the same config
+        assert main(["run", "--preset", "single", "--config", config, "--strategies", "FT",
+                     "--out", str(out)]) == 0
+        # probe and sweep-time always train the RNN, whatever strategies name
+        config = write_config(tmp_path / "ft.cfg", "samples_per_label = 5\nstrategies = FT\n")
+        for command in ("probe", "sweep-time"):
+            target = tmp_path / command
+            assert main([command, "--preset", "single", "--config", config,
+                         "--out", str(target)]) == 2
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "ConfigError" and "samples_per_label 5" in payload["message"]
+            assert not target.exists()
+
     def test_full_window_sweep_row_is_the_run_fidelity(self, tmp_path):
         # 640 test rows, more than one inference block
         config = write_config(
@@ -672,6 +721,20 @@ class TestModelFiles:
         record["weights"][0] = np.zeros((5, 8)).tolist()
         with pytest.raises(ModelFileError, match=r"weights\[0\] has shape \(5, 8\)"):
             load_model(self.write(tmp_path, record))
+        # a weight that is no number and a NaN weight
+        for layer, value, complaint in (
+            (1, "x", r"weights\[1\] is not a numeric array"),
+            (2, float("nan"), r"weights\[2\] holds non-finite values"),
+        ):
+            record = self.record(tmp_path, mlp.MlpModel([3, 8, 8, 4]))
+            record["weights"][layer][0][0] = value
+            with pytest.raises(ModelFileError, match=complaint):
+                load_model(self.write(tmp_path, record))
+        # two weight matrices for three layers
+        record = self.record(tmp_path, mlp.MlpModel([3, 8, 8, 4]))
+        del record["weights"][2]
+        with pytest.raises(ModelFileError, match="weights must be a list of 3 arrays"):
+            load_model(self.write(tmp_path, record))
 
     def test_lstm_weight_shape_contradicts_sizes(self, tmp_path):
         record = self.record(tmp_path, lstm.LstmModel(3, 4, 4))
@@ -775,6 +838,15 @@ class TestModelFiles:
         for table in ({"0": 1}, {"0": 1, "1": "3"}):
             record["context_thresholds"][0] = table
             with pytest.raises(ModelFileError, match=r"context_thresholds\[0\]"):
+                load_model(self.write(tmp_path, record))
+        # one table for two ions, and a starved context of an ion the register lacks
+        for key, value, complaint in (
+            ("context_thresholds", [{"0": 1, "1": 3}], "context_thresholds must hold 2 tables"),
+            ("starved_contexts", [[5, "0"]], r"starved_contexts must list \(ion, context\) pairs"),
+        ):
+            record = self.record(tmp_path, two_ion_adaptive_model())
+            record[key] = value
+            with pytest.raises(ModelFileError, match=complaint):
                 load_model(self.write(tmp_path, record))
 
 

@@ -81,6 +81,8 @@ class TestConfusion:
     def test_length_mismatch_raises(self):
         with pytest.raises(EvaluationError):
             confusion(["0"], ["0", "1"])
+        with pytest.raises(EvaluationError, match="empty evaluation set"):
+            confusion([], [])
 
     @pytest.mark.parametrize("bad", ["0a1", "01", "0111", "012"])
     def test_bad_predicted_label_raises(self, bad):

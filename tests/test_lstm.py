@@ -157,7 +157,7 @@ class TestForward:
     def test_hidden_state_strictly_inside_unit_box(self):
         model = LstmModel(2, 6, 4, seed=3)
         x = np.random.default_rng(4).normal(scale=50.0, size=(8, 10, 2))
-        xh = lstm._unroll(model.w_gates, x, keep=True)[0]
+        xh = lstm._unroll(model.w_gates, x)[0]
         # every bin's hidden state, rows 2 to 7 of its [x_t; h_t; 1] slot
         assert np.all(np.abs(xh[:, 2:-1]) < 1.0)
 
@@ -165,7 +165,7 @@ class TestForward:
         model = LstmModel(2, 6, 4, seed=5)
         bins = 7
         x = np.random.default_rng(6).normal(scale=50.0, size=(8, bins, 2))
-        c = lstm._unroll(model.w_gates, x, keep=True)[2]
+        c = lstm._unroll(model.w_gates, x)[2]
         for t in range(bins + 1):
             assert np.all(np.abs(c[t]) <= t)
 
@@ -205,7 +205,8 @@ class TestStreaming:
     # last one; the first two widths are small, the last the 3q RNN's
     @pytest.mark.parametrize("dtype", ["uint16", "float64"])
     def test_each_bin_is_forward_over_that_prefix(self, dtype):
-        for rows in (1, 4, 511, 512, 513, 812, 1025, 5000):
+        b = lstm.INFERENCE_BLOCK_ROWS
+        for rows in (1, 4, b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1, 812, 1025, 5000):
             for inputs, hidden, outputs in ((2, 5, 4), (3, 6, 4), (5, 32, 8)):
                 rng = np.random.default_rng(rows + hidden)
                 model = trained_looking(LstmModel(inputs, hidden, outputs), seed=rows)
@@ -278,7 +279,7 @@ class TestCountInput:
     def test_block_size_keeps_probabilities_bit_identical(self, counts, monkeypatch):
         model = LstmModel(5, 32, 8, seed=42)
         x = counts[:16_800]
-        assert lstm.INFERENCE_BLOCK_ROWS == 512
+        assert lstm.INFERENCE_BLOCK_ROWS == 256
         blocked = forward(model, x)
         monkeypatch.setattr(lstm, "INFERENCE_BLOCK_ROWS", 2048)
         np.testing.assert_array_equal(forward(model, x), blocked)
@@ -499,7 +500,7 @@ class TestLoopReference:
         # each bin's readout, from the hidden state that bin starts with
         by_bin = [readout(model, h) for h, *_ in cache] + [expected]
         np.testing.assert_allclose(forward_by_bin(model, x), by_bin, rtol=0, atol=1e-12)
-        c = lstm._unroll(model.w_gates, x[:50], keep=True)[2]
+        c = lstm._unroll(model.w_gates, x[:50])[2]
         np.testing.assert_allclose(c[-1].T, c_expected[:50], rtol=0, atol=1e-12)
 
 

@@ -96,6 +96,12 @@ class TestForwardLoss:
             with pytest.raises(NetworkError, match=expected):
                 call(np.ones(shape))
 
+    @pytest.mark.parametrize("shape", [(10,), (10, 1, 3)])
+    def test_train_checks_the_rank_before_building_the_model(self, shape):
+        expected = rf"features must be \(batch, features\), got {re.escape(str(shape))}"
+        with pytest.raises(NetworkError, match=expected):
+            train(np.zeros(shape), ["0", "1"] * 5, (8, 8))
+
     def test_hidden_width_bounds_enforced(self):
         with pytest.raises(NetworkError):
             MlpModel([3, 7, 8, 2])

@@ -113,17 +113,26 @@ class TestGenerateDataset:
         expected = 2 * 3 * model.background_rate * model.window_us
         assert abs(dark.mean() - expected) < 5.0 * np.sqrt(expected / dark.size)
 
-    def test_pool_entry_index_matches_label_scan(self):
-        for num_ions in range(1, 8):
-            for label_index in range(2**num_ions):
+    @pytest.mark.parametrize("num_ions", range(1, 6))
+    def test_pool_shot_merges_the_next_recording_of_each_ion(self, num_ions):
+        # entry e of an (ion, bit) pool goes to the e-th shot, in label order,
+        # whose label gives that ion that bit
+        model, seed, per_label = sim.EmissionModel(), 6, 2
+        for geometry in (sim.alternating_geometry(num_ions), sim.adjacent_geometry(num_ions)):
+            ds = sim.generate_dataset(model, geometry, per_label, seed, mode="pool")
+            for shot, sample in enumerate(ds.samples):
+                label_index, k = divmod(shot, per_label)
+                recordings = []
                 for ion in range(num_ions):
                     mask = 1 << (num_ions - 1 - ion)
-                    for bit in (0, 1):
-                        earlier = sum(
-                            1 for l in range(label_index) if bool(l & mask) == bool(bit)
-                        )
-                        got = sim._pool_entry_index(label_index, 3, ion, bit, num_ions, 7)
-                        assert got == earlier * 7 + 3
+                    bit = int(bool(label_index & mask))
+                    earlier = sum(1 for l in range(label_index) if bool(l & mask) == bool(bit))
+                    entry = earlier * per_label + k
+                    recordings.append(sim._pool_recording(ion, bit, entry, model, geometry, seed))
+                channels, ticks = (np.concatenate(column) for column in zip(*recordings))
+                order = np.lexsort((channels, ticks))
+                np.testing.assert_array_equal(sample.channels, channels[order])
+                np.testing.assert_array_equal(sample.ticks, ticks[order])
 
     def test_rejects_too_many_ions(self):
         with pytest.raises(sim.SimulationError):
@@ -696,6 +705,11 @@ class TestCalibration:
     def test_unreachable_target_raises(self):
         with pytest.raises(sim.CalibrationError):
             sim.calibrate_to_fidelity(0.9999)  # background alone forbids this
+        with pytest.raises(sim.CalibrationError, match=r"must be in \(0, 1\], got 0.0"):
+            sim.calibrate_to_fidelity(0.0)
+        # even the largest pump multiplier reads better than 0.2
+        with pytest.raises(sim.CalibrationError, match="target 0.2 not bracketed"):
+            sim.calibrate_to_fidelity(0.2)
 
     def test_iteration_cap_reported(self, monkeypatch):
         monkeypatch.setattr(sim, "CALIBRATION_TOLERANCE", 1e-15)
@@ -720,6 +734,12 @@ class TestSerialisation:
         for s0, s1 in zip(ds.samples, back.samples):
             np.testing.assert_array_equal(s0.channels, s1.channels)
             np.testing.assert_array_equal(s0.times, s1.times)
+        # blank lines between shots are skipped
+        header, *shots = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "\n" + "".join(line + "  \n" for line in shots))
+        spaced = sim.load_dataset(path)
+        for column in ("offsets", "channels", "ticks"):
+            np.testing.assert_array_equal(getattr(spaced, column), getattr(ds, column))
 
     @pytest.mark.parametrize("mode", ["fresh", "pool"])
     def test_saving_a_loaded_file_rewrites_it_byte_for_byte(self, tmp_path, mode):
@@ -1020,6 +1040,8 @@ class TestHeaderValidation:
         header["mode"] = "replay"
         message = self.load_with_header(tmp_path, lines, header)
         assert "unknown generation mode 'replay'" in message
+        with pytest.raises(sim.SimulationError, match="unknown generation mode 'x'"):
+            sim.expected_channel_means(sim.EmissionModel(), sim.adjacent_geometry(1), "x")
 
     @pytest.mark.parametrize(
         "key, value",
@@ -1050,6 +1072,10 @@ class TestGeometryValidation:
     def test_duplicate_ion_channels_rejected(self):
         with pytest.raises(sim.SimulationError):
             sim.DetectorGeometry(2, 3, (1, 1), ((1, 0, 0), (0, 0, 1)))
+        with pytest.raises(sim.SimulationError, match="ion_channel must list one channel per ion"):
+            sim.DetectorGeometry(2, 3, (0,), ((1, 0, 0), (0, 0, 1)))
+        with pytest.raises(sim.SimulationError, match=r"ion channel 5 outside \[0, 3\)"):
+            sim.DetectorGeometry(2, 3, (0, 5), ((1, 0, 0), (0, 0, 1)))
 
     @pytest.mark.parametrize(
         "field, geometry_args",

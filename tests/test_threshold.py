@@ -63,6 +63,10 @@ class TestFitFixed:
     def test_non_integer_counts_rejected(self):
         with pytest.raises(threshold.ThresholdError):
             threshold.fit_fixed(np.array([[0.5], [2.0]]), ["0", "1"])
+        with pytest.raises(threshold.ThresholdError, match=r"counts must be 2-d \(shots, ions\)"):
+            threshold.fit_fixed(np.array([0, 2]), ["0", "1"])
+        with pytest.raises(threshold.ThresholdError, match="counts must be >= 0"):
+            threshold.fit_fixed(np.array([[-1], [2]]), ["0", "1"])
 
     def test_whole_float_counts_rejected(self):
         # counts are integer arrays; a float array is refused, whole or not
