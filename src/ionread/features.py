@@ -30,8 +30,8 @@ class FeatureError(ValueError):
 class FeatureSpec:
     """How to reduce a shot to numbers.
 
-    ``num_bins`` time bins of equal width cover the detection window, the
-    final bin absorbing any floating-point remainder.  When
+    ``num_bins`` equal time bins cover the detection window: tick ``k`` of a
+    ``W``-tick window lands in bin ``min(k * num_bins // W, num_bins - 1)``.  When
     ``include_intermediate`` is false only ion channels are kept, in ion
     order; otherwise all recorded channels are kept, in channel order.
     """
@@ -64,8 +64,8 @@ def _count_images(
 ) -> np.ndarray:
     """uint16 click counts per shot, time bin and selected channel, shape (n, bins, channels).
 
-    An event at time t lands in bin ``floor(t / bin_width)`` of its own shot's
-    window, or in the final bin when that floor is past it (t at window end).
+    Tick ``k`` of a shot whose window is ``W`` ticks lands in bin
+    ``min(k * bins // W, bins - 1)``: one division, integer numerator, exact.
     A count above ``MAX_COUNT`` raises :class:`FeatureError` naming the shot:
     its index in the dataset for a :class:`Samples` view, else its position.
     """
@@ -79,8 +79,9 @@ def _count_images(
     counts = np.zeros((len(samples), bins, rows), dtype=np.uint16)
     for start in range(0, len(samples), BLOCK_SHOTS):
         block = samples[start : start + BLOCK_SHOTS]
-        shot, channels, times, window_us = stack_events(block)
-        col = np.minimum((times // (window_us / bins)[shot]).astype(np.int64), bins - 1)
+        shot, channels, ticks, window_ticks = stack_events(block)
+        numerator = ticks.astype(np.int64) * bins
+        col = np.minimum((numerator // window_ticks[shot]).astype(np.int64), bins - 1)
         row = row_of[channels]
         cell = shot * cells + col * rows + row
         block_counts = np.bincount(cell[row >= 0], minlength=len(block) * cells)

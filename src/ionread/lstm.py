@@ -23,11 +23,10 @@ from .mlp import (
     TrainConfig,
     checked_array,
     checked_size,
-    cross_entropy,
     fit,
-    parameter_slab,
     probabilities_to_labels,
     softmax,
+    softmax_head,
 )
 
 DEFAULT_HIDDEN_SIZE = 32
@@ -220,17 +219,11 @@ def backward(model: LstmModel, sequences, class_indices) -> tuple[float, np.ndar
     off the same forward pass the gradient needs.
     """
     x = _finite_counts(_sequence_array(model, sequences))
-    y = np.asarray(class_indices, dtype=np.int64)
     batch, bins, _ = x.shape
     xh, act, c, h_last = _unroll(model.w_gates, x)
     probs = readout(model, h_last.T)
-    batch_loss = cross_entropy(probs, y)
-
-    delta = probs.copy()
-    delta[np.arange(batch), y] -= 1.0
-    delta /= batch
-    grad, (*_, grad_w_readout, grad_b_readout) = parameter_slab(
-        [p.shape for p in model.parameters]
+    batch_loss, delta, grad, (*_, grad_w_readout, grad_b_readout) = softmax_head(
+        model, probs, class_indices
     )
     np.matmul(h_last, delta, out=grad_w_readout)
     delta.sum(axis=0, out=grad_b_readout)

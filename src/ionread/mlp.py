@@ -186,6 +186,16 @@ def cross_entropy(probs: np.ndarray, class_indices) -> float:
     return float(-np.log(np.maximum(picked, PROBABILITY_FLOOR)).mean())
 
 
+def softmax_head(model: Network, probs: np.ndarray, class_indices):
+    """Every ``backward``'s start: the cross-entropy of ``probs``, its logit
+    gradient ``(probs - one_hot) / batch`` and a zeroed :func:`parameter_slab`."""
+    y = np.asarray(class_indices, dtype=np.int64)
+    delta = probs.copy()
+    delta[np.arange(probs.shape[0]), y] -= 1.0
+    delta /= probs.shape[0]
+    return cross_entropy(probs, y), delta, *parameter_slab([p.shape for p in model.parameters])
+
+
 def probabilities_to_labels(probs: np.ndarray, num_ions: int) -> list[str]:
     """Most probable register label per row; ties go to the lowest index."""
     return state_labels(num_ions)[np.argmax(probs, axis=1)].tolist()
@@ -199,16 +209,9 @@ def backward(model: MlpModel, x, class_indices) -> tuple[float, np.ndarray]:
     zero gradient at exactly zero input.
     """
     x = _validate_input(model, x)
-    y = np.asarray(class_indices, dtype=np.int64)
     a1, a2, probs = _forward_cached(model, x)
-    batch_loss = cross_entropy(probs, y)
-    batch = x.shape[0]
-    delta = probs.copy()
-    delta[np.arange(batch), y] -= 1.0
-    delta /= batch
-    grad, (grad_w1, grad_w2, grad_w3, grad_b1, grad_b2, grad_b3) = parameter_slab(
-        [p.shape for p in model.parameters]
-    )
+    batch_loss, delta, grad, views = softmax_head(model, probs, class_indices)
+    grad_w1, grad_w2, grad_w3, grad_b1, grad_b2, grad_b3 = views
     np.matmul(a2.T, delta, out=grad_w3)
     delta.sum(axis=0, out=grad_b3)
     back2 = (delta @ model.weights[2].T) * (a2 > 0.0)

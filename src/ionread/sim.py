@@ -420,33 +420,34 @@ class Samples(Sequence):
         )
 
     def events(self) -> tuple[np.ndarray, ...]:
-        """:func:`stack_events` of this view, read from the columns."""
+        """:func:`stack_events` of this view: stored ticks, windows in ticks."""
         ds = self._dataset
         index = self.shots
         starts = ds.offsets[index]
         lengths = ds.offsets[index + 1] - starts
         shot = np.repeat(np.arange(index.size), lengths)
         event = np.arange(shot.size) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        windows = np.full(index.size, ds.model.window_us)
-        return shot, ds.channels[event], _times(ds.ticks[event]), windows
+        windows = np.full(index.size, ds.model.window_us * TICKS_PER_US)
+        return shot, ds.channels[event], ds.ticks[event], windows
 
 
 def stack_events(samples: Sequence[ReadoutSample]) -> tuple[np.ndarray, ...]:
-    """Every shot's events end to end: ``(shot, channels, times, window_us)``.
+    """Every shot's events end to end: ``(shot, channels, ticks, window_ticks)``.
 
-    The first three hold one entry per event, ``shot`` being the event's
-    index into ``samples``; ``window_us`` holds one entry per shot.  A
-    :class:`Samples` view is read from its columns; any other sequence is
-    stacked shot by shot, which serves callers that hold shots in a list,
-    such as the readout-3q benchmark streaming held-out shots.
+    The first three hold one entry per event: its index into ``samples``, its
+    channel and its uint16 tick ``k``.  ``window_ticks`` holds each shot's
+    ``W = window_us * TICKS_PER_US``; of ``bins`` bins, ``k`` falls in
+    ``min(k * bins // W, bins - 1)``.  A :class:`Samples` view is read from
+    its columns; any other sequence is stacked shot by shot, for callers that
+    hold shots in a list, such as the readout-3q benchmark's held-out shots.
     """
     if isinstance(samples, Samples):
         return samples.events()
     lengths = [s.channels.shape[0] for s in samples]
     channels = np.concatenate([s.channels for s in samples])
-    times = _times(np.concatenate([s.ticks for s in samples]))
-    windows = np.array([s.window_us for s in samples], dtype=float)
-    return np.repeat(np.arange(len(samples)), lengths), channels, times, windows
+    ticks = np.concatenate([s.ticks for s in samples])
+    windows = np.array([s.window_us for s in samples], dtype=float) * TICKS_PER_US
+    return np.repeat(np.arange(len(samples)), lengths), channels, ticks, windows
 
 
 def all_labels(num_ions: int) -> list[str]:

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import faulthandler
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -1050,6 +1051,28 @@ class TestTrainingPool:
             caller.wait(timeout=10)
             if worker is not None and process_alive(worker):
                 os.kill(worker, signal.SIGKILL)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failed_dataset_write_stops_the_run(self, tmp_path, monkeypatch, capsys, cpus):
+        # one CPU writes the dataset here before training; two write it in the
+        # pool while the caller trains RNN, then cancel what is queued
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        before = set(multiprocessing.active_children())
+        out = tmp_path / "out"
+        (out / "dataset.jsonl").mkdir(parents=True)
+        config = write_config(
+            tmp_path / "jobs2.cfg", "preset = 3q\nsamples_per_label = 20\nepochs = 1\nn_jobs = 2\n"
+        )
+        faulthandler.dump_traceback_later(300, exit=True, file=sys.__stderr__)
+        try:
+            code = main(["run", "--config", config, "--out", str(out)])
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert code == 2
+        stream = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert stream["error"] == "IsADirectoryError"
+        assert not (out / "summary.json").exists() and not (out / "models").exists()
+        assert set(multiprocessing.active_children()) == before
 
     def test_a_dead_worker_fails_its_strategies_not_the_run(
         self, tmp_path, monkeypatch, capsys

@@ -76,6 +76,44 @@ class TestBinSample:
         counts = image(sample, features.FeatureSpec(num_bins=4), geometry)
         assert counts[0, 3] == 1
 
+    def test_an_event_on_a_bin_edge_opens_that_bin(self):
+        # tick k of an m-tick window lands in bin min(k * bins // m, bins - 1);
+        # float microseconds over a float bin width put 20, 40, 60 and 80 us
+        # of a 100 us window at 15 bins into bins 2, 5, 8 and 11
+        geometry = sim.adjacent_geometry(1)
+        for m in [*range(1, 301), 1000, 1500, 2000, 3000]:
+            # shot k of label "0" holds one event, at tick k; the rest are empty
+            k = np.arange(m + 1)
+            ds = sim.Dataset(
+                np.minimum(np.arange(2 * m + 3), m + 1),
+                np.zeros(m + 1, dtype=np.int16),
+                k.astype(np.uint16),
+                geometry,
+                sim.EmissionModel(window_us=m / sim.TICKS_PER_US),
+                seed=0,
+                samples_per_label=m + 1,
+            )
+            for bins in (1, 2, 3, 4, 5, 6, 7, 10, 15, 16, 20, 30):
+                counts = features.featurize_dataset(
+                    ds.samples[: m + 1], features.FeatureSpec(bins), geometry
+                )
+                expected = np.eye(bins, dtype=np.uint16)[np.minimum(k * bins // m, bins - 1)]
+                np.testing.assert_array_equal(counts, expected, err_msg=f"{m} ticks, {bins} bins")
+
+    def test_featurizing_derives_no_float_time(self, geometry3, monkeypatch):
+        def no_times(ticks):
+            raise AssertionError("float times derived while featurizing")
+
+        ds = sim.generate_dataset(sim.EmissionModel(), geometry3, 5, seed=10)
+        shots = list(ds.samples)
+        monkeypatch.setattr(sim, "_times", no_times)
+        for num_bins in (1, 5, 15):
+            spec = features.FeatureSpec(num_bins, include_intermediate=True)
+            for to_images in (features.featurize_dataset, features.sequence_dataset):
+                np.testing.assert_array_equal(
+                    to_images(ds.samples, spec, geometry3), to_images(shots, spec, geometry3)
+                )
+
 
 class TestFlatten:
     def test_row_major_order_and_round_trip(self, geometry3):

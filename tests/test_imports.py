@@ -1,5 +1,6 @@
-"""Every module of the package uses every name it imports, and every private
-name a module defines is read somewhere in the package."""
+"""Every module of the package uses every name it imports, every private
+name a module defines is read somewhere in the package, and no module reads
+another module's private name."""
 import ast
 from pathlib import Path
 
@@ -113,3 +114,47 @@ def test_every_private_name_is_read_in_the_package():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert sum(len(private_names(source)) for source in sources.values()) > 0
     assert orphaned_private_names(sources) == []
+
+
+def foreign_private_reads(sources: dict[str, str]) -> list[str]:
+    """Where a module of ``sources`` reads a private name another one defines.
+
+    The package imports its own modules relatively, so a read is either
+    ``from .sim import _times`` or ``sim._times`` after ``from . import sim``.
+    """
+    private = {Path(file).stem: set(private_names(source)) for file, source in sources.items()}
+    found = []
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        modules = {}  # local name -> the package module it is bound to
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name in private.get(node.module, ()):
+                    found.append(f"{file} line {node.lineno}: {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                module = modules.get(node.value.id)
+                if node.attr in private.get(module, ()):
+                    found.append(f"{file} line {node.lineno}: {module}.{node.attr}")
+    return found
+
+
+def test_the_checker_finds_a_read_of_another_modules_private_name():
+    sources = {
+        "a.py": "_SHARED = 1\n_OWN = 2\ndef _helper():\n    return _OWN\n",
+        "b.py": (
+            "from .a import _SHARED, public\nfrom . import a as alias\nimport a\n"
+            "def f(x):\n    return alias._helper(), a._OWN, x._OWN, alias.public\n"
+        ),
+    }
+    # an absolute "import a" is not the package's own module, nor is x
+    assert foreign_private_reads(sources) == ["b.py line 1: a._SHARED", "b.py line 5: a._helper"]
+
+
+def test_no_module_reads_another_modules_private_name():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert foreign_private_reads(sources) == []

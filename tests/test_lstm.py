@@ -196,6 +196,9 @@ class TestForward:
         ):
             with pytest.raises(NetworkError, match=expected):
                 call(np.ones(shape, dtype=np.uint16))
+        expected = rf"sequences must be \(batch, bins, channels\), got {re.escape(str(shape))}"
+        with pytest.raises(NetworkError, match=expected):
+            train(np.ones(shape, dtype=np.uint16), ["0", "1"] * 5)
 
 
 class TestStreaming:

@@ -107,6 +107,10 @@ class TestForwardLoss:
             MlpModel([3, 7, 8, 2])
         with pytest.raises(NetworkError):
             MlpModel([3, 8, 41, 2])
+        expected = r"layer_sizes must be \[input, hidden, hidden, output\]"
+        for sizes in ([3, 8, 2], [3, 8, 8, 8, 2]):
+            with pytest.raises(NetworkError, match=expected):
+                MlpModel(sizes)
 
     def test_output_must_be_power_of_two(self):
         with pytest.raises(NetworkError):

@@ -1,4 +1,6 @@
 """Threshold fitting and iteration against exact-CDF and truth-table oracles."""
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import poisson
@@ -67,6 +69,11 @@ class TestFitFixed:
             threshold.fit_fixed(np.array([0, 2]), ["0", "1"])
         with pytest.raises(threshold.ThresholdError, match="counts must be >= 0"):
             threshold.fit_fixed(np.array([[-1], [2]]), ["0", "1"])
+        for counts in (np.array([[0], [2]]), np.array([[0, 1], [2, 3], [4, 5]])):
+            shape = re.escape(str(counts.shape))
+            expected = rf"counts shape {shape} does not match labels shape \(2, 2\)"
+            with pytest.raises(threshold.ThresholdError, match=expected):
+                threshold.fit_fixed(counts, ["00", "11"])
 
     def test_whole_float_counts_rejected(self):
         # counts are integer arrays; a float array is refused, whole or not
