@@ -55,7 +55,7 @@ class ExperimentConfig:
 
     Every field must have its default's type (a bool is no number); numpy
     numbers are stored as Python numbers.  Any failure is a ``ConfigError``
-    that names the key.
+    that names the key.  The split rule is checked by ``_split_dataset``.
     """
 
     num_ions: int = 1
@@ -93,33 +93,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be inside (0, 1)")
-        names = self.strategy_names()
-        self.check_split(networks=any(STRATEGIES[name].kind in _NETWORKS for name in names))
-
-    def check_split(self, networks: bool) -> None:
-        """Refuse a ``train_fraction`` that ``evaluate.split`` cannot cut.
-
-        Every label's shots are cut once into train and test shots.  When
-        ``networks`` train, ``mlp.fit`` cuts each label's training shots
-        again to hold out ``mlp.VALIDATION_FRACTION`` of them; at 0.1 that
-        takes at least 5 training shots a label.
-        """
-        where = (
-            f"train_fraction {self.train_fraction} of samples_per_label "
-            f"{self.samples_per_label} leaves"
-        )
-        try:
-            n_train = evaluate.train_count(self.samples_per_label, self.train_fraction)
-        except evaluate.EvaluationError:
-            raise ConfigError(f"{where} no train or no test shot") from None
-        if networks:
-            try:
-                evaluate.train_count(n_train, 1.0 - mlp.VALIDATION_FRACTION)
-            except evaluate.EvaluationError:
-                raise ConfigError(
-                    f"{where} {n_train} training shots a label, too few for a network "
-                    f"to hold out {mlp.VALIDATION_FRACTION} of them for validation"
-                ) from None
+        self.strategy_names()
 
     def strategy_names(self) -> list[str]:
         names = [s.strip() for s in self.strategies.split(",") if s.strip()]
@@ -314,6 +288,8 @@ def run_strategy(
     report = evaluate.fidelity(counts, strategy=spec.name)
     # a readout that reads every test shot as one state shows as 1 here
     diagnostics["states_predicted"] = int(np.count_nonzero(counts.sum(axis=0)))
+    # always reading one state scores 1 / 2**num_ions; a dead network does no better
+    diagnostics["beats_constant_readout"] = bool(report.average > 0.5**dataset.geometry.num_ions)
     seconds = time.perf_counter() - started
     return StrategyResult(spec.name, report, model, history, fspec, seconds, diagnostics)
 
@@ -409,8 +385,32 @@ def _make_dataset(config: ExperimentConfig) -> sim.Dataset:
     return sim.generate_dataset(model, geometry, config.samples_per_label, config.seed_data)
 
 
-def _split_dataset(config: ExperimentConfig) -> tuple[sim.Dataset, np.ndarray, np.ndarray]:
-    """The config's dataset and its train and test shot indices."""
+def _split_dataset(
+    config: ExperimentConfig, networks: bool
+) -> tuple[sim.Dataset, np.ndarray, np.ndarray]:
+    """The config's dataset and its train and test shot indices.
+
+    A ``train_fraction`` that ``evaluate.split`` cannot cut is a ``ConfigError``
+    raised before any shot is drawn.  When ``networks`` train, ``mlp.fit`` cuts
+    each label's training shots again to hold out ``mlp.VALIDATION_FRACTION``
+    of them; at 0.1 that takes at least 5 training shots a label.
+    """
+    where = (
+        f"train_fraction {config.train_fraction} of samples_per_label "
+        f"{config.samples_per_label} leaves"
+    )
+    try:
+        n_train = evaluate.train_count(config.samples_per_label, config.train_fraction)
+    except evaluate.EvaluationError:
+        raise ConfigError(f"{where} no train or no test shot") from None
+    if networks:
+        try:
+            evaluate.train_count(n_train, 1.0 - mlp.VALIDATION_FRACTION)
+        except evaluate.EvaluationError:
+            raise ConfigError(
+                f"{where} {n_train} training shots a label, too few for a network "
+                f"to hold out {mlp.VALIDATION_FRACTION} of them for validation"
+            ) from None
     dataset = _make_dataset(config)
     return dataset, *evaluate.split(dataset.labels, config.train_fraction, config.seed_data)
 
@@ -571,6 +571,9 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> dict:
     and the summary that an earlier run left in ``out_dir`` are deleted
     first, so it holds this run's alone.
     """
+    names = config.strategy_names()
+    networks = any(STRATEGIES[name].kind in _NETWORKS for name in names)
+    dataset, train_idx, test_idx = _split_dataset(config, networks)
     out_dir.mkdir(parents=True, exist_ok=True)
     # artifacts of an earlier run into the same directory
     for pattern in (
@@ -578,8 +581,6 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> dict:
     ):
         for stale in out_dir.glob(pattern):
             stale.unlink()
-    names = config.strategy_names()
-    dataset, train_idx, test_idx = _split_dataset(config)
     task = (dataset, train_idx, test_idx, config)
     outcomes = _train_all(names, task, str(out_dir / "dataset.jsonl"), config.n_jobs)
     results: dict[str, StrategyResult] = {}
@@ -630,9 +631,8 @@ def run_probe(config: ExperimentConfig, out_dir: Path) -> dict:
     shot, then feeds it one photon per (arrival bin, ion channel) and
     records the marginal bright probability of the ion that owns the channel.
     """
-    config.check_split(networks=True)
+    dataset, train_idx, _ = _split_dataset(config, networks=True)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset, train_idx, _ = _split_dataset(config)
     spec, model, _ = _fit(STRATEGIES["RNN"], dataset, train_idx, config)
     geometry = dataset.geometry
     channel_ids = spec.channel_ids(geometry)
@@ -673,9 +673,8 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> dict:
     set's readout after 0, 1, ... bins from one ``lstm.forward_by_bin``
     pass, so the full-window row is ``run``'s RNN fidelity.
     """
-    config.check_split(networks=True)
+    dataset, train_idx, test_idx = _split_dataset(config, networks=True)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset, train_idx, test_idx = _split_dataset(config)
     spec, model, _ = _fit(STRATEGIES["RNN"], dataset, train_idx, config)
     sequences = features.sequence_dataset(dataset.samples[test_idx], spec, dataset.geometry)
     test_labels = dataset.labels[test_idx]
@@ -753,8 +752,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _config_from_args(args)
         out_dir = Path(args.out)
         if args.command == "generate":
-            out_dir.mkdir(parents=True, exist_ok=True)
             dataset = _make_dataset(config)
+            out_dir.mkdir(parents=True, exist_ok=True)
             sim.save_dataset(dataset, str(out_dir / "dataset.jsonl"))
             print(f"wrote {len(dataset)} shots to {out_dir / 'dataset.jsonl'}")
             return 0

@@ -192,11 +192,9 @@ def write_fidelity_csv(reports: Sequence[FidelityReport], path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "state", "fidelity", "stderr", "shots"])
         for report in reports:
-            labels = state_labels(int(np.log2(len(report.per_state)))).tolist()
-            for label, fid, se, n in zip(
-                labels, report.per_state, report.per_state_stderr, report.shots_per_state
-            ):
-                writer.writerow([report.strategy, label, f"{fid:.6f}", f"{se:.6f}", int(n)])
+            for label, row in report_to_dict(report)["per_state"].items():
+                fid, se, n = row.values()
+                writer.writerow([report.strategy, label, f"{fid:.6f}", f"{se:.6f}", n])
             writer.writerow(
                 [report.strategy, "average", f"{report.average:.6f}",
                  f"{report.average_stderr:.6f}", int(report.shots_per_state.sum())]

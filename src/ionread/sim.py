@@ -419,17 +419,6 @@ class Samples(Sequence):
             ds.ticks[lo:hi],
         )
 
-    def events(self) -> tuple[np.ndarray, ...]:
-        """:func:`stack_events` of this view: stored ticks, windows in ticks."""
-        ds = self._dataset
-        index = self.shots
-        starts = ds.offsets[index]
-        lengths = ds.offsets[index + 1] - starts
-        shot = np.repeat(np.arange(index.size), lengths)
-        event = np.arange(shot.size) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        windows = np.full(index.size, ds.model.window_us * TICKS_PER_US)
-        return shot, ds.channels[event], ds.ticks[event], windows
-
 
 def stack_events(samples: Sequence[ReadoutSample]) -> tuple[np.ndarray, ...]:
     """Every shot's events end to end: ``(shot, channels, ticks, window_ticks)``.
@@ -442,7 +431,13 @@ def stack_events(samples: Sequence[ReadoutSample]) -> tuple[np.ndarray, ...]:
     hold shots in a list, such as the readout-3q benchmark's held-out shots.
     """
     if isinstance(samples, Samples):
-        return samples.events()
+        ds, index = samples._dataset, samples.shots
+        starts = ds.offsets[index]
+        lengths = ds.offsets[index + 1] - starts
+        shot = np.repeat(np.arange(index.size), lengths)
+        event = np.arange(shot.size) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        windows = np.full(index.size, ds.model.window_us * TICKS_PER_US)
+        return shot, ds.channels[event], ds.ticks[event], windows
     lengths = [s.channels.shape[0] for s in samples]
     channels = np.concatenate([s.channels for s in samples])
     ticks = np.concatenate([s.ticks for s in samples])

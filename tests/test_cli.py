@@ -134,13 +134,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
             ExperimentConfig(**{key: value})
 
-    def test_direct_construction_runs_the_checks(self):
+    def test_direct_construction_runs_the_checks(self, tmp_path):
         with pytest.raises(ConfigError, match="epochs must be >= 1, got 0"):
             ExperimentConfig(epochs=0)
         with pytest.raises(ConfigError, match="geometry"):
             ExperimentConfig(geometry="single")
+        # the split rule is checked by the commands that split
         with pytest.raises(ConfigError, match="train_fraction"):
-            ExperimentConfig(samples_per_label=1)
+            cli.run_experiment(ExperimentConfig(samples_per_label=1), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
         with pytest.raises(ConfigError, match=r"num_ions must be in \[1, 12\]"):
             ExperimentConfig(num_ions=13)
         with pytest.raises(ConfigError, match=r"train_fraction must be inside \(0, 1\)"):
@@ -177,9 +179,11 @@ class TestConfigParsing:
 
     # evaluate.split cuts each label at round(train_fraction * samples_per_label)
     @pytest.mark.parametrize("samples, fraction", [("3", "0.9"), ("2", "0.2"), ("40", "0.99")])
-    def test_train_fraction_must_leave_train_and_test_shots(self, samples, fraction):
+    def test_train_fraction_must_leave_train_and_test_shots(self, tmp_path, samples, fraction):
+        config = build_config({"samples_per_label": samples, "train_fraction": fraction})
         with pytest.raises(ConfigError, match="train_fraction"):
-            build_config({"samples_per_label": samples, "train_fraction": fraction})
+            cli.run_experiment(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_train_fraction_accepted_where_split_cuts(self):
         # no network, so the training shots are not cut again for validation
@@ -195,18 +199,23 @@ class TestConfigParsing:
     @pytest.mark.parametrize("network", ["NN", "NN+", "TNN", "TNN+", "RNN"])
     @pytest.mark.parametrize("samples, fraction, n_train", [("5", "0.8", 4), ("2", "0.5", 1)])
     def test_a_network_needs_five_training_shots_a_label(
-        self, network, samples, fraction, n_train
+        self, tmp_path, network, samples, fraction, n_train
     ):
         values = {"samples_per_label": samples, "train_fraction": fraction}
         expected = (
             f"train_fraction {fraction} of samples_per_label {samples} leaves {n_train} "
             "training shots a label, too few for a network to hold out 0.1 of them"
         )
+        out = tmp_path / "out"
         with pytest.raises(ConfigError, match=re.escape(expected)):
-            build_config({**values, "strategies": f"FT,{network}"})
-        assert build_config({**values, "strategies": "FT,AT"}).strategy_names() == ["FT", "AT"]
+            cli.run_experiment(build_config({**values, "strategies": f"FT,{network}"}), out)
+        assert not out.exists()
+        summary = cli.run_experiment(build_config({**values, "strategies": "FT,AT"}), out)
+        assert list(summary["strategies"]) == ["FT", "AT"] and summary["errors"] == {}
         # 6 shots a label at the default 0.8 leave 5 training shots
-        assert build_config({"samples_per_label": "6", "strategies": network}).strategies == network
+        config = build_config({"samples_per_label": "6", "strategies": network})
+        _, train, _ = cli._split_dataset(config, networks=True)
+        assert train.size == 2 * 5
 
     def test_empty_strategy_list_rejected(self, capsys, tmp_path):
         with pytest.raises(ConfigError, match="strategies"):
@@ -323,6 +332,7 @@ class TestRunCommand:
         for entry in summary["strategies"].values():
             assert 0.0 <= entry["average"] <= 1.0
             assert entry["states_predicted"] in (1, 2)
+            assert entry["beats_constant_readout"] is (entry["average"] > 0.5)
         check = summary["diagnostics"]["simulator"]
         assert check["flagged"] == [] and 0.0 <= check["max_abs_z"] <= check["sigmas"]
 
@@ -372,6 +382,32 @@ class TestRunCommand:
         assert entries["NN"]["states_predicted"] == 1
         assert entries["NN"]["average"] == 0.5
         assert entries["FT"]["states_predicted"] == 2
+        # 1/2 on one ion is what always reading one state scores
+        assert entries["NN"]["beats_constant_readout"] is False
+        assert entries["FT"]["beats_constant_readout"] is True
+
+    def test_tied_epochs_keep_the_first(self, monkeypatch):
+        # a constant readout ties every validation: mlp.fit keeps epoch 0 through
+        # its ">" test, and run_strategy's diagnostics must say the same
+        seen = []
+
+        def constant(model, x):
+            seen.append(model.flat.copy())
+            return ["1"] * len(x)
+
+        monkeypatch.setattr(mlp, "predict", constant)
+        config = build_config(overrides={
+            "samples_per_label": 60, "epochs": 10, "patience": 2, "strategies": "NN",
+        })
+        dataset, train, test = cli._split_dataset(config, networks=True)
+        result = cli.run_strategy(cli.STRATEGIES["NN"], dataset, train, test, config)
+        assert result.diagnostics["best_epoch"] == 0
+        assert result.diagnostics["epochs_run"] == config.patience + 1
+        assert result.diagnostics["stop_reason"] == "patience"
+        # one validation an epoch, then the test shots on the kept parameters
+        assert len(seen) == config.patience + 2
+        np.testing.assert_array_equal(result.model.flat, seen[0])
+        assert not np.array_equal(seen[0], seen[-2])
 
     def test_threshold_file_says_which_features_it_read(self, tiny_run):
         _, out = tiny_run
@@ -510,6 +546,24 @@ class TestGenerateCommand:
         first = (tmp_path / "a" / "dataset.jsonl").read_bytes()
         second = (tmp_path / "b" / "dataset.jsonl").read_bytes()
         assert first == second
+
+    @pytest.mark.parametrize("samples", [1, 5])
+    def test_generates_datasets_too_small_to_split(self, tmp_path, samples):
+        # generate never splits, so the split rule does not bind it
+        config = write_config(tmp_path / "small.cfg", f"samples_per_label = {samples}\n")
+        out = tmp_path / "out"
+        assert main(["generate", "--preset", "3q", "--config", config, "--out", str(out)]) == 0
+        assert len(sim.load_dataset(str(out / "dataset.jsonl"))) == 8 * samples
+
+    def test_zero_shots_a_label_is_refused_before_out_is_made(self, tmp_path, capsys):
+        config = write_config(tmp_path / "zero.cfg", "samples_per_label = 0\n")
+        out = tmp_path / "out"
+        assert main(["generate", "--preset", "3q", "--config", config, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "SimulationError",
+            "message": "samples_per_label must be an integer >= 1, got 0",
+        }
+        assert not out.exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write_config(
